@@ -5,8 +5,6 @@
 
 #include "common/strings.hpp"
 #include "portal/transforms.hpp"
-#include "votable/table_ops.hpp"
-#include "votable/votable_io.hpp"
 
 namespace nvo::portal {
 
@@ -24,14 +22,10 @@ const char* to_string(RequestState state) {
   return "?";
 }
 
-const char* AsyncPortal::stage_name(Stage stage) {
-  switch (stage) {
+const char* AsyncPortal::stage_name(const Request& req) {
+  switch (req.stage) {
     case Stage::kStart: return "start";
-    case Stage::kImages: return "images";
-    case Stage::kCatalog: return "catalog";
-    case Stage::kCutouts: return "cutouts";
-    case Stage::kCompute: return "compute";
-    case Stage::kMerge: return "merge";
+    case Stage::kPipeline: return to_string(req.run.stage);
     case Stage::kMemoServe: return "memo_serve";
     case Stage::kFinished: return "finished";
   }
@@ -135,11 +129,11 @@ Submission AsyncPortal::submit(const std::string& tenant_name,
   Request req;
   req.id = ids_.next();
   req.tenant = tenant_name;
-  req.cluster = cluster;
+  req.run.cluster = cluster;
   req.params = params;
   req.memo_key = cluster + "\x1f" + params;
-  req.out_name = params.empty() ? cluster : cluster + "_" + params;
-  req.out_lfn = output_votable_lfn(req.out_name);
+  req.run.out_name = params.empty() ? cluster : cluster + "_" + params;
+  req.out_lfn = output_votable_lfn(req.run.out_name);
   req.result_url =
       "http://" + compute_.config().host + "/results?name=" + req.out_lfn;
   req.submit_ms = now_ms();
@@ -332,7 +326,7 @@ void AsyncPortal::start_request(Tenant& tenant, const std::string& id) {
   inflight_[req.memo_key] = id;
   req.leader = true;
   req.state = RequestState::kRunning;
-  req.stage = Stage::kImages;
+  req.stage = Stage::kPipeline;
   req.start_ms = now_ms();
   ++stats_.running;
   tenant.running = id;
@@ -350,8 +344,7 @@ void AsyncPortal::advance(Tenant& tenant, Request& req) {
   }
   if (req.ctx.expired(now_ms())) {
     return expire_request(
-        tenant, req,
-        format("deadline budget exhausted at stage %s", stage_name(req.stage)));
+        tenant, req, format("deadline budget exhausted at stage %s", stage_name(req)));
   }
   // Federation queries, cutout resolution and result fetches all go through
   // the tenant's own resilient client: scope the request's remaining budget
@@ -359,121 +352,40 @@ void AsyncPortal::advance(Tenant& tenant, Request& req) {
   // clamp to what's left and backoff never sleeps past the SLO.
   services::ResilientClient::ScopedContext scoped(tenant.portal->client(),
                                                   req.ctx);
-  switch (req.stage) {
-    case Stage::kImages: {
-      auto images = tenant.portal->find_large_scale_images(req.cluster, &req.trace);
-      if (!images.ok()) return fail_request(tenant, req, images.error().to_string());
-      req.images = std::move(images.value());
-      req.stage = Stage::kCatalog;
-      return;
+  if (req.stage == Stage::kMemoServe) return serve_from_memo(tenant, req);
+  if (req.stage != Stage::kPipeline) return;
+
+  using RunStage = Portal::AnalysisRun::Stage;
+  Portal::AnalysisRun& run = req.run;
+  const bool computing = run.stage == RunStage::kCompute;
+  tenant.portal->advance(run, req.ctx);
+  if (computing && run.stage == RunStage::kMerge) {
+    if (const ServiceTrace* st = compute_.trace(run.trace.compute_request_id)) {
+      // The service reports its staging + workflow makespan as a trace
+      // quantity; surface it on the shared timeline so every tenant's
+      // latency — and the DRR's cost accounting — sees the compute time.
+      fabric_.advance_clock(st->total_sim_seconds * 1000.0);
+      if (st->cache_hit || st->journal_hit) {
+        ++stats_.compute_cache_hits;
+      } else {
+        ++stats_.recomputes;
+      }
     }
-    case Stage::kCatalog: {
-      auto catalog = tenant.portal->build_galaxy_catalog(req.cluster, &req.trace);
-      if (!catalog.ok()) return fail_request(tenant, req, catalog.error().to_string());
-      req.catalog = std::move(catalog.value());
-      req.stage = Stage::kCutouts;
-      return;
-    }
-    case Stage::kCutouts: {
-      auto with_refs = tenant.portal->attach_cutout_refs(std::move(req.catalog),
-                                                         req.cluster, &req.trace);
-      if (!with_refs.ok()) {
-        return fail_request(tenant, req, with_refs.error().to_string());
-      }
-      req.catalog = std::move(with_refs.value());
-      req.trace.galaxies = req.catalog.num_rows();
-      req.stage = Stage::kCompute;
-      return;
-    }
-    case Stage::kCompute: {
-      const auto url_col = req.catalog.column_index("cutout_url");
-      if (!url_col) {
-        return fail_request(tenant, req, "cutout stage produced no cutout_url column");
-      }
-      votable::Table input =
-          votable::select(req.catalog, [&](const votable::Row& row) {
-            const auto url = row[*url_col].as_string();
-            return url && !url->empty();
-          });
-      if (input.num_rows() == 0) {
-        return fail_request(tenant, req,
-                            "no galaxy in " + req.cluster + " has a cutout reference");
-      }
-      const double before = now_ms();
-      auto status_url = compute_.gal_morph_compute(input, req.out_name, req.ctx);
-      if (!status_url.ok()) {
-        return fail_request(tenant, req, status_url.error().to_string());
-      }
-      if (const auto pos = status_url->find("id="); pos != std::string::npos) {
-        req.trace.compute_request_id = status_url->substr(pos + 3);
-      }
-      std::string result_url;
-      for (int i = 0; i < config_.portal.poll_limit; ++i) {
-        auto poll = compute_.poll(status_url.value());
-        if (!poll.ok()) return fail_request(tenant, req, poll.error().to_string());
-        ++req.trace.polls;
-        if (poll->state == "completed") {
-          result_url = poll->result_url;
-          break;
-        }
-        if (poll->state == "cancelled") {
-          req.error = "compute cancelled: " + join(poll->messages, "; ");
-          req.retry_after_ms = admission_.retry_after_hint();
-          return finish(tenant, req, RequestState::kCancelled);
-        }
-        if (poll->state == "expired") {
-          return expire_request(tenant, req,
-                                "compute deadline exceeded: " +
-                                    join(poll->messages, "; "));
-        }
-        if (poll->state == "failed") {
-          return fail_request(tenant, req, "compute service failed: " +
-                                               join(poll->messages, "; "));
-        }
-      }
-      if (result_url.empty()) {
-        return fail_request(tenant, req, "compute service never completed");
-      }
-      auto fetched = tenant.portal->client().get(result_url);
-      if (!fetched.ok()) return fail_request(tenant, req, fetched.error().to_string());
-      auto morphology = votable::from_votable_xml(fetched->body_text());
-      if (!morphology.ok()) {
-        return fail_request(tenant, req, morphology.error().to_string());
-      }
-      req.morphology = std::move(morphology.value());
-      req.trace.compute_wait_ms += now_ms() - before;
-      if (const ServiceTrace* st = compute_.trace(req.trace.compute_request_id)) {
-        // The service reports its staging + workflow makespan as a trace
-        // quantity; surface it on the shared timeline so every tenant's
-        // latency — and the DRR's cost accounting — sees the compute time.
-        fabric_.advance_clock(st->total_sim_seconds * 1000.0);
-        req.trace.compute_wait_ms += st->total_sim_seconds * 1000.0;
-        if (st->cache_hit || st->journal_hit) {
-          ++stats_.compute_cache_hits;
-        } else {
-          ++stats_.recomputes;
-        }
-      }
-      req.result_url = result_url;
-      req.stage = Stage::kMerge;
-      return;
-    }
-    case Stage::kMerge: {
-      auto merged = votable::join(req.catalog, req.morphology, "id", "id",
-                                  votable::JoinKind::kLeft);
-      if (!merged.ok()) return fail_request(tenant, req, merged.error().to_string());
-      req.result = std::move(merged.value());
-      req.result.name = req.cluster + "_analysis";
-      req.trace.valid = count_valid(req.result, &req.trace.invalid);
-      finish(tenant, req,
-             req.trace.archives_degraded() > 0 ? RequestState::kPartial
-                                               : RequestState::kDone);
-      return;
-    }
-    case Stage::kMemoServe:
-      return serve_from_memo(tenant, req);
-    case Stage::kStart:
-    case Stage::kFinished:
+  }
+  switch (run.stage) {
+    case RunStage::kDone:
+      return finish(tenant, req,
+                    run.trace.archives_degraded() > 0 ? RequestState::kPartial
+                                                      : RequestState::kDone);
+    case RunStage::kFailed:
+      return fail_request(tenant, req, run.error().to_string());
+    case RunStage::kCancelled:
+      req.error = run.error().message;
+      req.retry_after_ms = admission_.retry_after_hint();
+      return finish(tenant, req, RequestState::kCancelled);
+    case RunStage::kExpired:
+      return expire_request(tenant, req, run.error().message);
+    default:
       return;
   }
 }
@@ -499,19 +411,17 @@ void AsyncPortal::serve_from_memo(Tenant& tenant, Request& req) {
     }
     inflight_[req.memo_key] = req.id;
     req.leader = true;
-    req.stage = Stage::kImages;
+    req.stage = Stage::kPipeline;
     return;
   }
   // Serve the memoized catalog through the tenant's own client — a real
   // fabric fetch (latency, integrity verification, breaker accounting)
   // against the RLS-backed result store, not a zero-cost map lookup.
-  auto fetched = tenant.portal->client().get(req.result_url);
-  if (!fetched.ok()) return fail_request(tenant, req, fetched.error().to_string());
-  auto table = votable::from_votable_xml(fetched->body_text());
+  auto table = tenant.portal->fetch_votable(req.result_url);
   if (!table.ok()) return fail_request(tenant, req, table.error().to_string());
-  req.result = std::move(table.value());
-  req.trace.galaxies = req.result.num_rows();
-  req.trace.valid = count_valid(req.result, &req.trace.invalid);
+  req.run.catalog = std::move(table.value());
+  req.run.trace.galaxies = req.run.catalog.num_rows();
+  req.run.trace.tally(req.run.catalog);
   req.memo_hit = true;
   ++stats_.memo_hits;
   finish(tenant, req, RequestState::kDone);
@@ -532,9 +442,10 @@ void AsyncPortal::expire_request(Tenant& tenant, Request& req,
   // Partial results: whatever the pipeline had built when the budget ran out
   // (typically the federation catalog with cutout refs) stays retrievable —
   // the tenant paid for it.
-  if (req.result.num_rows() == 0 && req.catalog.num_rows() > 0) {
-    req.result = req.catalog;
-    req.result.name = req.cluster + "_partial";
+  Portal::AnalysisRun& run = req.run;
+  if (run.catalog.num_rows() == 0 && run.with_refs.num_rows() > 0) {
+    run.catalog = run.with_refs;
+    run.catalog.name = run.cluster + "_partial";
   }
   finish(tenant, req, RequestState::kExpired);
 }
@@ -563,13 +474,13 @@ void AsyncPortal::finish(Tenant& tenant, Request& req, RequestState state) {
   if (config_.portal.tracer) {
     config_.portal.tracer->record_span(
         0, "async.request", "portal", req.submit_ms, req.finish_ms - req.submit_ms,
-        {{"galaxies", static_cast<double>(req.trace.galaxies)},
-         {"valid", static_cast<double>(req.trace.valid)},
+        {{"galaxies", static_cast<double>(req.run.trace.galaxies)},
+         {"valid", static_cast<double>(req.run.trace.valid)},
          {"archives_degraded",
-          static_cast<double>(req.trace.archives_degraded())}},
+          static_cast<double>(req.run.trace.archives_degraded())}},
         {{"tenant", req.tenant},
          {"request", req.id},
-         {"cluster", req.cluster},
+         {"cluster", req.run.cluster},
          {"state", to_string(state)},
          {"memo", req.memo_hit ? "hit" : (req.coalesced ? "coalesced" : "miss")}});
   }
@@ -669,8 +580,8 @@ bool AsyncPortal::memo_ready(const Request& req) const {
 
 void AsyncPortal::publish_status(const Request& req) {
   std::string line = "id=" + req.id + " tenant=" + req.tenant +
-                     " cluster=" + req.cluster + " state=" + to_string(req.state) +
-                     " stage=" + stage_name(req.stage);
+                     " cluster=" + req.run.cluster + " state=" + to_string(req.state) +
+                     " stage=" + stage_name(req);
   if (req.state == RequestState::kShed || req.state == RequestState::kExpired ||
       req.state == RequestState::kCancelled) {
     line += format(" retry_after_ms=%.0f reason=%s", req.retry_after_ms,
@@ -694,25 +605,6 @@ void AsyncPortal::observe_latency(const Request& req) {
   if (hit != tenant_hists_.end() && hit->second) hit->second->observe(latency);
 }
 
-std::size_t AsyncPortal::count_valid(const votable::Table& table,
-                                     std::size_t* invalid) {
-  std::size_t valid = 0;
-  std::size_t bad = 0;
-  const auto valid_col = table.column_index("valid");
-  for (std::size_t i = 0; i < table.num_rows(); ++i) {
-    if (valid_col) {
-      const auto v = table.row(i)[*valid_col].as_bool();
-      if (v && *v) {
-        ++valid;
-        continue;
-      }
-    }
-    ++bad;
-  }
-  if (invalid) *invalid = bad;
-  return valid;
-}
-
 Expected<RequestStatus> AsyncPortal::status(const std::string& id) const {
   const auto it = requests_.find(id);
   if (it == requests_.end()) {
@@ -722,10 +614,10 @@ Expected<RequestStatus> AsyncPortal::status(const std::string& id) const {
   RequestStatus out;
   out.id = req.id;
   out.tenant = req.tenant;
-  out.cluster = req.cluster;
+  out.cluster = req.run.cluster;
   out.params = req.params;
   out.state = req.state;
-  out.stage = stage_name(req.stage);
+  out.stage = stage_name(req);
   out.submit_ms = req.submit_ms;
   out.start_ms = req.start_ms;
   out.finish_ms = req.finish_ms;
@@ -734,10 +626,10 @@ Expected<RequestStatus> AsyncPortal::status(const std::string& id) const {
   out.error = req.error;
   out.memo_hit = req.memo_hit;
   out.coalesced = req.coalesced;
-  out.galaxies = req.trace.galaxies;
-  out.valid = req.trace.valid;
-  out.invalid = req.trace.invalid;
-  out.archives_degraded = req.trace.archives_degraded();
+  out.galaxies = req.run.trace.galaxies;
+  out.valid = req.run.trace.valid;
+  out.invalid = req.run.trace.invalid;
+  out.archives_degraded = req.run.trace.archives_degraded();
   return out;
 }
 
@@ -748,12 +640,12 @@ const votable::Table* AsyncPortal::result(const std::string& id) const {
   // An expired request surfaces the partial catalog it had built when the
   // budget ran out (nullptr when it expired before producing anything).
   if (req.state == RequestState::kExpired) {
-    return req.result.num_rows() > 0 ? &req.result : nullptr;
+    return req.run.catalog.num_rows() > 0 ? &req.run.catalog : nullptr;
   }
   if (req.state != RequestState::kDone && req.state != RequestState::kPartial) {
     return nullptr;
   }
-  return &req.result;
+  return &req.run.catalog;
 }
 
 AsyncPortal::Stats AsyncPortal::stats() const { return stats_; }

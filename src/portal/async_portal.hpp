@@ -26,7 +26,9 @@
 //
 // Execution model: a discrete-event, stage-interleaved scheduler. step()
 // runs ONE pipeline stage (images / catalog / cutouts / compute / merge) of
-// one tenant's current request synchronously; interleaving across tenants
+// one tenant's current request synchronously — one Portal::advance of the
+// request's AnalysisRun, the same stage machine the synchronous
+// Portal::run_analysis drives to completion. Interleaving across tenants
 // happens at stage granularity. Each tenant runs its requests FIFO through
 // its own portal::Portal (own resilient client, so breaker and quarantine
 // state is tenant-scoped) against the shared compute service + RLS.
@@ -89,7 +91,7 @@ struct AsyncPortalConfig {
   /// Host serving this portal's status URLs on the fabric.
   std::string host = "portal.nvo.sim";
   /// Base configuration for every tenant's portal (retry/breaker/cutout
-  /// mode/poll limit). The tracer inside is also used for request spans.
+  /// mode). The tracer inside is also used for request spans.
   PortalConfig portal;
 };
 
@@ -234,18 +236,16 @@ class AsyncPortal {
   double now_ms() const;
 
  private:
-  enum class Stage {
-    kStart, kImages, kCatalog, kCutouts, kCompute, kMerge, kMemoServe, kFinished
-  };
-  static const char* stage_name(Stage stage);
+  /// Where a request is: waiting to start, inside the Fig. 5 stage machine
+  /// (its AnalysisRun names the stage), serving a memoized catalog, or
+  /// terminal.
+  enum class Stage { kStart, kPipeline, kMemoServe, kFinished };
 
   struct Request {
     std::string id;
     std::string tenant;
-    std::string cluster;
     std::string params;
     std::string memo_key;
-    std::string out_name;
     std::string out_lfn;
     std::string result_url;
     RequestState state = RequestState::kQueued;
@@ -263,12 +263,11 @@ class AsyncPortal {
     double finish_ms = 0.0;
     double retry_after_ms = 0.0;
     std::string error;
-    PortalTrace trace;
-    Portal::ImageLinks images;
-    votable::Table catalog;     ///< federation catalog with cutout refs
-    votable::Table morphology;  ///< compute-service output
-    votable::Table result;      ///< final deliverable
+    /// The derivation: cluster, trace, intermediate tables and the final
+    /// deliverable (`run.catalog`).
+    Portal::AnalysisRun run;
   };
+  static const char* stage_name(const Request& req);
 
   struct Tenant {
     std::string name;
@@ -297,7 +296,6 @@ class AsyncPortal {
   bool memo_ready(const Request& req) const;
   void publish_status(const Request& req);
   void observe_latency(const Request& req);
-  static std::size_t count_valid(const votable::Table& table, std::size_t* invalid);
 
   services::HttpFabric& fabric_;
   services::Federation federation_;

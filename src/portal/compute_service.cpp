@@ -449,10 +449,9 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
                                   hex_u64(cache_.digest_of(lfn)));
       }
     } else {
-      const double fetch_before_ms = fabric_.metrics().total_elapsed_ms;
+      const double fetch_before_ms = fabric_.now_ms();
       auto response = client_.get(*url);
-      const double fetch_ms =
-          fabric_.metrics().total_elapsed_ms - fetch_before_ms;
+      const double fetch_ms = fabric_.now_ms() - fetch_before_ms;
       trace.image_fetch_sim_ms += fetch_ms;
       if (response.ok()) trace.staging_wan_bytes += response->body.size();
       double effective_ms = fetch_ms;
@@ -480,10 +479,9 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
           }
         }
         if (!hedge_url.empty() && hedge_delay > 0.0 && fetch_ms > hedge_delay) {
-          const double hedge_before_ms = fabric_.metrics().total_elapsed_ms;
+          const double hedge_before_ms = fabric_.now_ms();
           auto hedge = client_.get(hedge_url);
-          const double hedge_ms =
-              fabric_.metrics().total_elapsed_ms - hedge_before_ms;
+          const double hedge_ms = fabric_.now_ms() - hedge_before_ms;
           ++trace.hedged_fetches;
           const bool hedge_ok = hedge.ok() && hedge->status == 200;
           const bool primary_ok = response.ok() && response->status == 200;

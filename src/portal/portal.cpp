@@ -11,6 +11,7 @@
 #include "services/sia.hpp"
 #include "sky/spatial_index.hpp"
 #include "votable/table_ops.hpp"
+#include "votable/votable_io.hpp"
 
 namespace nvo::portal {
 
@@ -30,6 +31,12 @@ services::EndpointStats stats_snapshot(const services::ResilientClient& client,
                                        const std::string& base_url) {
   const services::EndpointStats* p = client.stats_for(host_of(base_url));
   return p ? *p : services::EndpointStats{};
+}
+
+void end_run(Portal::AnalysisRun& run, Portal::AnalysisRun::Stage terminal,
+             Error error) {
+  run.stage = terminal;
+  run.status = std::move(error);
 }
 }  // namespace
 
@@ -119,7 +126,7 @@ Expected<Portal::ImageLinks> Portal::find_large_scale_images(
 
   ImageLinks links;
   obs::Span stage = obs::start_span(config_.tracer, "portal.image_search", "portal");
-  const double before = fabric_.metrics().total_elapsed_ms;
+  const double before = fabric_.now_ms();
   // Optical: DSS. X-ray: ROSAT + Chandra. An archive being down is not
   // fatal — the analysis can proceed without a large-scale image.
   {
@@ -163,7 +170,7 @@ Expected<Portal::ImageLinks> Portal::find_large_scale_images(
     q.count("rows", static_cast<double>(status.rows));
     record_archive(trace, std::move(status));
   }
-  if (trace) trace->image_search_ms += fabric_.metrics().total_elapsed_ms - before;
+  if (trace) trace->image_search_ms += fabric_.now_ms() - before;
   return links;
 }
 
@@ -173,7 +180,7 @@ Expected<votable::Table> Portal::build_galaxy_catalog(const std::string& cluster
   if (!cluster) return Error(ErrorCode::kNotFound, "unknown cluster " + cluster_name);
 
   obs::Span stage = obs::start_span(config_.tracer, "portal.catalog_build", "portal");
-  const double before = fabric_.metrics().total_elapsed_ms;
+  const double before = fabric_.now_ms();
   obs::Span ned_span = obs::start_span(config_.tracer, "query.NED", "archive");
   const auto ned_snap = stats_snapshot(client_, federation_.ned_cone);
   auto ned = services::cone_search(client_, federation_.ned_cone, cluster->position,
@@ -226,7 +233,7 @@ Expected<votable::Table> Portal::build_galaxy_catalog(const std::string& cluster
         cnoc.ok() ? "empty result" : cnoc.error().to_string();
     record_archive(trace, std::move(ned_status));
     record_archive(trace, std::move(cnoc_status));
-    if (trace) trace->catalog_build_ms += fabric_.metrics().total_elapsed_ms - before;
+    if (trace) trace->catalog_build_ms += fabric_.now_ms() - before;
     return Error(ErrorCode::kServiceUnavailable,
                  "all catalog archives unavailable for " + cluster_name + ": NED: " +
                      ned.error().to_string() +
@@ -236,7 +243,7 @@ Expected<votable::Table> Portal::build_galaxy_catalog(const std::string& cluster
   record_archive(trace, std::move(ned_status));
   record_archive(trace, std::move(cnoc_status));
   catalog.name = cluster_name + "_catalog";
-  if (trace) trace->catalog_build_ms += fabric_.metrics().total_elapsed_ms - before;
+  if (trace) trace->catalog_build_ms += fabric_.now_ms() - before;
   return catalog;
 }
 
@@ -252,7 +259,7 @@ Expected<votable::Table> Portal::attach_cutout_refs(votable::Table catalog,
   }
 
   obs::Span stage = obs::start_span(config_.tracer, "portal.cutout_refs", "portal");
-  const double before = fabric_.metrics().total_elapsed_ms;
+  const double before = fabric_.now_ms();
   const auto cutout_snap = stats_snapshot(client_, federation_.cutout_sia);
   std::size_t queries = 0;
   std::size_t refs_attached = 0;
@@ -304,7 +311,7 @@ Expected<votable::Table> Portal::attach_cutout_refs(votable::Table catalog,
           archive_status("MAST cutout", federation_.cutout_sia, cutout_snap);
       status.skipped_reason = records.error().to_string();
       record_archive(trace, std::move(status));
-      if (trace) trace->cutout_query_ms += fabric_.metrics().total_elapsed_ms - before;
+      if (trace) trace->cutout_query_ms += fabric_.now_ms() - before;
       return records.error();
     }
     ++queries;
@@ -398,118 +405,186 @@ Expected<votable::Table> Portal::attach_cutout_refs(votable::Table catalog,
   stage.count("queries", static_cast<double>(queries));
   stage.count("refs", static_cast<double>(refs_attached));
   if (trace) {
-    trace->cutout_query_ms += fabric_.metrics().total_elapsed_ms - before;
+    trace->cutout_query_ms += fabric_.now_ms() - before;
     trace->cutout_queries += queries;
   }
   return catalog;
 }
 
-Portal::AnalysisOutcome Portal::run_analysis(const std::string& cluster_name) {
-  AnalysisOutcome outcome;
-  PortalTrace& trace = outcome.trace;
-  obs::Span root = obs::start_span(config_.tracer, "portal.run_analysis", "portal");
-  root.note("cluster", cluster_name);
-  const auto fail = [&](Error error) {
-    root.note("error", error.to_string());
-    outcome.status = std::move(error);
-    return std::move(outcome);
-  };
+const char* to_string(Portal::AnalysisRun::Stage stage) {
+  using Stage = Portal::AnalysisRun::Stage;
+  switch (stage) {
+    case Stage::kImages: return "images";
+    case Stage::kCatalog: return "catalog";
+    case Stage::kCutouts: return "cutouts";
+    case Stage::kCompute: return "compute";
+    case Stage::kMerge: return "merge";
+    case Stage::kDone: return "done";
+    case Stage::kFailed: return "failed";
+    case Stage::kCancelled: return "cancelled";
+    case Stage::kExpired: return "expired";
+  }
+  return "?";
+}
 
-  auto images = find_large_scale_images(cluster_name, &trace);
-  if (!images.ok()) return fail(images.error());
-  outcome.images = std::move(images.value());
+void PortalTrace::tally(const votable::Table& catalog) {
+  valid = 0;
+  invalid = 0;
+  const auto valid_col = catalog.column_index("valid");
+  for (std::size_t i = 0; i < catalog.num_rows(); ++i) {
+    const auto v = valid_col ? catalog.row(i)[*valid_col].as_bool() : std::nullopt;
+    if (v && *v) {
+      ++valid;
+    } else {
+      ++invalid;
+    }
+  }
+}
 
-  auto catalog = build_galaxy_catalog(cluster_name, &trace);
-  if (!catalog.ok()) return fail(catalog.error());
+Expected<votable::Table> Portal::fetch_votable(const std::string& url) {
+  auto response = client_.get(url);
+  if (!response.ok()) return response.error();
+  if (response->status != 200) {
+    return Error(ErrorCode::kServiceUnavailable,
+                 format("fetch of %s returned %d", url.c_str(), response->status));
+  }
+  return votable::from_votable_xml(response->body_text());
+}
 
-  auto with_refs = attach_cutout_refs(std::move(catalog.value()), cluster_name, &trace);
-  if (!with_refs.ok()) return fail(with_refs.error());
-  trace.galaxies = with_refs->num_rows();
+void Portal::advance(AnalysisRun& run, const services::RequestContext& ctx) {
+  using Stage = AnalysisRun::Stage;
+  switch (run.stage) {
+    case Stage::kImages: {
+      auto images = find_large_scale_images(run.cluster, &run.trace);
+      if (!images.ok()) return end_run(run, Stage::kFailed, images.error());
+      run.images = std::move(images.value());
+      run.stage = Stage::kCatalog;
+      return;
+    }
+    case Stage::kCatalog: {
+      auto catalog = build_galaxy_catalog(run.cluster, &run.trace);
+      if (!catalog.ok()) return end_run(run, Stage::kFailed, catalog.error());
+      run.with_refs = std::move(catalog.value());
+      run.stage = Stage::kCutouts;
+      return;
+    }
+    case Stage::kCutouts: {
+      auto with_refs =
+          attach_cutout_refs(std::move(run.with_refs), run.cluster, &run.trace);
+      if (!with_refs.ok()) return end_run(run, Stage::kFailed, with_refs.error());
+      run.with_refs = std::move(with_refs.value());
+      run.trace.galaxies = run.with_refs.num_rows();
+      run.stage = Stage::kCompute;
+      return;
+    }
+    case Stage::kCompute:
+      return compute_stage(run, ctx);
+    case Stage::kMerge: {
+      // Final merge: morphology columns joined back onto the full catalog.
+      obs::Span merge_span = obs::start_span(config_.tracer, "portal.merge", "portal");
+      const auto t0 = std::chrono::steady_clock::now();
+      auto merged = votable::join(run.with_refs, run.morphology, "id", "id",
+                                  votable::JoinKind::kLeft);
+      if (!merged.ok()) return end_run(run, Stage::kFailed, merged.error());
+      run.trace.merge_ms = wall_ms_since(t0);
+      run.trace.tally(merged.value());
+      run.catalog = std::move(merged.value());
+      run.catalog.name = run.cluster + "_analysis";
+      run.stage = Stage::kDone;
+      return;
+    }
+    default:
+      return;
+  }
+}
 
+void Portal::compute_stage(AnalysisRun& run, const services::RequestContext& ctx) {
+  using Stage = AnalysisRun::Stage;
   // Drop rows with no cutout reference (nothing to compute on). The column
   // is checked, not assumed: a degraded cutout stage surfaces as a status,
   // never as an unchecked dereference.
-  const auto url_col = with_refs->column_index("cutout_url");
+  const auto url_col = run.with_refs.column_index("cutout_url");
   if (!url_col) {
-    return fail(Error(ErrorCode::kInternal,
-                      "cutout stage produced no cutout_url column"));
+    return end_run(run, Stage::kFailed,
+                   Error(ErrorCode::kInternal,
+                         "cutout stage produced no cutout_url column"));
   }
-  votable::Table compute_input =
-      votable::select(with_refs.value(), [&](const votable::Row& row) {
+  const votable::Table input =
+      votable::select(run.with_refs, [&](const votable::Row& row) {
         const auto url = row[*url_col].as_string();
         return url && !url->empty();
       });
-  if (compute_input.num_rows() == 0) {
-    return fail(Error(ErrorCode::kInvalidArgument,
-                      "no galaxy in " + cluster_name + " has a cutout reference"));
+  if (input.num_rows() == 0) {
+    return end_run(run, Stage::kFailed,
+                   Error(ErrorCode::kInvalidArgument,
+                         "no galaxy in " + run.cluster + " has a cutout reference"));
   }
 
-  // Submit to the compute service and poll asynchronously ("the portal
-  // polls the returned URL until it finds a job completed status message").
-  obs::Span compute_span = obs::start_span(config_.tracer, "portal.compute", "portal");
-  const double before_compute = fabric_.metrics().total_elapsed_ms;
-  auto status_url = compute_.gal_morph_compute(compute_input, cluster_name);
-  if (!status_url.ok()) return fail(status_url.error());
+  obs::Span span = obs::start_span(config_.tracer, "portal.compute", "portal");
+  const double before = fabric_.now_ms();
+  auto status_url = compute_.gal_morph_compute(input, run.out_name, ctx);
+  if (!status_url.ok()) return end_run(run, Stage::kFailed, status_url.error());
   // The unique request id rides in the status URL ("...?id=req-N"); keep it
   // so the service trace can be found again after other requests interleave.
   if (const auto pos = status_url->find("id="); pos != std::string::npos) {
-    trace.compute_request_id = status_url->substr(pos + 3);
+    run.trace.compute_request_id = status_url->substr(pos + 3);
   }
-  std::string result_url;
-  for (int i = 0; i < config_.poll_limit; ++i) {
-    auto poll = compute_.poll(status_url.value());
-    if (!poll.ok()) return fail(poll.error());
-    ++trace.polls;
-    if (poll->state == "completed") {
-      result_url = poll->result_url;
-      break;
-    }
-    if (poll->state == "failed") {
-      return fail(Error(ErrorCode::kComputeFailed,
-                        "compute service failed: " + join(poll->messages, "; ")));
-    }
+  // The Fig. 6 status round trip. gal_morph_compute runs the request to a
+  // terminal state before it answers, so the first poll is final.
+  auto poll = compute_.poll(status_url.value());
+  if (!poll.ok()) return end_run(run, Stage::kFailed, poll.error());
+  ++run.trace.polls;
+  const std::string detail = join(poll->messages, "; ");
+  if (poll->state == "cancelled") {
+    return end_run(run, Stage::kCancelled,
+                   Error(ErrorCode::kCancelled, "compute cancelled: " + detail));
   }
-  if (result_url.empty()) {
-    return fail(Error(ErrorCode::kTimeout, "compute service never completed"));
+  if (poll->state == "expired") {
+    return end_run(run, Stage::kExpired,
+                   Error(ErrorCode::kDeadlineExceeded,
+                         "compute deadline exceeded: " + detail));
   }
-  auto morphology = compute_.fetch_result(result_url);
-  if (!morphology.ok()) return fail(morphology.error());
-  // Simulated compute latency: the service's own accounting (staging +
-  // makespan) plus the polling round-trips recorded by the fabric.
-  trace.compute_wait_ms += fabric_.metrics().total_elapsed_ms - before_compute;
-  if (const ServiceTrace* st = compute_.trace(trace.compute_request_id)) {
-    trace.compute_wait_ms += st->total_sim_seconds * 1000.0;
+  if (poll->state == "failed") {
+    return end_run(run, Stage::kFailed,
+                   Error(ErrorCode::kComputeFailed, "compute service failed: " + detail));
   }
-  compute_span.count("polls", static_cast<double>(trace.polls));
-  compute_span.count("galaxies", static_cast<double>(compute_input.num_rows()));
-  compute_span.end();
+  if (poll->state != "completed") {
+    return end_run(run, Stage::kFailed,
+                   Error(ErrorCode::kInternal,
+                         "compute status poll answered non-terminal state '" +
+                             poll->state + "'"));
+  }
+  auto morphology = fetch_votable(poll->result_url);
+  if (!morphology.ok()) return end_run(run, Stage::kFailed, morphology.error());
+  run.morphology = std::move(morphology.value());
+  // Simulated compute latency: the fabric charges from submit to fetch,
+  // plus the service's own accounting (staging + makespan). The staging
+  // fetches inside gal_morph_compute are fabric charges too, so staging is
+  // billed twice; fixing that moves every sim latency and is left to the
+  // latency-attribution work.
+  run.trace.compute_wait_ms += fabric_.now_ms() - before;
+  if (const ServiceTrace* st = compute_.trace(run.trace.compute_request_id)) {
+    run.trace.compute_wait_ms += st->total_sim_seconds * 1000.0;
+  }
+  span.count("polls", static_cast<double>(run.trace.polls));
+  span.count("galaxies", static_cast<double>(input.num_rows()));
+  run.stage = Stage::kMerge;
+}
 
-  // Final merge: morphology columns joined back onto the full catalog.
-  obs::Span merge_span = obs::start_span(config_.tracer, "portal.merge", "portal");
-  const auto t0 = std::chrono::steady_clock::now();
-  auto merged = votable::join(with_refs.value(), morphology.value(), "id", "id",
-                              votable::JoinKind::kLeft);
-  if (!merged.ok()) return fail(merged.error());
-  trace.merge_ms = wall_ms_since(t0);
-
-  const auto valid_col = merged->column_index("valid");
-  for (std::size_t i = 0; i < merged->num_rows(); ++i) {
-    if (valid_col) {
-      const auto v = merged->row(i)[*valid_col].as_bool();
-      if (v && *v) {
-        ++trace.valid;
-        continue;
-      }
-    }
-    ++trace.invalid;
+Portal::AnalysisOutcome Portal::run_analysis(const std::string& cluster_name) {
+  obs::Span root = obs::start_span(config_.tracer, "portal.run_analysis", "portal");
+  root.note("cluster", cluster_name);
+  AnalysisRun run;
+  run.cluster = run.out_name = cluster_name;
+  while (!run.finished()) advance(run);
+  if (!run.ok()) {
+    root.note("error", run.error().to_string());
+  } else {
+    root.count("galaxies", static_cast<double>(run.trace.galaxies));
+    root.count("valid", static_cast<double>(run.trace.valid));
+    root.count("invalid", static_cast<double>(run.trace.invalid));
   }
-  merge_span.end();
-  outcome.catalog = std::move(merged.value());
-  outcome.catalog.name = cluster_name + "_analysis";
-  root.count("galaxies", static_cast<double>(trace.galaxies));
-  root.count("valid", static_cast<double>(trace.valid));
-  root.count("invalid", static_cast<double>(trace.invalid));
-  return outcome;
+  return run;
 }
 
 }  // namespace nvo::portal

@@ -2,10 +2,14 @@
 // catalog, large-scale image search over three SIA archives, galaxy-catalog
 // assembly from two Cone Search services joined with the generic table-join
 // library, cutout-reference retrieval via SIA, submission to the compute
-// web service with status polling, and the final merge of computed
+// web service with one status poll, and the final merge of computed
 // morphology back into the catalog. Both the paper's per-galaxy SIA loop
-// and the batched single-cone variant it wishes for are implemented, as is
-// the sync-vs-async submission distinction of §4.3.1 item 2.
+// and the batched single-cone variant it wishes for are implemented.
+//
+// The five stages form one stage machine (Portal::advance over an
+// AnalysisRun). Two drivers share it: run_analysis steps a run to
+// completion, and AsyncPortal advances one run by one stage per scheduling
+// unit (the sync-vs-async submission distinction of §4.3.1 item 2).
 #pragma once
 
 #include <string>
@@ -46,7 +50,6 @@ struct PortalConfig {
   CutoutQueryMode cutout_query = CutoutQueryMode::kCoalesced;
   double cutout_patch_deg = 0.1;      ///< kCoalesced patch cell size
   double cutout_size_deg = 64.0 / 3600.0;
-  int poll_limit = 64;                ///< max status polls before giving up
   services::RetryPolicy retry;        ///< per-request tolerance for all queries
   services::BreakerPolicy breaker;
   /// Optional trace-span sink for the request path (null = no tracing).
@@ -101,6 +104,9 @@ struct PortalTrace {
     return image_search_ms + catalog_build_ms + cutout_query_ms + compute_wait_ms +
            merge_ms;
   }
+  /// Sets valid/invalid from the catalog's `valid` column; a row without a
+  /// true value counts as invalid.
+  void tally(const votable::Table& catalog);
   /// Archives that did not deliver (skipped or failed over entirely).
   std::size_t archives_degraded() const {
     std::size_t n = 0;
@@ -143,7 +149,8 @@ class Portal {
                                               const std::string& cluster_name,
                                               PortalTrace* trace = nullptr);
 
-  /// Full §2-strategy run: images, catalog, cutouts, compute, merge.
+  /// Result of a full §2-strategy run: images, catalog, cutouts, compute,
+  /// merge.
   ///
   /// Unlike an Expected<...>, the outcome always carries the PortalTrace —
   /// on failure the per-archive ArchiveStatus entries accumulated up to the
@@ -161,7 +168,37 @@ class Portal {
     AnalysisOutcome* operator->() { return this; }
     const AnalysisOutcome* operator->() const { return this; }
   };
+
+  /// One Fig. 5 request in flight: the outcome built so far plus what the
+  /// next stage needs. A terminal stage names how the run ended; only the
+  /// compute poll's "cancelled"/"expired" answers end it as kCancelled or
+  /// kExpired, every other error ends it as kFailed.
+  struct AnalysisRun : AnalysisOutcome {
+    enum class Stage {
+      kImages, kCatalog, kCutouts, kCompute, kMerge,
+      kDone, kFailed, kCancelled, kExpired
+    };
+    std::string cluster;
+    std::string out_name;        ///< compute-service output name
+    Stage stage = Stage::kImages;
+    votable::Table with_refs;    ///< federation catalog (+ cutout_url column)
+    votable::Table morphology;   ///< compute-service output
+
+    bool finished() const { return stage >= Stage::kDone; }
+  };
+
+  /// Runs exactly one stage of `run` and moves it to the next stage, or to
+  /// a terminal one. `ctx` rides the compute submission (deadline budget
+  /// and cancellation token); a driver that wants it on the federation
+  /// queries too scopes it onto client(). A finished run is left untouched.
+  void advance(AnalysisRun& run, const services::RequestContext& ctx = {});
+
+  /// Drives a run of `cluster_name` through every stage.
   AnalysisOutcome run_analysis(const std::string& cluster_name);
+
+  /// Fetches and parses a VOTable (a compute-service result document)
+  /// through the portal's client.
+  Expected<votable::Table> fetch_votable(const std::string& url);
 
   /// The portal's resilient HTTP client (retry/breaker/failover state).
   services::ResilientClient& client() { return client_; }
@@ -176,6 +213,8 @@ class Portal {
                                const services::EndpointStats& before) const;
   /// Appends `status` to the trace and folds its counters into the totals.
   static void record_archive(PortalTrace* trace, ArchiveStatus status);
+  /// The compute stage: filter, gal_morph_compute, one poll, fetch.
+  void compute_stage(AnalysisRun& run, const services::RequestContext& ctx);
 
   services::HttpFabric& fabric_;
   services::Federation federation_;
@@ -184,5 +223,7 @@ class Portal {
   services::ResilientClient client_;
   std::vector<ClusterEntry> clusters_;
 };
+
+const char* to_string(Portal::AnalysisRun::Stage stage);
 
 }  // namespace nvo::portal

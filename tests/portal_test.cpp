@@ -3,7 +3,10 @@
 // pipeline (Fig. 5 stages).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "analysis/campaign.hpp"
+#include "portal/async_portal.hpp"
 #include "portal/compute_service.hpp"
 #include "portal/portal.hpp"
 #include "portal/transforms.hpp"
@@ -11,6 +14,7 @@
 #include "sim/universe.hpp"
 #include "vds/chimera.hpp"
 #include "votable/table_ops.hpp"
+#include "votable/votable_io.hpp"
 
 namespace nvo::portal {
 namespace {
@@ -246,7 +250,7 @@ TEST_F(PortalFixture, CutoutRefsAgreeAcrossQueryModes) {
 
   // Wide-cone portal: a single cluster-wide query.
   analysis::CampaignConfig batched_config = make_config();
-  batched_config.batched_cutouts = true;
+  batched_config.cutout_mode = portal::CutoutQueryMode::kWideCone;
   analysis::Campaign batched(batched_config);
   PortalTrace batched_trace;
   auto catalog2 = batched.portal().build_galaxy_catalog(cluster);
@@ -428,6 +432,110 @@ TEST_F(PortalFixture, ComputeProceedsWhenCnocIsDown) {
   ASSERT_TRUE(catalog.ok()) << catalog.error().to_string();
   EXPECT_GT(catalog->num_rows(), 0u);          // NED alone suffices
   EXPECT_FALSE(catalog->column_index("g_r").has_value());  // CNOC columns absent
+}
+
+// ---------------------------------------------------------------------------
+// the Fig. 5 stage machine and its two drivers
+// ---------------------------------------------------------------------------
+
+TEST_F(PortalFixture, SyncAndAsyncDriversDeliverTheSameCatalog) {
+  // Two identically seeded stacks: one driven by Portal::run_analysis, one
+  // by AsyncPortal's one-stage-per-step scheduler. Both advance the same
+  // stage machine, so every deliverable must agree byte for byte.
+  analysis::Campaign async_campaign(make_config());
+  AsyncPortal async(async_campaign.fabric(), async_campaign.federation(),
+                    async_campaign.compute_service());
+  for (const sim::Cluster& c : async_campaign.universe().clusters()) {
+    ClusterEntry entry;
+    entry.name = c.name();
+    entry.position = c.center();
+    entry.redshift = c.redshift();
+    entry.search_radius_deg = c.spec.extent_arcmin / 60.0;
+    async.add_cluster(entry);
+  }
+  async.add_tenant("alice");
+
+  constexpr std::size_t kClusters = 3;
+  std::vector<std::string> ids;
+  for (std::size_t i = 0; i < kClusters; ++i) {
+    const Submission sub =
+        async.submit("alice", async_campaign.universe().clusters()[i].name());
+    ASSERT_TRUE(sub.admitted) << sub.reason;
+    ids.push_back(sub.id);
+  }
+  async.drain();
+
+  for (std::size_t i = 0; i < kClusters; ++i) {
+    const std::string cluster = campaign_.universe().clusters()[i].name();
+    auto sync = campaign_.portal().run_analysis(cluster);
+    ASSERT_TRUE(sync.ok()) << cluster << ": " << sync.error().to_string();
+    EXPECT_EQ(sync.trace.polls, 1u);
+    EXPECT_GT(sync.catalog.num_rows(), 0u);
+
+    const auto status = async.status(ids[i]);
+    ASSERT_TRUE(status.ok());
+    ASSERT_EQ(status->state, RequestState::kDone) << status->error;
+    const votable::Table* async_catalog = async.result(ids[i]);
+    ASSERT_NE(async_catalog, nullptr);
+    EXPECT_EQ(votable::to_votable_xml(sync.catalog),
+              votable::to_votable_xml(*async_catalog))
+        << cluster;
+    EXPECT_EQ(status->galaxies, sync.trace.galaxies);
+    EXPECT_EQ(status->valid, sync.trace.valid);
+    EXPECT_EQ(status->invalid, sync.trace.invalid);
+  }
+  // One Fig. 6 status poll per async derivation as well.
+  const auto polls = async_campaign.fabric().metrics_for(
+      async_campaign.compute_service().config().host, "/status");
+  ASSERT_TRUE(polls.has_value());
+  EXPECT_EQ(polls->requests, kClusters);
+}
+
+TEST_F(PortalFixture, CancelledComputeEndsTheRunCancelledAfterOnePoll) {
+  Portal& portal = campaign_.portal();
+  Portal::AnalysisRun run;
+  run.cluster = run.out_name = campaign_.universe().clusters().front().name();
+  while (run.stage != Portal::AnalysisRun::Stage::kCompute) {
+    ASSERT_FALSE(run.finished()) << run.error().to_string();
+    portal.advance(run);
+  }
+
+  services::RequestContext ctx;
+  ctx.cancel.cancel("client withdrew");
+  portal.advance(run, ctx);
+  EXPECT_EQ(run.stage, Portal::AnalysisRun::Stage::kCancelled);
+  EXPECT_TRUE(run.finished());
+  EXPECT_EQ(run.trace.polls, 1u);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.error().code, ErrorCode::kCancelled);
+
+  // A terminal run is left alone.
+  portal.advance(run);
+  EXPECT_EQ(run.stage, Portal::AnalysisRun::Stage::kCancelled);
+  EXPECT_EQ(run.trace.polls, 1u);
+}
+
+TEST_F(PortalFixture, SyncRunLayersSumToTheClockAdvance) {
+  // Every portal duration is a delta of the one monotonic fabric clock. The
+  // sync driver never advances that clock by the service's own sim
+  // accounting, so the federation layers plus the fabric part of the
+  // compute wait must account for the whole advance across the run.
+  services::HttpFabric& fabric = campaign_.fabric();
+  const std::string cluster = campaign_.universe().clusters().front().name();
+  const double t0 = fabric.now_ms();
+  auto outcome = campaign_.portal().run_analysis(cluster);
+  const double advance = fabric.now_ms() - t0;
+  ASSERT_TRUE(outcome.ok()) << outcome.error().to_string();
+  const ServiceTrace* st =
+      campaign_.compute_service().trace(outcome.trace.compute_request_id);
+  ASSERT_NE(st, nullptr);
+
+  const PortalTrace& t = outcome.trace;
+  const double layers = t.image_search_ms + t.catalog_build_ms + t.cutout_query_ms +
+                        (t.compute_wait_ms - st->total_sim_seconds * 1000.0);
+  EXPECT_GT(advance, 0.0);
+  EXPECT_LE(std::abs(layers - advance), 1e-9 * advance)
+      << "layers " << layers << " vs clock advance " << advance;
 }
 
 }  // namespace
