@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -47,9 +48,10 @@ std::string format_card(const FitsCard& card) {
   return out;
 }
 
+std::size_t round_to_record(std::size_t n) { return (n + kRecord - 1) / kRecord * kRecord; }
+
 void pad_to_record(std::vector<std::uint8_t>& bytes, std::uint8_t fill) {
-  const std::size_t rem = bytes.size() % kRecord;
-  if (rem != 0) bytes.insert(bytes.end(), kRecord - rem, fill);
+  bytes.resize(round_to_record(bytes.size()), fill);
 }
 
 void append_card(std::vector<std::uint8_t>& bytes, const FitsCard& card) {
@@ -57,10 +59,34 @@ void append_card(std::vector<std::uint8_t>& bytes, const FitsCard& card) {
   bytes.insert(bytes.end(), s.begin(), s.end());
 }
 
-void push_be(std::vector<std::uint8_t>& bytes, std::uint32_t v, int n) {
-  for (int i = n - 1; i >= 0; --i) {
-    bytes.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
+/// Cards write_fits emits itself; header copies of them are dropped.
+bool is_structural(const std::string& keyword) {
+  return keyword == "SIMPLE" || keyword == "BITPIX" || starts_with(keyword, "NAXIS") ||
+         keyword == "END";
+}
+
+/// Bytes per encoded pixel. An unsupported BITPIX is written as float.
+std::size_t encoded_bytes_per_pixel(int bitpix) {
+  switch (bitpix) {
+    case 16: return 2;
+    case 8: return 1;
+    default: return 4;
   }
+}
+
+void store_be32(std::uint8_t* p, std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap32(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
+void store_be16(std::uint8_t* p, std::uint16_t v) {
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap16(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// Rounds a pixel to the nearest integer and clamps it into [lo, hi].
+long long quantize(float v, long long lo, long long hi) {
+  return std::clamp<long long>(std::llround(static_cast<double>(v)), lo, hi);
 }
 
 std::uint32_t read_be(const std::uint8_t* p, int n) {
@@ -140,6 +166,8 @@ bool FitsHeader::has(const std::string& keyword) const { return find(keyword) !=
 
 std::vector<std::uint8_t> write_fits(const FitsFile& file) {
   std::vector<std::uint8_t> bytes;
+  // Exact final size: a cached payload pins no spare capacity.
+  bytes.reserve(fits_serialized_size(file));
 
   // --- header ---
   append_card(bytes, {"SIMPLE", "T", "conforms to FITS standard", false});
@@ -148,67 +176,43 @@ std::vector<std::uint8_t> write_fits(const FitsFile& file) {
   append_card(bytes, {"NAXIS1", format("%d", file.data.width()), "", false});
   append_card(bytes, {"NAXIS2", format("%d", file.data.height()), "", false});
   for (const auto& card : file.header.cards()) {
-    if (card.keyword == "SIMPLE" || card.keyword == "BITPIX" ||
-        starts_with(card.keyword, "NAXIS") || card.keyword == "END") {
-      continue;  // structural cards are ours
-    }
-    append_card(bytes, card);
+    if (!is_structural(card.keyword)) append_card(bytes, card);
   }
   append_card(bytes, {"END", "", "", false});
   // Header padding is ASCII spaces.
   pad_to_record(bytes, ' ');
 
-  // --- data unit, big endian ---
-  const Image& img = file.data;
-  const std::size_t n = img.size();
+  // --- data unit, big endian, encoded in place; padding is zero bytes ---
+  const std::size_t n = file.data.size();
+  const std::size_t data_at = bytes.size();
+  bytes.resize(data_at + round_to_record(n * encoded_bytes_per_pixel(file.bitpix)), 0);
+  std::uint8_t* out = bytes.data() + data_at;
+  const float* px = file.data.pixels().data();
   switch (file.bitpix) {
-    case -32: {
+    case 32:
       for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t u;
-        const float v = img.pixels()[i];
-        std::memcpy(&u, &v, 4);
-        push_be(bytes, u, 4);
+        store_be32(out + 4 * i, static_cast<std::uint32_t>(static_cast<std::int32_t>(
+                                    quantize(px[i], INT32_MIN, INT32_MAX))));
       }
       break;
-    }
-    case 32: {
+    case 16:
       for (std::size_t i = 0; i < n; ++i) {
-        const long long v = std::llround(static_cast<double>(img.pixels()[i]));
-        push_be(bytes, static_cast<std::uint32_t>(static_cast<std::int32_t>(
-                            std::clamp<long long>(v, INT32_MIN, INT32_MAX))),
-                4);
+        store_be16(out + 2 * i, static_cast<std::uint16_t>(static_cast<std::int16_t>(
+                                    quantize(px[i], INT16_MIN, INT16_MAX))));
       }
       break;
-    }
-    case 16: {
+    case 8:
       for (std::size_t i = 0; i < n; ++i) {
-        const long long v = std::llround(static_cast<double>(img.pixels()[i]));
-        push_be(bytes,
-                static_cast<std::uint16_t>(static_cast<std::int16_t>(
-                    std::clamp<long long>(v, INT16_MIN, INT16_MAX))),
-                2);
+        out[i] = static_cast<std::uint8_t>(quantize(px[i], 0, 255));
       }
       break;
-    }
-    case 8: {
-      for (std::size_t i = 0; i < n; ++i) {
-        const long long v = std::llround(static_cast<double>(img.pixels()[i]));
-        bytes.push_back(static_cast<std::uint8_t>(std::clamp<long long>(v, 0, 255)));
-      }
-      break;
-    }
     default:
-      // Unsupported bitpix at write time is a programming error; emit float.
+      // -32, and any unsupported BITPIX (a programming error): IEEE float.
       for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t u;
-        const float v = img.pixels()[i];
-        std::memcpy(&u, &v, 4);
-        push_be(bytes, u, 4);
+        store_be32(out + 4 * i, std::bit_cast<std::uint32_t>(px[i]));
       }
       break;
   }
-  // Data padding is zero bytes.
-  pad_to_record(bytes, 0);
   return bytes;
 }
 
@@ -295,21 +299,32 @@ Expected<FitsFile> read_fits(const std::vector<std::uint8_t>& bytes) {
   }
   const auto naxis1 = out.header.get_int("NAXIS1");
   const auto naxis2 = out.header.get_int("NAXIS2");
-  if (!naxis1 || !naxis2 || *naxis1 <= 0 || *naxis2 <= 0) {
+  // Image dimensions are ints: anything outside [1, INT_MAX] is hostile,
+  // not a large image.
+  if (!naxis1 || !naxis2 || *naxis1 < 1 || *naxis2 < 1 || *naxis1 > INT_MAX ||
+      *naxis2 > INT_MAX) {
     return Error(ErrorCode::kParseError, "bad NAXIS1/NAXIS2");
+  }
+  if (*bitpix != -32 && *bitpix != 32 && *bitpix != 16 && *bitpix != 8) {
+    return Error(ErrorCode::kParseError,
+                 format("unsupported BITPIX %lld", static_cast<long long>(*bitpix)));
   }
   out.bitpix = static_cast<int>(*bitpix);
   const double bscale = out.header.get_real("BSCALE").value_or(1.0);
   const double bzero = out.header.get_real("BZERO").value_or(0.0);
 
   // Data unit starts at the next record boundary after END.
-  pos = (pos + kRecord - 1) / kRecord * kRecord;
+  pos = round_to_record(pos);
 
   const int w = static_cast<int>(*naxis1);
   const int h = static_cast<int>(*naxis2);
-  const std::size_t n = static_cast<std::size_t>(w) * h;
-  const int bytes_per = std::abs(out.bitpix) / 8;
-  if (pos + n * bytes_per > bytes.size()) {
+  // w * h < 2^62 cannot wrap, and comparing the pixel count with what the
+  // remaining bytes hold keeps the check itself overflow-free, so the Image
+  // below is never larger than the input can fill.
+  const std::size_t n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
+  const std::size_t bytes_per = static_cast<std::size_t>(std::abs(out.bitpix) / 8);
+  const std::size_t remaining = pos < bytes.size() ? bytes.size() - pos : 0;
+  if (n > remaining / bytes_per) {
     return Error(ErrorCode::kParseError, "FITS data unit truncated");
   }
   out.data = Image(w, h);
@@ -333,8 +348,6 @@ Expected<FitsFile> read_fits(const std::vector<std::uint8_t>& bytes) {
       case 8:
         v = p[0];
         break;
-      default:
-        return Error(ErrorCode::kParseError, format("unsupported BITPIX %d", out.bitpix));
     }
     out.data.pixels()[i] = static_cast<float>(bscale * v + bzero);
   }
@@ -361,19 +374,12 @@ Expected<FitsFile> read_fits_file(const std::string& path) {
 
 std::size_t fits_serialized_size(const FitsFile& file) {
   // Header: 5 structural cards + user cards + END, rounded to records.
-  std::size_t user_cards = 0;
+  std::size_t header_cards = 5 + 1;
   for (const auto& card : file.header.cards()) {
-    if (card.keyword == "SIMPLE" || card.keyword == "BITPIX" ||
-        starts_with(card.keyword, "NAXIS") || card.keyword == "END") {
-      continue;
-    }
-    ++user_cards;
+    if (!is_structural(card.keyword)) ++header_cards;
   }
-  const std::size_t header_cards = 5 + user_cards + 1;
-  const std::size_t header_bytes = (header_cards * kCard + kRecord - 1) / kRecord * kRecord;
-  const std::size_t data_raw = file.data.size() * (std::abs(file.bitpix) / 8);
-  const std::size_t data_bytes = (data_raw + kRecord - 1) / kRecord * kRecord;
-  return header_bytes + data_bytes;
+  return round_to_record(header_cards * kCard) +
+         round_to_record(file.data.size() * encoded_bytes_per_pixel(file.bitpix));
 }
 
 }  // namespace nvo::image

@@ -19,10 +19,11 @@ struct Replica {
   std::string lfn;   ///< logical file name
   std::string site;  ///< grid site (or archive host) holding the copy
   std::string pfn;   ///< physical file name / URL at that site
-  /// Content digest of the replica's bytes (FNV-1a, 0 = unrecorded). The
-  /// RLS carries the digest alongside the location so every consumer —
-  /// cache admission, stage-in verification, checkpoint replay — can check
-  /// the bytes it received against what the producer registered.
+  /// Content digest of the replica's bytes (services::integrity's
+  /// content_digest, 0 = unrecorded). The RLS carries the digest alongside
+  /// the location so every consumer — cache admission, stage-in
+  /// verification, checkpoint replay — can check the bytes it received
+  /// against what the producer registered.
   std::uint64_t digest = 0;
 };
 

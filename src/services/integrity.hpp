@@ -24,8 +24,12 @@
 
 namespace nvo::services::integrity {
 
-/// FNV-1a over raw bytes. Not cryptographic — the threat model is random
-/// corruption (bit flips, truncation, stale replays), not an adversary.
+/// Word-wise 64-bit digest over raw bytes: four 64-bit lanes over 32-byte
+/// blocks, tail bytes folded FNV-style, length mixed in. Every step is a
+/// bijection of the state, so any change confined to one lane — every
+/// single-bit flip among them — always changes the digest. Not
+/// cryptographic — the threat model is random corruption (bit flips,
+/// truncation, stale replays), not an adversary.
 std::uint64_t content_digest(const std::uint8_t* data, std::size_t n);
 std::uint64_t content_digest(const std::vector<std::uint8_t>& bytes);
 

@@ -62,9 +62,9 @@ class ReplicaCache {
   /// evict least-recently-used entries from the same shard to fit the
   /// budget; the inserted entry itself is never evicted by its own put.
   /// When `expected_digest` is non-zero the bytes are verified on admission
-  /// (FNV-1a content digest, services/integrity.hpp) and a mismatch rejects
-  /// the put (nullptr, counted in Stats::integrity_rejects) — corrupt bytes
-  /// never become a cacheable replica.
+  /// (integrity::content_digest, services/integrity.hpp) and a mismatch
+  /// rejects the put (nullptr, counted in Stats::integrity_rejects) —
+  /// corrupt bytes never become a cacheable replica.
   Payload put(const std::string& lfn, std::vector<std::uint8_t> bytes,
               std::uint64_t expected_digest = 0);
 

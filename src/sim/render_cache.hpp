@@ -10,7 +10,10 @@
 // hashes over *all* inputs — universe seed, corruption rate, render options,
 // the full truth record of every cluster member, the target galaxy, and the
 // frame geometry — so two universes only share entries when their synthesis
-// really is identical.
+// really is identical. The member records enter a key through one population
+// key per cluster, which a Universe computes once when it adds the cluster
+// (not once per frame); it is still a content hash, so same-seed universes
+// share entries, and a cluster the Universe does not own is hashed in full.
 #pragma once
 
 #include <cstdint>

@@ -40,12 +40,16 @@ void hash_render_options(ContentHash& h, const RenderOptions& opts) {
   h.i32(opts.supersample);
 }
 
-void hash_cluster_population(ContentHash& h, const Cluster& cluster) {
+/// Content key of a cluster's whole population: every member's truth
+/// record, so any change to any potential neighbor changes the key.
+std::uint64_t population_key(const Cluster& cluster) {
+  ContentHash h;
   h.text(cluster.name());
   h.f64(cluster.center().ra_deg);
   h.f64(cluster.center().dec_deg);
   h.u64(cluster.galaxies.size());
   for (const GalaxyTruth& g : cluster.galaxies) hash_galaxy(h, g);
+  return h.value();
 }
 
 }  // namespace
@@ -92,6 +96,16 @@ Universe Universe::make_paper_campaign(std::uint64_t seed, double population_sca
 
 void Universe::add_cluster(const ClusterSpec& spec) {
   clusters_.push_back(generate_cluster(spec, config_.cosmology));
+  population_keys_.push_back(population_key(clusters_.back()));
+}
+
+std::uint64_t Universe::population_key_of(const Cluster& cluster) const {
+  // Owned clusters never change after add_cluster, so their key is the one
+  // computed there; anything else (a caller's copy) is hashed in full.
+  for (std::size_t i = 0; i < clusters_.size(); ++i) {
+    if (&clusters_[i] == &cluster) return population_keys_[i];
+  }
+  return population_key(cluster);
 }
 
 const Cluster* Universe::find_cluster(const std::string& name) const {
@@ -108,7 +122,7 @@ image::FitsFile Universe::optical_field(const Cluster& cluster, int size,
   key.i32(size);
   key.f64(pixel_scale_arcsec);
   hash_render_options(key, config_.render);
-  hash_cluster_population(key, cluster);
+  key.u64(population_key_of(cluster));
   return RenderCache::instance().get_or_render(key.value(), [&] {
     return render_optical_field(cluster, size, pixel_scale_arcsec);
   });
@@ -182,7 +196,7 @@ image::FitsFile Universe::galaxy_cutout(const Cluster& cluster,
   key.f64(config_.corruption_rate);
   hash_render_options(key, config_.render);
   hash_galaxy(key, galaxy);
-  hash_cluster_population(key, cluster);
+  key.u64(population_key_of(cluster));
   return RenderCache::instance().get_or_render(key.value(), [&] {
     return render_galaxy_cutout(cluster, galaxy, size);
   });

@@ -6,6 +6,7 @@
 // path), and the heterogeneous catalog tables the portal must merge.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -87,8 +88,13 @@ class Universe {
   image::FitsFile render_galaxy_cutout(const Cluster& cluster,
                                        const GalaxyTruth& galaxy, int size) const;
 
+  /// Render-key input standing for the cluster's whole population:
+  /// precomputed for owned clusters, hashed in full for any other.
+  std::uint64_t population_key_of(const Cluster& cluster) const;
+
   UniverseConfig config_;
   std::vector<Cluster> clusters_;
+  std::vector<std::uint64_t> population_keys_;  ///< parallel to clusters_
 };
 
 /// Whether the galaxy's cutout falls in the deterministic corrupted subset

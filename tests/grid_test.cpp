@@ -607,7 +607,7 @@ TEST(CheckpointJournal, AdversarialKeysStayDistinctAcrossReopen) {
       "newline\nhere",
       "cr\rlf\n",
       std::string("\v\f"),
-      std::string("\x01\x1f ctl", 8),
+      std::string("\x01\x1f ctl\0\x7f", 8),  // control bytes, NUL, DEL
       "trailing%",
       "50% off\nnow",
   };

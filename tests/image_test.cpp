@@ -1,7 +1,12 @@
 // Tests for the raster type, FITS serialization, WCS, and rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "image/fits.hpp"
@@ -184,6 +189,165 @@ TEST(Fits, SerializedSizePredictionMatches) {
   f.header.set_string("OBJECT", "X", "");
   image::Wcs::centered({10, 10}, 64, 64, 1.0 / 3600).to_header(f.header);
   EXPECT_EQ(fits_serialized_size(f), write_fits(f).size());
+}
+
+// The per-byte data encoder write_fits used before the bulk byteswap loops,
+// kept here as the oracle for the byte-identity test below: one push per
+// output byte into a growing vector, header cards formatted the same way.
+std::string reference_card(const FitsCard& card) {
+  std::string out = card.keyword;
+  out.resize(8, ' ');
+  if (card.keyword == "END") {
+    out += card.value;
+  } else {
+    out += "= ";
+    std::string value;
+    if (card.is_string) {
+      std::string quoted = "'" + card.value;
+      while (quoted.size() < 9) quoted += ' ';
+      value = quoted + "'";
+    } else {
+      value = card.value;
+      if (value.size() < 20) value.insert(0, 20 - value.size(), ' ');
+    }
+    out += value;
+    if (!card.comment.empty()) out += " / " + card.comment;
+  }
+  out.resize(80, ' ');
+  return out;
+}
+
+void reference_push_be(std::vector<std::uint8_t>& bytes, std::uint32_t v, int n) {
+  for (int i = n - 1; i >= 0; --i) {
+    bytes.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+std::vector<std::uint8_t> reference_write_fits(const FitsFile& file) {
+  std::vector<std::uint8_t> bytes;
+  const auto card = [&](const FitsCard& c) {
+    const std::string s = reference_card(c);
+    bytes.insert(bytes.end(), s.begin(), s.end());
+  };
+  const auto pad = [&](std::uint8_t fill) {
+    while (bytes.size() % 2880 != 0) bytes.push_back(fill);
+  };
+  card({"SIMPLE", "T", "conforms to FITS standard", false});
+  card({"BITPIX", std::to_string(file.bitpix), "bits per data value", false});
+  card({"NAXIS", "2", "number of axes", false});
+  card({"NAXIS1", std::to_string(file.data.width()), "", false});
+  card({"NAXIS2", std::to_string(file.data.height()), "", false});
+  for (const FitsCard& c : file.header.cards()) card(c);  // no quotes/structurals
+  card({"END", "", "", false});
+  pad(' ');
+  for (const float v : file.data.pixels()) {
+    const long long r = std::llround(static_cast<double>(v));
+    switch (file.bitpix) {
+      case -32: {
+        std::uint32_t u;
+        std::memcpy(&u, &v, 4);
+        reference_push_be(bytes, u, 4);
+        break;
+      }
+      case 32:
+        reference_push_be(bytes, static_cast<std::uint32_t>(static_cast<std::int32_t>(
+                                     std::clamp<long long>(r, INT32_MIN, INT32_MAX))),
+                          4);
+        break;
+      case 16:
+        reference_push_be(bytes, static_cast<std::uint16_t>(static_cast<std::int16_t>(
+                                     std::clamp<long long>(r, INT16_MIN, INT16_MAX))),
+                          2);
+        break;
+      case 8:
+        bytes.push_back(static_cast<std::uint8_t>(std::clamp<long long>(r, 0, 255)));
+        break;
+    }
+  }
+  pad(0);
+  return bytes;
+}
+
+TEST(Fits, BulkEncoderIsByteIdenticalToPerByteEncoder) {
+  // Pixels that exercise every encoder branch: rounding halves, negatives,
+  // and values past each integer type's clamp range.
+  FitsFile f;
+  f.data = Image(37, 23);
+  nvo::Rng rng(7);
+  for (float& v : f.data.pixels()) v = static_cast<float>(rng.uniform(-1000.0, 1000.0));
+  const float extremes[] = {0.5f, -0.5f, 1.5f, 255.4f, 255.6f, -1.0f, 32767.5f,
+                            -32768.7f, 70000.0f, -70000.0f, 3.0e9f, -3.0e9f};
+  for (std::size_t i = 0; i < std::size(extremes); ++i) f.data.pixels()[i * 7] = extremes[i];
+  f.header.set_string("OBJECT", "BYTES", "encoder oracle");
+  f.header.set_real("REDSHIFT", 0.172, "");
+  for (const int bitpix : {-32, 32, 16, 8}) {
+    f.bitpix = bitpix;
+    const std::vector<std::uint8_t> bytes = write_fits(f);
+    EXPECT_EQ(bytes, reference_write_fits(f)) << "BITPIX " << bitpix;
+    EXPECT_EQ(bytes.size() % 2880, 0u) << "BITPIX " << bitpix;
+    EXPECT_EQ(bytes.capacity(), bytes.size()) << "BITPIX " << bitpix;
+  }
+}
+
+// A minimal primary header: SIMPLE, BITPIX, NAXIS=2, the given axes, END,
+// padded to one record, followed by `data_records` zero records.
+std::vector<std::uint8_t> raw_fits(const std::string& bitpix, const std::string& naxis1,
+                                   const std::string& naxis2, std::size_t data_records) {
+  std::string header;
+  const auto card = [&](const std::string& key, const std::string& value) {
+    std::string c = key;
+    c.resize(8, ' ');
+    c += "= ";
+    c += std::string(value.size() < 20 ? 20 - value.size() : 0, ' ') + value;
+    c.resize(80, ' ');
+    header += c;
+  };
+  card("SIMPLE", "T");
+  card("BITPIX", bitpix);
+  card("NAXIS", "2");
+  card("NAXIS1", naxis1);
+  card("NAXIS2", naxis2);
+  std::string end = "END";
+  end.resize(80, ' ');
+  header += end;
+  header.resize(2880, ' ');
+  std::vector<std::uint8_t> bytes(header.begin(), header.end());
+  bytes.resize(bytes.size() + 2880 * data_records, 0);
+  return bytes;
+}
+
+TEST(Fits, RawHeaderHelperParses) {
+  // Guards the helper the hostile-axis tests below rely on.
+  const auto parsed = read_fits(raw_fits("-32", "4", "2", 1));
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed->data.width(), 4);
+  EXPECT_EQ(parsed->data.height(), 2);
+}
+
+TEST(Fits, AxesWhoseProductWrapsAreRejected) {
+  // 2^31 x 2^31 float pixels: the byte count wraps a 64-bit size_t to 0.
+  const auto bytes = raw_fits("-32", "2147483648", "2147483648", 1);
+  ASSERT_EQ(bytes.size(), 5760u);
+  const auto parsed = read_fits(bytes);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().code, ErrorCode::kParseError);
+}
+
+TEST(Fits, AxisPastIntMaxIsRejectedNotTruncated) {
+  // 2^32 + 1 would truncate to an int of 1: a one-pixel image.
+  const auto parsed = read_fits(raw_fits("-32", "4294967297", "1", 1));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().code, ErrorCode::kParseError);
+}
+
+TEST(Fits, HugeAxesAreRejectedBeforeAllocating) {
+  // Axes that fit an int but whose data unit the input cannot hold; with an
+  // unsupported BITPIX of 0 a zero-width pixel must not slip past the check.
+  for (const char* bitpix : {"-32", "8", "0", "64"}) {
+    const auto parsed = read_fits(raw_fits(bitpix, "2147483647", "2147483647", 1));
+    ASSERT_FALSE(parsed.ok()) << "BITPIX " << bitpix;
+    EXPECT_EQ(parsed.error().code, ErrorCode::kParseError) << "BITPIX " << bitpix;
+  }
 }
 
 TEST(Fits, FileRoundTrip) {

@@ -6,15 +6,20 @@
 // is exact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "image/fits.hpp"
 #include "pegasus/rls.hpp"
 #include "services/chaos.hpp"
 #include "services/http.hpp"
 #include "services/integrity.hpp"
 #include "services/replica_cache.hpp"
 #include "services/resilience.hpp"
+#include "sim/universe.hpp"
 
 namespace nvo::services {
 namespace {
@@ -40,6 +45,91 @@ TEST(Integrity, ContentDigestIsDeterministicAndSensitive) {
   auto truncated = a;
   truncated.pop_back();
   EXPECT_NE(integrity::content_digest(a), integrity::content_digest(truncated));
+}
+
+// A real 64 px cutout as the archive serves it: 20160 bytes of FITS.
+std::vector<std::uint8_t> cutout_payload() {
+  const auto u = sim::Universe::make_paper_campaign(20031115, 0.02);
+  const sim::Cluster& c = u.clusters().front();
+  return image::write_fits(u.galaxy_cutout(c, c.galaxies.front(), 64));
+}
+
+TEST(Integrity, EverySingleBitFlipChangesTheDigest) {
+  // Exhaustive: each flip is confined to one lane (or the byte tail), and
+  // every digest step is a bijection of its state, so none can collide.
+  auto bytes = cutout_payload();
+  ASSERT_EQ(bytes.size(), 20160u);
+  const std::uint64_t clean = integrity::content_digest(bytes);
+  std::size_t undetected = 0;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+      if (integrity::content_digest(bytes) == clean) ++undetected;
+      bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
+  EXPECT_EQ(undetected, 0u);
+}
+
+TEST(Integrity, EveryTruncationChangesTheDigest) {
+  const auto bytes = cutout_payload();
+  std::set<std::uint64_t> seen{integrity::content_digest(bytes)};
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    // Distinct from the full payload and from every other prefix.
+    EXPECT_TRUE(seen.insert(integrity::content_digest(bytes.data(), len)).second)
+        << "prefix of " << len << " bytes";
+  }
+}
+
+TEST(Integrity, SwappingWordsBetweenLanesChangesTheDigest) {
+  // Word k of each 32-byte block feeds lane k; moving a word to another
+  // lane must not cancel out in the lane fold. Each swap is checked in the
+  // whole payload and in the prefix that ends with the swapped block, where
+  // no later word can separate the two lanes before the fold.
+  auto bytes = cutout_payload();
+  const std::uint64_t clean = integrity::content_digest(bytes);
+  std::size_t swaps = 0;
+  for (std::size_t block = 0; block + 32 <= bytes.size(); block += 32) {
+    const std::uint64_t clean_prefix = integrity::content_digest(bytes.data(), block + 32);
+    for (const auto& [a, b] : {std::pair{0, 1}, std::pair{1, 2}, std::pair{2, 3},
+                               std::pair{0, 3}}) {
+      auto* wa = bytes.data() + block + 8 * a;
+      auto* wb = bytes.data() + block + 8 * b;
+      if (std::equal(wa, wa + 8, wb)) continue;  // the swap is a no-op
+      std::swap_ranges(wa, wa + 8, wb);
+      EXPECT_NE(integrity::content_digest(bytes), clean) << "block " << block / 32;
+      EXPECT_NE(integrity::content_digest(bytes.data(), block + 32), clean_prefix)
+          << "prefix ending at block " << block / 32;
+      std::swap_ranges(wa, wa + 8, wb);
+      ++swaps;
+    }
+  }
+  EXPECT_GT(swaps, 100u);
+}
+
+TEST(Integrity, DigestCoversOddLengthTailsAndEmptyPayloads) {
+  // 20153 bytes: 629 full blocks plus a 25-byte tail (three words that do
+  // not fill a block, and a byte remainder).
+  auto bytes = cutout_payload();
+  bytes.resize(20153);
+  ASSERT_NE(bytes.size() % 32, 0u);
+  const std::uint64_t clean = integrity::content_digest(bytes);
+  for (std::size_t i = bytes.size() - 64; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+      EXPECT_NE(integrity::content_digest(bytes), clean) << "byte " << i << " bit " << bit;
+      bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
+  // Appending a zero byte is not a no-op either.
+  auto longer = bytes;
+  longer.push_back(0);
+  EXPECT_NE(integrity::content_digest(longer), clean);
+
+  const std::vector<std::uint8_t> empty;
+  EXPECT_EQ(integrity::content_digest(empty), integrity::content_digest(nullptr, 0));
+  EXPECT_NE(integrity::content_digest(empty), integrity::content_digest({0}));
+  EXPECT_NE(integrity::content_digest(empty), integrity::content_digest(bytes));
 }
 
 TEST(Integrity, DigestIsBoundToTheUrl) {

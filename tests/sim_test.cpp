@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "sim/cluster.hpp"
 #include "sim/galaxy.hpp"
 #include "sim/profiles.hpp"
+#include "sim/render_cache.hpp"
 #include "sim/universe.hpp"
 #include "sim/xray.hpp"
+#include "sky/coords.hpp"
 
 namespace nvo::sim {
 namespace {
@@ -388,6 +391,72 @@ TEST(Universe, CutoutCenteredOnGalaxy) {
     }
   }
   EXPECT_GT(center_flux, corner_flux * 1.2);
+}
+
+TEST(Universe, SameSeedUniversesShareRenderCacheEntries) {
+  // Render keys are content hashes (a per-cluster population key computed
+  // once in add_cluster), so a second universe built from the same seed —
+  // one per Campaign — is served entirely from the first one's frames.
+  const auto request_all = [](const Universe& u) {
+    std::vector<image::FitsFile> frames;
+    for (const Cluster& c : u.clusters()) {
+      frames.push_back(u.optical_field(c, 128, 4.0));
+      for (const GalaxyTruth& g : c.galaxies) frames.push_back(u.galaxy_cutout(c, g, 64));
+    }
+    return frames;
+  };
+  const Universe first = Universe::make_paper_campaign(7301, 0.05);
+  const std::vector<image::FitsFile> cold = request_all(first);
+  const RenderCache::Stats before = RenderCache::instance().stats();
+  const Universe second = Universe::make_paper_campaign(7301, 0.05);
+  const std::vector<image::FitsFile> warm = request_all(second);
+  const RenderCache::Stats after = RenderCache::instance().stats();
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.hits, before.hits + warm.size());
+  ASSERT_EQ(warm.size(), cold.size());
+  for (std::size_t i = 0; i < warm.size(); ++i) {
+    EXPECT_EQ(warm[i].data.pixels(), cold[i].data.pixels()) << "frame " << i;
+  }
+}
+
+TEST(Universe, CutoutThroughAModifiedClusterCopyGetsItsOwnFrame) {
+  // The precomputed population key stands only for the clusters the
+  // universe owns; a caller's copy is hashed in full, so changing one
+  // neighbour's flux in the copy must not hit the owned cluster's frame.
+  const Universe u = Universe::make_paper_campaign(7302, 0.2);
+  const Cluster& owned = u.clusters().front();
+  // The closest pair of members: the neighbour's light lands in the frame.
+  std::size_t target = 0, neighbour = 1;
+  double best = 1e9;
+  for (std::size_t i = 0; i < owned.galaxies.size(); ++i) {
+    for (std::size_t j = 0; j < owned.galaxies.size(); ++j) {
+      if (i == j) continue;
+      const double sep = sky::angular_separation_deg(owned.galaxies[i].position,
+                                                     owned.galaxies[j].position);
+      if (sep < best) {
+        best = sep;
+        target = i;
+        neighbour = j;
+      }
+    }
+  }
+  ASSERT_LT(best * 60.0, 0.5);  // arcmin; the 64 px frame spans ~1.07'
+  const image::FitsFile owned_frame = u.galaxy_cutout(owned, owned.galaxies[target], 64);
+
+  // An unmodified copy has the same content, so it shares the owned frame.
+  const Cluster same = owned;
+  const RenderCache::Stats before_same = RenderCache::instance().stats();
+  const image::FitsFile same_frame = u.galaxy_cutout(same, same.galaxies[target], 64);
+  EXPECT_EQ(RenderCache::instance().stats().misses, before_same.misses);
+  EXPECT_EQ(same_frame.data.pixels(), owned_frame.data.pixels());
+
+  Cluster brighter = owned;
+  brighter.galaxies[neighbour].total_flux *= 10.0;
+  const RenderCache::Stats before = RenderCache::instance().stats();
+  const image::FitsFile frame = u.galaxy_cutout(brighter, brighter.galaxies[target], 64);
+  EXPECT_EQ(RenderCache::instance().stats().misses, before.misses + 1);
+  EXPECT_NE(frame.data.pixels(), owned_frame.data.pixels());
+  EXPECT_GT(frame.data.total_flux(), owned_frame.data.total_flux());
 }
 
 TEST(Universe, CorruptionRateApproximatelyHonored) {

@@ -2,13 +2,14 @@
 # Builds the tree with AddressSanitizer + UBSan into build-asan/ and runs the
 # resilience-facing test lane (retry/breaker/failover unit tests, fabric
 # metrics, the chaos campaign suite, the digest/quarantine integrity tests,
-# the checkpoint-journal tests in grid_test, and the replica-cache/data-plane
-# tests) under the instrumented binaries, then repeats the concurrency-facing
+# the checkpoint-journal tests in grid_test, the replica-cache/data-plane
+# tests, and the FITS codec and render-key tests in image_test/sim_test)
+# under the instrumented binaries, then repeats the concurrency-facing
 # lane (sharded cache + pipelined staging + concurrent journal appends) under
 # ThreadSanitizer in build-tsan/.
 #
 # Usage: tools/run_sanitize_tests.sh [ctest -R regex]
-#   default regex: resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test
+#   default regex: resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test
 #   BUILD_DIR=<dir>       ASan build tree (default: <repo>/build-asan)
 #   TSAN_BUILD_DIR=<dir>  TSan build tree (default: <repo>/build-tsan)
 #   NVO_SKIP_TSAN=1       run only the ASan phase
@@ -17,7 +18,7 @@ set -e
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-asan}"
 TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
-REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test}"
+REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test}"
 # obs_test/observability_test drive the traced portal pipeline through the
 # kernel thread pool, and grid_test appends to the checkpoint journal from a
 # thread pool, so they belong in the TSan lane too. soa_kernel_test exercises
@@ -47,6 +48,13 @@ REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_pla
 # half-built runs behind — use-after-move and leaks there are what ASan and
 # UBSan catch. Its only concurrency is the compute kernel pool, which
 # async_portal_test and observability_test already cover in the TSan lane.
+# image_test and sim_test join the ASan lane only: the FITS writer encodes
+# pixels with bulk byteswap stores into an exactly reserved buffer, the
+# reader rejects hostile NAXIS/BITPIX values before sizing the image, and
+# the digest in integrity_test reads its input as unaligned 64-bit words —
+# out-of-bounds stores, integer overflow and bad casts there are UBSan and
+# ASan territory. sim_test also covers the render key's precomputed
+# population hash. Neither test starts threads.
 TSAN_REGEX="${TSAN_REGEX:-replica_cache_test|data_plane_test|obs_test|observability_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test}"
 
 cmake -B "$BUILD" -S "$ROOT" -DNVO_SANITIZE="address;undefined" \
@@ -55,7 +63,7 @@ cmake --build "$BUILD" -j --target \
       resilience_test chaos_test services_test replica_cache_test data_plane_test \
       obs_test observability_test integrity_test grid_test soa_kernel_test \
       survey_test async_portal_test dataflow_test multipool_test lifecycle_test \
-      portal_test
+      portal_test image_test sim_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
