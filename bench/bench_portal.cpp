@@ -166,11 +166,9 @@ BENCHMARK(BM_PortalOverload)
 analysis::CampaignConfig hedging_config(bool hedged) {
   analysis::CampaignConfig config = campaign_config();
   config.hedge_stage_ins = hedged;
-  // The hedge delay adapts to the quantile of *primary* durations; with
-  // ~15% of fetches browned out, 0.75 keeps the derived delay in the fast
-  // mode so hedges launch early enough to rescue the stragglers.
-  config.hedge_quantile = 0.75;
-  config.hedge_min_samples = 6;
+  // The hedge delay is the 0.75 quantile of *primary* durations; with ~15%
+  // of fetches browned out, that keeps the derived delay in the fast mode
+  // so hedges launch early enough to rescue the stragglers.
   for (int i = 0; i < 4000; ++i) {
     services::FaultWindow w;
     w.kind = services::FaultWindow::Kind::kBrownout;

@@ -53,8 +53,6 @@ Campaign::Campaign(CampaignConfig config) : config_(config) {
   scfg.retry = config_.retry;
   scfg.breaker = config_.breaker;
   scfg.replica_cache = config_.image_cache;
-  scfg.execution_mode = config_.execution_mode;
-  scfg.stage_in_window = config_.stage_in_window;
   scfg.tracer = config_.tracer;
   scfg.journal = journal_.get();
   scfg.abort_after_nodes = config_.chaos.kill_after_node_completions();
@@ -62,8 +60,6 @@ Campaign::Campaign(CampaignConfig config) : config_(config) {
   scfg.rescue_rounds = config_.rescue_rounds;
   scfg.work_stealing = config_.work_stealing;
   scfg.hedge_stage_ins = config_.hedge_stage_ins;
-  scfg.hedge_quantile = config_.hedge_quantile;
-  scfg.hedge_min_samples = config_.hedge_min_samples;
   if (!federation_.mirror_host.empty()) {
     scfg.mirrors[services::Federation::kMastHost] = federation_.mirror_host;
   }

@@ -52,14 +52,6 @@ struct CampaignConfig {
   /// service (the fabric's SimClock is attached automatically). Must
   /// outlive the campaign.
   obs::Tracer* tracer = nullptr;
-  /// How each cluster's workflow execution is scheduled against its image
-  /// staging (portal::ExecutionMode). kPipelined (default) dispatches a
-  /// galaxy's compute node the moment its cutout lands and merges finished
-  /// rows incrementally; kBarriered stages everything first (the overlap
-  /// baseline). Catalog bytes are identical either way.
-  portal::ExecutionMode execution_mode = portal::ExecutionMode::kPipelined;
-  /// Pipelined mode: concurrent stage-in channels on the sim clock.
-  std::size_t stage_in_window = 8;
   /// Durable checkpoint journal path; empty disables journaling. When set,
   /// staged-replica registrations, DAG node completions, per-galaxy
   /// morphology rows, and finished cluster catalogs are persisted as they
@@ -74,12 +66,10 @@ struct CampaignConfig {
   /// Straggler rebalancing: idle pools pull queued-but-unstarted jobs from
   /// backlogged ones in the simulated executor.
   bool work_stealing = false;
-  /// Hedged stage-ins in the pipelined executor: slow archive fetches are
-  /// re-issued against the mirror after a quantile-derived delay, first
-  /// verified success wins (portal::ComputeServiceConfig::hedge_stage_ins).
+  /// Hedged stage-ins: slow archive fetches are re-issued against the
+  /// mirror after a quantile-derived delay, first verified success wins
+  /// (portal::ComputeServiceConfig::hedge_stage_ins).
   bool hedge_stage_ins = false;
-  double hedge_quantile = 0.95;
-  std::size_t hedge_min_samples = 8;
 };
 
 struct ClusterOutcome {

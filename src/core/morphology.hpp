@@ -91,15 +91,9 @@ MorphologyParams measure_morphology(const image::Image& cutout,
 /// The production implementation sweeps each row's in-circle pixel interval
 /// against an index-reversed view of the mirror row with constant bilinear
 /// weights; its four-lane accumulators reorder the (exactly computed)
-/// per-pixel terms, so it matches the reference to summation-order
-/// precision (~1e-12 relative) rather than bit-for-bit.
+/// per-pixel terms, so it matches a direct per-pixel evaluation to
+/// summation-order precision (~1e-12 relative) rather than bit-for-bit.
 double asymmetry_statistic(const image::Image& background_subtracted, double cx,
                            double cy, double radius);
-
-/// Direct per-pixel evaluation of the same statistic (the PR 1 scalar
-/// kernel, kept verbatim): the equivalence oracle for the swept
-/// implementation above.
-double asymmetry_statistic_reference(const image::Image& background_subtracted,
-                                     double cx, double cy, double radius);
 
 }  // namespace nvo::core

@@ -6,7 +6,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <queue>
 #include <utility>
 
@@ -20,6 +23,7 @@
 #include "portal/streaming_merge.hpp"
 #include "portal/transforms.hpp"
 #include "services/sia.hpp"
+#include "vds/vdl_parser.hpp"
 #include "votable/votable_io.hpp"
 
 namespace nvo::portal {
@@ -69,6 +73,18 @@ std::string escape_field(const std::string& s) {
   return out;
 }
 
+/// Concurrent stage-in channels on the sim clock: fetch latencies overlap
+/// each other up to this bound (and all of them overlap kernel time),
+/// modeling a client that keeps this many transfers in flight.
+constexpr std::size_t kStageInWindow = 8;
+/// Bound on staged-but-uncomputed images in flight: staging blocks once this
+/// many kernel tasks are pending, so pinned cutout memory is proportional
+/// to the bound rather than the cluster size.
+constexpr std::size_t kPrefetchDepth = 32;
+/// Hedge delay: this quantile of the primary-duration history, once the
+/// history holds kHedgeMinSamples durations.
+constexpr double kHedgeQuantile = 0.75;
+constexpr std::size_t kHedgeMinSamples = 6;
 /// Cap on the service-level rolling window of primary stage-in durations
 /// (hedge_history_): old weather ages out, the quantile sort stays cheap.
 constexpr std::size_t kHedgeHistoryLimit = 512;
@@ -143,6 +159,57 @@ bool decode_result(const std::string& payload, core::GalMorphResult& out) {
   }
   return true;
 }
+
+/// The service's simulated job durations: `cost` as configured, with a
+/// default compute model when none is set (concat scales with its fan-in).
+grid::JobCostModel job_cost_model(grid::JobCostModel cost) {
+  if (!cost.compute_seconds) {
+    const double ref = cost.compute_reference_seconds;
+    cost.compute_seconds = [ref](const vds::DagNode& n) {
+      if (starts_with(n.transformation, "concatMorph")) {
+        return 0.5 + 0.002 * static_cast<double>(n.inputs.size());
+      }
+      return ref;
+    };
+  }
+  return cost;
+}
+
+/// Run-level counters summed across rescue rounds: merge_node_outcomes
+/// rebuilds a report from per-node outcomes only.
+struct RunTotals {
+  std::size_t retries = 0;
+  std::size_t stolen = 0;
+  std::size_t wan = 0;
+  std::size_t expired = 0;
+  std::vector<std::string> sites_lost;
+  std::map<std::string, double> busy;
+  bool merged = false;  ///< the report was rebuilt by merge_node_outcomes
+
+  void absorb(const grid::RunReport& rep) {
+    retries += rep.retries;
+    stolen += rep.stolen_jobs;
+    wan += rep.wan_bytes;
+    expired += rep.jobs_expired;
+    sites_lost.insert(sites_lost.end(), rep.sites_lost.begin(), rep.sites_lost.end());
+    for (const auto& [s, t] : rep.site_busy_seconds) busy[s] += t;
+  }
+  void apply_to(grid::RunReport& rep) {
+    if (!merged) return;
+    rep.retries = retries;
+    rep.stolen_jobs = stolen;
+    rep.wan_bytes = wan;
+    rep.jobs_expired = expired;
+    rep.sites_lost = std::move(sites_lost);
+    rep.site_busy_seconds = std::move(busy);
+  }
+};
+
+/// Waits for the kernel pool on scope exit, error paths included.
+struct PoolDrain {
+  grid::ThreadPool& pool;
+  ~PoolDrain() { pool.wait_idle(); }
+};
 }  // namespace
 
 MorphologyService::MorphologyService(services::HttpFabric& fabric, grid::Grid& grid,
@@ -168,7 +235,7 @@ MorphologyService::MorphologyService(services::HttpFabric& fabric, grid::Grid& g
   // not be advertised, or Pegasus would prune a stage-in it still needs.
   cache_.set_eviction_callback([this](const std::string& lfn) {
     // An LFN staged by the active request stays advertised until that
-    // request's plan is committed (see EvictionDeferral in process()).
+    // request is done with it (see EvictionDeferral).
     if (defer_evictions_ && request_lfns_.count(lfn) != 0) {
       deferred_evictions_.push_back(lfn);
       return;
@@ -246,6 +313,101 @@ Expected<std::string> MorphologyService::gal_morph_compute(
   return status_url;
 }
 
+std::map<std::string, double> stage_in_ready_times(const FetchTimeline& fetches,
+                                                   const pegasus::PlanResult& plan,
+                                                   const std::string& cache_site) {
+  std::priority_queue<double, std::vector<double>, std::greater<>> channels;
+  for (std::size_t c = 0; c < kStageInWindow; ++c) channels.push(0.0);
+  std::map<std::string, double> arrival_ms;
+  for (const auto& [lfn, dur_ms] : fetches) {
+    const double done = channels.top() + dur_ms;
+    channels.pop();
+    channels.push(done);
+    arrival_ms[lfn] = done;
+  }
+  std::map<std::string, double> ready;
+  for (const auto& [node_id, inputs] : plan.data_inputs) {
+    double node_ready_ms = 0.0;
+    for (const std::string& lfn : inputs) {
+      if (const auto it = arrival_ms.find(lfn); it != arrival_ms.end()) {
+        node_ready_ms = std::max(node_ready_ms, it->second);
+      }
+    }
+    if (node_ready_ms > 0.0) ready[node_id] = node_ready_ms / 1000.0;
+  }
+  // Multi-pool plans insert stage-in transfers sourced at the cache site
+  // for cutouts that are themselves still arriving from the archive: the
+  // inter-site stream cannot start before its file lands in the cache.
+  for (const std::string& tid : plan.concrete.node_ids()) {
+    const vds::DagNode* tn = plan.concrete.node(tid);
+    if (tn->type != vds::JobType::kTransfer || tn->source_site != cache_site) {
+      continue;
+    }
+    if (const auto it = arrival_ms.find(tn->file); it != arrival_ms.end()) {
+      double& slot = ready[tid];
+      slot = std::max(slot, it->second / 1000.0);
+    }
+  }
+  return ready;
+}
+
+struct MorphologyService::Request {
+  RequestRecord& record;
+  const votable::Table& input;
+  const std::string& out_name;
+  const std::string out_lfn;
+  const std::size_t id_col;
+  const std::size_t url_col;
+  const services::RequestContext& ctx;
+  grid::CheckpointJournal* const journal;
+  ServiceTrace& trace = record.trace;
+  /// Checkpoint-journal records for this cluster are keyed "<out_lfn>/...".
+  const std::string ck = out_lfn + "/";
+  const std::optional<std::size_t> z_col = input.column_index("redshift");
+  /// Galaxy ids in input order, appended while staging into an exact
+  /// reservation, so kernel tasks can read the entries already written.
+  std::vector<std::string> galaxy_ids{};
+  std::vector<core::GalMorphResult> results =
+      std::vector<core::GalMorphResult>(input.num_rows());
+  /// Rows stream into the output VOTable as galaxies finish (kernel done +
+  /// node final), while other galaxies are still staging or computing.
+  StreamingCatalogWriter writer{out_lfn, results};
+  FetchTimeline fetch_timeline{};
+  std::map<std::string, std::size_t> node_row{};  ///< compute node -> row
+  /// Serializes the kPrefetchDepth blocking protocol around the live count
+  /// in staging_inflight_ (a member, so the gauge can read it).
+  std::mutex inflight_mu{};
+  std::condition_variable inflight_cv{};
+  /// Kernel spans parent under the staging span by explicit id: the tasks
+  /// outlive the staging loop.
+  std::uint64_t staging_span = 0;
+  std::chrono::steady_clock::time_point stage_t0{};
+};
+
+// process() declares this before its pool drain, so evictions flush after
+// the pool is idle: deferred LFNs deregister (only if still non-resident)
+// once nothing in the request can reference the replicas any more.
+struct MorphologyService::EvictionDeferral {
+  MorphologyService& svc;
+  explicit EvictionDeferral(MorphologyService& s) : svc(s) {
+    svc.defer_evictions_ = true;
+    svc.request_lfns_.clear();
+    svc.deferred_evictions_.clear();
+  }
+  EvictionDeferral(const EvictionDeferral&) = delete;
+  ~EvictionDeferral() {
+    svc.defer_evictions_ = false;
+    for (const std::string& lfn : svc.deferred_evictions_) {
+      if (!svc.cache_.contains(lfn)) {
+        (void)svc.rls_.remove(lfn, svc.config_.cache_site);
+        svc.grid_.remove_file(svc.config_.cache_site, lfn);
+      }
+    }
+    svc.deferred_evictions_.clear();
+    svc.request_lfns_.clear();
+  }
+};
+
 Status MorphologyService::process(RequestRecord& record, const votable::Table& input,
                                   const std::string& out_name,
                                   const services::RequestContext& ctx) {
@@ -260,43 +422,13 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
     return Error(ErrorCode::kDeadlineExceeded,
                  "deadline budget exhausted before staging");
   }
-  // Every transport call this request makes — staging fetches and their
-  // retries — now sees the caller's remaining budget and cancellation token;
-  // restored when process() returns, so polls from other requests are
-  // unaffected.
+  // Staging fetches and their retries see the caller's budget and token;
+  // restored on return, so polls from other requests are unaffected.
   services::ResilientClient::ScopedContext scoped_ctx(client_, ctx);
-  const std::string out_lfn = ends_with(out_name, ".vot")
-                                  ? out_name
-                                  : output_votable_lfn(out_name);
+  const std::string out_lfn =
+      ends_with(out_name, ".vot") ? out_name : output_votable_lfn(out_name);
   record.result_lfn = "http://" + config_.host + "/results?name=" + out_lfn;
-
-  // (2) RLS lookup for the output VOTable: the result cache.
-  if (rls_.exists(out_lfn) && state_->results.count(out_lfn)) {
-    trace.cache_hit = true;
-    trace.total_sim_seconds = 0.0;
-    record.state = "completed";
-    record.messages.push_back("output " + out_lfn + " already materialized (RLS hit)");
-    req.count("result_cache_hit", 1.0);
-    return Status::Ok();
-  }
-
-  // (2b) Checkpoint-journal result cache: a cluster whose catalog was
-  // persisted by an earlier (possibly killed) campaign completes without
-  // re-staging, re-planning, or re-computing anything.
-  if (config_.journal) {
-    if (const std::string* xml = config_.journal->find("cluster", out_lfn)) {
-      state_->results[out_lfn] = *xml;
-      rls_.add(out_lfn, config_.cache_site, record.result_lfn);
-      grid_.put_file(config_.cache_site, out_lfn, xml->size());
-      trace.journal_hit = true;
-      trace.total_sim_seconds = 0.0;
-      record.state = "completed";
-      record.messages.push_back("output " + out_lfn +
-                                " recovered from checkpoint journal");
-      req.count("journal_hit", 1.0);
-      return Status::Ok();
-    }
-  }
+  if (serve_materialized(record, out_lfn, req)) return Status::Ok();
 
   const auto id_col = input.column_index("id");
   const auto url_col = input.column_index("cutout_url");
@@ -309,131 +441,124 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
     return Error(ErrorCode::kInvalidArgument, "input VOTable has no rows");
   }
 
-  // Checkpoint journal: records for this cluster are keyed "<out_lfn>/...".
-  grid::CheckpointJournal* journal = config_.journal;
-  const std::string ck = out_lfn + "/";
-  if (journal) {
-    // Resume replay: re-register journaled staged images (replica location,
-    // size, content digest) so the planner sees the same replica state the
-    // original run had at plan time — identical inputs give an identical
-    // concrete DAG, which is what lets journaled node ids line up.
-    journal->for_each("image", [&](const std::string& key, const std::string& payload) {
-      if (!starts_with(key, ck)) return;
-      const std::vector<std::string> f = split(payload, ' ');
-      if (f.size() != 3) return;
-      const std::string lfn = key.substr(ck.size());
-      rls_.add(lfn, config_.cache_site, unescape_field(f[0]), parse_hex_u64(f[2]));
-      grid_.put_file(config_.cache_site, lfn,
-                     std::strtoull(f[1].c_str(), nullptr, 10));
-    });
-  }
+  // Declaration order is the teardown contract. Kernel tasks hold references
+  // into `rq`, so `drain` (declared last) waits for the pool first on every
+  // exit path; `deferral` then flushes evictions; `rq` goes last.
+  Request rq{record, input, out_name, out_lfn, *id_col, *url_col, ctx, config_.journal};
+  replay_journal_images(rq);
+  EvictionDeferral deferral(*this);
+  PoolDrain drain{pool_};
+  if (Status s = stage_and_compute(rq); !s.ok()) return s;
+  auto abstract = compose_workflow(rq);
+  if (!abstract.ok()) return abstract.error();
+  if (Status s = plan_workflow(rq, abstract.value()); !s.ok()) return s;
+  if (Status s = execute_workflow(rq); !s.ok()) return s;
+  // (4e) Barrier for the kernels, which ran concurrently with planning and
+  // the simulated execution: kernel_wall_ms is the overlapped window.
+  pool_.wait_idle();
+  trace.kernel_wall_ms = wall_ms_since(rq.stage_t0);
+  materialize_catalog(rq);
+  req.count("valid", static_cast<double>(trace.valid_results));
+  req.count("invalid", static_cast<double>(trace.invalid_results));
+  record.state = "completed";
+  record.messages.push_back(
+      format("job completed: %zu valid, %zu invalid, makespan %.1f sim-s",
+             trace.valid_results, trace.invalid_results,
+             trace.execution.makespan_seconds));
+  return Status::Ok();
+}
 
+bool MorphologyService::serve_materialized(RequestRecord& record,
+                                           const std::string& out_lfn,
+                                           obs::Span& req) {
+  ServiceTrace& trace = record.trace;
+  const std::string* journaled =
+      config_.journal ? config_.journal->find("cluster", out_lfn) : nullptr;
+  if (rls_.exists(out_lfn) && state_->results.count(out_lfn)) {
+    // (2) RLS lookup for the output VOTable: the result cache.
+    trace.cache_hit = true;
+    record.messages.push_back("output " + out_lfn + " already materialized (RLS hit)");
+    req.count("result_cache_hit", 1.0);
+  } else if (journaled) {
+    // (2b) Checkpoint-journal result cache: a cluster whose catalog was
+    // persisted by an earlier (possibly killed) campaign completes without
+    // re-staging, re-planning, or re-computing anything.
+    state_->results[out_lfn] = *journaled;
+    rls_.add(out_lfn, config_.cache_site, record.result_lfn);
+    grid_.put_file(config_.cache_site, out_lfn, journaled->size());
+    trace.journal_hit = true;
+    record.messages.push_back("output " + out_lfn +
+                              " recovered from checkpoint journal");
+    req.count("journal_hit", 1.0);
+  } else {
+    return false;
+  }
+  trace.total_sim_seconds = 0.0;
+  record.state = "completed";
+  return true;
+}
+
+void MorphologyService::replay_journal_images(const Request& rq) {
+  if (!rq.journal) return;
+  // Re-register journaled staged images (replica location, size, content
+  // digest) so the planner sees the same replica state the original run had
+  // at plan time — identical inputs give an identical concrete DAG, which is
+  // what lets journaled node ids line up.
+  rq.journal->for_each("image", [&](const std::string& key, const std::string& payload) {
+    if (!starts_with(key, rq.ck)) return;
+    const std::vector<std::string> f = split(payload, ' ');
+    if (f.size() != 3) return;
+    const std::string lfn = key.substr(rq.ck.size());
+    rls_.add(lfn, config_.cache_site, unescape_field(f[0]), parse_hex_u64(f[2]));
+    grid_.put_file(config_.cache_site, lfn, std::strtoull(f[1].c_str(), nullptr, 10));
+  });
+}
+
+Status MorphologyService::stage_and_compute(Request& rq) {
   // (3) Stage images through the replica cache, pipelined against the
   // morphology kernels: each fetch stays on this thread (the fabric is
   // thread-compatible, not thread-safe), but the moment a payload is
   // resident its kernel task is submitted to the pool, so simulated
   // transfer time overlaps real compute time instead of serializing with
-  // it. A bounded in-flight count keeps pinned cutout memory proportional
-  // to the prefetch depth, not the cluster size.
-  record.messages.push_back(format("staging %zu galaxy images", trace.galaxies));
+  // it.
+  ServiceTrace& trace = rq.trace;
+  const std::size_t rows = rq.input.num_rows();
+  rq.record.messages.push_back(format("staging %zu galaxy images", trace.galaxies));
   obs::Span staging = obs::start_span(config_.tracer, "compute.staging", "compute");
-  // Kernel tasks outlive the staging loop (they drain at the (4e) barrier),
-  // so their spans parent under the staging span by explicit id.
-  const std::uint64_t staging_id = staging.id();
-  const services::EndpointStats staging_before = client_.totals();
-  const auto stage_t0 = std::chrono::steady_clock::now();
-  const auto z_col = input.column_index("redshift");
-  std::vector<core::GalMorphResult> results(trace.galaxies);
-  std::vector<std::string> galaxy_ids;
-  galaxy_ids.reserve(trace.galaxies);  // exact: element refs stay stable
-  const bool pipelined = config_.execution_mode == ExecutionMode::kPipelined;
-  // Pipelined mode: per-fetch simulated durations in issue order, replayed
-  // below onto stage_in_window concurrent channels to derive each cutout's
-  // arrival time on the sim clock (the barriered mode bills the same
-  // durations sequentially).
-  std::vector<std::pair<std::string, double>> fetch_timeline;
-  // Effective per-fetch durations the request observed (post hedging), for
-  // the stage-in tail metric. The hedge delay itself derives from
-  // hedge_history_, the service-level rolling window of primary durations.
-  std::vector<double> effective_durations;
-  // Pipelined mode: rows stream into the output VOTable as galaxies finish
-  // (kernel done + node final) instead of one concat after the (4e)
-  // barrier. Declared before Drain: kernel tasks hold a pointer into it, so
-  // it must outlive the pool drain on every exit path.
-  std::unique_ptr<StreamingCatalogWriter> writer;
-  if (pipelined) {
-    writer = std::make_unique<StreamingCatalogWriter>(out_lfn, results);
-  }
-
-  // Declared before Drain so it flushes after the pool is idle: deferred
-  // evictions deregister (only if still non-resident) once nothing in this
-  // request can reference the replicas any more, on success and error paths
-  // alike.
-  struct EvictionDeferral {
-    MorphologyService& svc;
-    explicit EvictionDeferral(MorphologyService& s) : svc(s) {
-      svc.defer_evictions_ = true;
-      svc.request_lfns_.clear();
-      svc.deferred_evictions_.clear();
-    }
-    ~EvictionDeferral() {
-      svc.defer_evictions_ = false;
-      for (const std::string& lfn : svc.deferred_evictions_) {
-        if (!svc.cache_.contains(lfn)) {
-          (void)svc.rls_.remove(lfn, svc.config_.cache_site);
-          svc.grid_.remove_file(svc.config_.cache_site, lfn);
-        }
-      }
-      svc.deferred_evictions_.clear();
-      svc.request_lfns_.clear();
-    }
-  } deferral{*this};
-
-  // The live count lives in staging_inflight_ (atomic, member) so the
-  // "staging.inflight" gauge can observe it; the mutex/cv pair still
-  // serializes the blocking-bound protocol around it.
-  std::mutex inflight_mu;
-  std::condition_variable inflight_cv;
-  const std::size_t depth = std::max<std::size_t>(1, config_.prefetch_depth);
-  // Any exit path (including mid-staging errors) must drain the pool before
-  // the locals the tasks reference go out of scope.
-  struct Drain {
-    grid::ThreadPool& pool;
-    ~Drain() { pool.wait_idle(); }
-  } drain{pool_};
-
-  for (std::size_t i = 0; i < input.num_rows(); ++i) {
+  rq.staging_span = staging.id();
+  rq.galaxy_ids.reserve(rows);
+  const services::EndpointStats before = client_.totals();
+  rq.stage_t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < rows; ++i) {
     // Cooperative cancellation / deadline expiry, checked between galaxies:
     // rows journaled so far are preserved (a resubmission resumes instead of
     // recomputing), kernel tasks already queued drop via their cancel branch,
-    // and the Drain/EvictionDeferral guards unwind everything else.
-    if (ctx.cancelled()) {
+    // and process()'s drain/deferral guards unwind everything else.
+    if (rq.ctx.cancelled()) {
       return Error(ErrorCode::kCancelled,
-                   format("staging cancelled after %zu of %zu galaxies", i,
-                          input.num_rows()));
+                   format("staging cancelled after %zu of %zu galaxies", i, rows));
     }
-    if (ctx.expired(fabric_.now_ms())) {
+    if (rq.ctx.expired(fabric_.now_ms())) {
       return Error(ErrorCode::kDeadlineExceeded,
                    format("deadline exceeded while staging (%zu of %zu galaxies)",
-                          i, input.num_rows()));
+                          i, rows));
     }
-    const auto id = input.row(i)[*id_col].as_string();
-    const auto url = input.row(i)[*url_col].as_string();
+    const auto id = rq.input.row(i)[rq.id_col].as_string();
+    const auto url = rq.input.row(i)[rq.url_col].as_string();
     if (!id || !url) {
       return Error(ErrorCode::kInvalidArgument, format("row %zu lacks id/url", i));
     }
-    galaxy_ids.push_back(*id);
+    rq.galaxy_ids.push_back(*id);
     const std::string lfn = image_lfn(*id);
     // Resumed galaxy: the journal holds the kernel's row bit-for-bit, so
-    // neither the image bytes nor the kernel are needed again. The replica
-    // registration was already replayed above, so planning still sees it.
-    if (journal) {
-      if (const std::string* row = journal->find("row", ck + *id)) {
-        if (decode_result(*row, results[i])) {
+    // neither the image bytes nor the kernel are needed again; only the
+    // node outcome is still pending. The replica registration was already
+    // replayed, so planning still sees it.
+    if (rq.journal) {
+      if (const std::string* row = rq.journal->find("row", rq.ck + *id)) {
+        if (decode_result(*row, rq.results[i])) {
           ++trace.rows_resumed;
-          // The journaled row is the kernel's output bit-for-bit; only the
-          // node outcome is still pending for this galaxy's catalog row.
-          if (writer) writer->mark_kernel_done(i);
+          rq.writer.mark_kernel_done(i);
           continue;
         }
       }
@@ -441,67 +566,10 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
     services::ReplicaCache::Payload payload = cache_.get(lfn);
     if (payload) {
       ++trace.images_cached;
-      request_lfns_.insert(lfn);  // a hit can still be evicted mid-request
-      if (journal && !journal->has("image", ck + lfn)) {
-        (void)journal->append("image", ck + lfn,
-                              escape_field(*url) + ' ' +
-                                  format("%zu", payload->size()) + ' ' +
-                                  hex_u64(cache_.digest_of(lfn)));
-      }
     } else {
-      const double fetch_before_ms = fabric_.now_ms();
-      auto response = client_.get(*url);
-      const double fetch_ms = fabric_.now_ms() - fetch_before_ms;
-      trace.image_fetch_sim_ms += fetch_ms;
-      if (response.ok()) trace.staging_wan_bytes += response->body.size();
-      double effective_ms = fetch_ms;
-      // Hedged stage-in: a fetch slower than the hedge delay (the configured
-      // quantile of the rolling primary-duration history) is re-issued
-      // against the archive's mirror. First verified success wins — on the
-      // overlapped timeline the mirror's copy lands at delay + hedge
-      // duration, so the effective arrival is the minimum — and the loser's
-      // bytes are charged to hedge_wasted_bytes (its stream is cancelled,
-      // but the WAN transfer already happened). Pipelined-only: the
-      // barriered baseline bills serialized fetches, where a second stream
-      // cannot overlap anything.
-      if (pipelined && config_.hedge_stage_ins &&
-          hedge_history_.size() >= config_.hedge_min_samples) {
-        const double hedge_delay =
-            quantile_of(hedge_history_, config_.hedge_quantile);
-        trace.hedge_delay_ms = hedge_delay;
-        std::string hedge_url;
-        if (const auto parsed = services::Url::parse(*url); parsed.ok()) {
-          const std::string mirror = client_.mirror_for(parsed->host);
-          if (!mirror.empty()) {
-            services::Url m = parsed.value();
-            m.host = mirror;
-            hedge_url = m.to_string();
-          }
-        }
-        if (!hedge_url.empty() && hedge_delay > 0.0 && fetch_ms > hedge_delay) {
-          const double hedge_before_ms = fabric_.now_ms();
-          auto hedge = client_.get(hedge_url);
-          const double hedge_ms = fabric_.now_ms() - hedge_before_ms;
-          ++trace.hedged_fetches;
-          const bool hedge_ok = hedge.ok() && hedge->status == 200;
-          const bool primary_ok = response.ok() && response->status == 200;
-          if (hedge_ok) trace.staging_wan_bytes += hedge->body.size();
-          if (hedge_ok && (!primary_ok || hedge_delay + hedge_ms < fetch_ms)) {
-            ++trace.hedge_wins;
-            effective_ms = hedge_delay + hedge_ms;
-            if (primary_ok) trace.hedge_wasted_bytes += response->body.size();
-            response = std::move(hedge);
-          } else if (hedge_ok) {
-            trace.hedge_wasted_bytes += hedge->body.size();
-          }
-        }
-      }
-      hedge_history_.push_back(fetch_ms);
-      if (hedge_history_.size() > kHedgeHistoryLimit) {
-        hedge_history_.erase(hedge_history_.begin());
-      }
-      effective_durations.push_back(effective_ms);
-      if (pipelined) fetch_timeline.emplace_back(lfn, effective_ms);
+      double effective_ms = 0.0;
+      auto response = fetch_cutout(trace, *url, effective_ms);
+      rq.fetch_timeline.emplace_back(lfn, effective_ms);
       if (!response.ok() || response->status != 200) {
         // An unreachable image is a per-galaxy failure, not a request
         // failure: cache an empty payload and register it like any other
@@ -519,90 +587,29 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
         payload = cache_.put(lfn, std::move(response->body));
       }
       ++trace.images_fetched;
-      const std::uint64_t digest = cache_.digest_of(lfn);
-      rls_.add(lfn, config_.cache_site, *url, digest);
+      rls_.add(lfn, config_.cache_site, *url, cache_.digest_of(lfn));
       grid_.put_file(config_.cache_site, lfn, payload->size());
-      request_lfns_.insert(lfn);
-      if (journal && !journal->has("image", ck + lfn)) {
-        (void)journal->append("image", ck + lfn,
-                              escape_field(*url) + ' ' +
-                                  format("%zu", payload->size()) + ' ' +
-                                  hex_u64(digest));
-      }
     }
-
-    {
-      std::unique_lock lock(inflight_mu);
-      inflight_cv.wait(lock, [&] {
-        return staging_inflight_.load(std::memory_order_relaxed) < depth;
-      });
-      staging_inflight_.fetch_add(1, std::memory_order_relaxed);
+    request_lfns_.insert(lfn);  // a hit can still be evicted mid-request
+    if (rq.journal && !rq.journal->has("image", rq.ck + lfn)) {
+      (void)rq.journal->append("image", rq.ck + lfn,
+                               escape_field(*url) + ' ' +
+                                   format("%zu", payload->size()) + ' ' +
+                                   hex_u64(cache_.digest_of(lfn)));
     }
-    // The shared_ptr pins the bytes for the kernel even if the cache evicts
-    // the entry mid-request.
-    pool_.submit_cancellable(
-        ctx.cancel,
-        [this, i, payload = std::move(payload), z_col, staging_id,
-                  journal, ck, w = writer.get(), &galaxy_ids, &results, &input,
-                  &inflight_mu, &inflight_cv] {
-      obs::Span kernel = config_.tracer
-                             ? config_.tracer->span_under(staging_id,
-                                                          "kernel.galmorph", "kernel")
-                             : obs::Span();
-      core::GalMorphArgs args = config_.default_args;
-      if (z_col) {
-        const auto z = input.row(i)[*z_col].as_number();
-        if (z) args.redshift = *z;
-      }
-      if (!payload || payload->empty()) {
-        results[i].galaxy_id = galaxy_ids[i];
-        results[i].redshift = args.redshift;
-        results[i].params.valid = false;
-        results[i].params.failure_reason = "image unavailable";
-      } else {
-        results[i] = core::run_gal_morph_bytes(galaxy_ids[i], *payload, args,
-                                               &tile_executor_);
-      }
-      kernel.count(results[i].params.valid ? "valid" : "invalid", 1.0);
-      if (journal) {
-        // Journaled the moment it exists: a kill any time after this line
-        // cannot lose this galaxy's science. append() is thread-safe.
-        (void)journal->append("row", ck + galaxy_ids[i],
-                              encode_result(results[i]));
-      }
-      // After this line results[i] is immutable from this thread; the
-      // writer may serialize it (under its own lock) the moment the node
-      // outcome lands.
-      if (w) w->mark_kernel_done(i);
-      {
-        std::lock_guard lock(inflight_mu);
-        staging_inflight_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      inflight_cv.notify_one();
-        },
-        // A cancelled request's queued kernels drop without running, but the
-        // bookkeeping they owe still happens exactly once: the in-flight
-        // bound is released (the staging loop may be parked on it) and the
-        // gauge returns to zero. No journal row, no writer progress — the
-        // galaxy was never computed.
-        [this, &inflight_mu, &inflight_cv] {
-          {
-            std::lock_guard lock(inflight_mu);
-            staging_inflight_.fetch_sub(1, std::memory_order_relaxed);
-          }
-          inflight_cv.notify_one();
-        });
+    submit_kernel(rq, i, std::move(payload));
   }
-  const services::EndpointStats staging_after = client_.totals();
-  trace.staging_retries = staging_after.retries - staging_before.retries;
-  trace.staging_failovers = staging_after.failovers - staging_before.failovers;
-  trace.staging_breaker_trips =
-      staging_after.breaker_trips - staging_before.breaker_trips;
+  const services::EndpointStats after = client_.totals();
+  trace.staging_retries = after.retries - before.retries;
+  trace.staging_failovers = after.failovers - before.failovers;
+  trace.staging_breaker_trips = after.breaker_trips - before.breaker_trips;
   trace.staging_integrity_failures =
-      staging_after.integrity_failures - staging_before.integrity_failures;
-  trace.staging_quarantine_skips =
-      staging_after.quarantine_skips - staging_before.quarantine_skips;
-  trace.stage_in_p99_ms = quantile_of(effective_durations, 0.99);
+      after.integrity_failures - before.integrity_failures;
+  trace.staging_quarantine_skips = after.quarantine_skips - before.quarantine_skips;
+  std::vector<double> durations;
+  durations.reserve(rq.fetch_timeline.size());
+  for (const auto& fetch : rq.fetch_timeline) durations.push_back(fetch.second);
+  trace.stage_in_p99_ms = quantile_of(std::move(durations), 0.99);
   staging.count("images_fetched", static_cast<double>(trace.images_fetched));
   staging.count("images_cached", static_cast<double>(trace.images_cached));
   staging.count("retries", static_cast<double>(trace.staging_retries));
@@ -619,75 +626,181 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
   if (trace.rows_resumed > 0) {
     staging.count("rows_resumed", static_cast<double>(trace.rows_resumed));
   }
-  staging.end();
+  return Status::Ok();
+}
 
-  // (4a) VDL generation (the second stylesheet).
-  obs::Span compose_span =
-      obs::start_span(config_.tracer, "compute.vdl_compose", "compute");
-  auto t0 = std::chrono::steady_clock::now();
-  auto vdl_doc = catalog_to_vdl_document(input, out_name, config_.default_args);
-  if (!vdl_doc.ok()) return vdl_doc.error();
-  trace.vdl_bytes = 0.0;  // recomputed below from text size
-  {
-    auto vdl_text = catalog_to_vdl(input, out_name, config_.default_args);
-    if (vdl_text.ok()) trace.vdl_bytes = static_cast<double>(vdl_text->size());
+Expected<services::HttpResponse> MorphologyService::fetch_cutout(
+    ServiceTrace& trace, const std::string& url, double& effective_ms) {
+  const double fetch_before_ms = fabric_.now_ms();
+  auto response = client_.get(url);
+  const double fetch_ms = fabric_.now_ms() - fetch_before_ms;
+  trace.image_fetch_sim_ms += fetch_ms;
+  if (response.ok()) trace.staging_wan_bytes += response->body.size();
+  effective_ms = fetch_ms;
+  // Hedged stage-in: a fetch slower than the hedge delay (a quantile of the
+  // rolling primary-duration history) is re-issued against the archive's
+  // mirror. First verified success wins — on the overlapped timeline the
+  // mirror's copy lands at delay + hedge duration, so the effective arrival
+  // is the minimum — and the loser's bytes are charged to
+  // hedge_wasted_bytes (its stream is cancelled, but the WAN transfer
+  // already happened).
+  if (config_.hedge_stage_ins && hedge_history_.size() >= kHedgeMinSamples) {
+    const double hedge_delay = quantile_of(hedge_history_, kHedgeQuantile);
+    trace.hedge_delay_ms = hedge_delay;
+    std::string hedge_url;
+    if (const auto parsed = services::Url::parse(url); parsed.ok()) {
+      const std::string mirror = client_.mirror_for(parsed->host);
+      if (!mirror.empty()) {
+        services::Url m = parsed.value();
+        m.host = mirror;
+        hedge_url = m.to_string();
+      }
+    }
+    if (!hedge_url.empty() && hedge_delay > 0.0 && fetch_ms > hedge_delay) {
+      const double hedge_before_ms = fabric_.now_ms();
+      auto hedge = client_.get(hedge_url);
+      const double hedge_ms = fabric_.now_ms() - hedge_before_ms;
+      ++trace.hedged_fetches;
+      const bool hedge_ok = hedge.ok() && hedge->status == 200;
+      const bool primary_ok = response.ok() && response->status == 200;
+      if (hedge_ok) trace.staging_wan_bytes += hedge->body.size();
+      if (hedge_ok && (!primary_ok || hedge_delay + hedge_ms < fetch_ms)) {
+        ++trace.hedge_wins;
+        effective_ms = hedge_delay + hedge_ms;
+        if (primary_ok) trace.hedge_wasted_bytes += response->body.size();
+        response = std::move(hedge);
+      } else if (hedge_ok) {
+        trace.hedge_wasted_bytes += hedge->body.size();
+      }
+    }
   }
+  hedge_history_.push_back(fetch_ms);
+  if (hedge_history_.size() > kHedgeHistoryLimit) {
+    hedge_history_.erase(hedge_history_.begin());
+  }
+  return response;
+}
 
-  // (4b) Chimera composition.
+void MorphologyService::submit_kernel(Request& rq, std::size_t i,
+                                      services::ReplicaCache::Payload payload) {
+  {
+    std::unique_lock lock(rq.inflight_mu);
+    rq.inflight_cv.wait(lock, [&] {
+      return staging_inflight_.load(std::memory_order_relaxed) < kPrefetchDepth;
+    });
+    staging_inflight_.fetch_add(1, std::memory_order_relaxed);
+  }
+  const auto release = [this, &rq] {
+    {
+      std::lock_guard lock(rq.inflight_mu);
+      staging_inflight_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    rq.inflight_cv.notify_one();
+  };
+  // The shared_ptr pins the bytes for the kernel even if the cache evicts
+  // the entry mid-request.
+  pool_.submit_cancellable(
+      rq.ctx.cancel,
+      [this, &rq, i, payload = std::move(payload), release] {
+        obs::Span kernel =
+            config_.tracer
+                ? config_.tracer->span_under(rq.staging_span, "kernel.galmorph", "kernel")
+                : obs::Span();
+        core::GalMorphArgs args = config_.default_args;
+        if (rq.z_col) {
+          const auto z = rq.input.row(i)[*rq.z_col].as_number();
+          if (z) args.redshift = *z;
+        }
+        core::GalMorphResult& result = rq.results[i];
+        if (!payload || payload->empty()) {
+          result.galaxy_id = rq.galaxy_ids[i];
+          result.redshift = args.redshift;
+          result.params.valid = false;
+          result.params.failure_reason = "image unavailable";
+        } else {
+          result = core::run_gal_morph_bytes(rq.galaxy_ids[i], *payload, args,
+                                             &tile_executor_);
+        }
+        kernel.count(result.params.valid ? "valid" : "invalid", 1.0);
+        if (rq.journal) {
+          // Journaled the moment it exists: a kill any time after this line
+          // cannot lose this galaxy's science. append() is thread-safe.
+          (void)rq.journal->append("row", rq.ck + rq.galaxy_ids[i],
+                                   encode_result(result));
+        }
+        // After this line the slot is immutable from this thread; the writer
+        // may serialize it (under its own lock) the moment the node outcome
+        // lands.
+        rq.writer.mark_kernel_done(i);
+        release();
+      },
+      // A cancelled request's queued kernels drop without running, but the
+      // in-flight bound is still released exactly once (the staging loop may
+      // be parked on it) and the gauge returns to zero. No journal row, no
+      // writer progress — the galaxy was never computed.
+      release);
+}
+
+Expected<vds::Dag> MorphologyService::compose_workflow(Request& rq) {
+  // (4a) VDL generation (the second stylesheet), then (4b) Chimera
+  // composition.
+  obs::Span span = obs::start_span(config_.tracer, "compute.vdl_compose", "compute");
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto vdl = catalog_to_vdl(rq.input, rq.out_name, config_.default_args);
+  if (!vdl.ok()) return vdl.error();
+  rq.trace.vdl_bytes = static_cast<double>(vdl->size());
+  const auto doc = vds::parse_vdl(vdl.value());
+  if (!doc.ok()) return doc.error();
   vds::VirtualDataCatalog vdc;
-  if (const Status s = vdc.ingest(vdl_doc.value()); !s.ok()) return s;
-  auto abstract = vds::compose_abstract_workflow(vdc, {out_lfn});
+  if (const Status s = vdc.ingest(doc.value()); !s.ok()) return s.error();
+  auto abstract = vds::compose_abstract_workflow(vdc, {rq.out_lfn});
   if (!abstract.ok()) return abstract.error();
-  trace.compose_wall_ms = wall_ms_since(t0);
-  compose_span.count("vdl_bytes", trace.vdl_bytes);
-  compose_span.end();
+  rq.trace.compose_wall_ms = wall_ms_since(t0);
+  span.count("vdl_bytes", rq.trace.vdl_bytes);
+  return abstract;
+}
 
+Status MorphologyService::plan_workflow(Request& rq, const vds::Dag& abstract) {
   // (4c) Pegasus planning. The generated concat transformation runs at the
   // service's own site (where the results will be gathered).
-  (void)tc_.add({"concatMorph_" + out_name, config_.cache_site,
+  (void)tc_.add({"concatMorph_" + rq.out_name, config_.cache_site,
                  "/grid/bin/concatMorph", {}});
-  obs::Span plan_span = obs::start_span(config_.tracer, "compute.plan", "compute");
-  t0 = std::chrono::steady_clock::now();
+  obs::Span span = obs::start_span(config_.tracer, "compute.plan", "compute");
+  const auto t0 = std::chrono::steady_clock::now();
   pegasus::PlannerConfig planner_config = config_.planner;
   planner_config.output_site = config_.cache_site;
   pegasus::Planner planner(grid_, rls_, tc_, planner_config, config_.seed);
-  auto plan = planner.plan(abstract.value());
+  auto plan = planner.plan(abstract);
   if (!plan.ok()) return plan.error();
-  trace.plan = std::move(plan.value());
-  trace.plan_wall_ms = wall_ms_since(t0);
-  plan_span.count("concrete_nodes", static_cast<double>(trace.plan.concrete.num_nodes()));
-  plan_span.end();
+  rq.trace.plan = std::move(plan.value());
+  rq.trace.plan_wall_ms = wall_ms_since(t0);
+  span.count("concrete_nodes", static_cast<double>(rq.trace.plan.concrete.num_nodes()));
+  return Status::Ok();
+}
 
-  // (4d) Simulated DAGMan execution for the timing/accounting shape.
-  grid::JobCostModel cost = config_.cost;
-  if (!cost.compute_seconds) {
-    const double ref = cost.compute_reference_seconds;
-    cost.compute_seconds = [ref](const vds::DagNode& n) {
-      if (starts_with(n.transformation, "concatMorph")) {
-        return 0.5 + 0.002 * static_cast<double>(n.inputs.size());
-      }
-      return ref;
-    };
-  }
-  // Node-retry budget unified with the per-request retries the staging
+Status MorphologyService::execute_workflow(Request& rq) {
+  // (4d) Simulated DAGMan execution for the timing/accounting shape. The
+  // node-retry budget is unified with the per-request retries the staging
   // phase already performs, so a permanent failure is not retried
   // multiplicatively across the two layers.
+  ServiceTrace& trace = rq.trace;
+  const vds::Dag& dag = trace.plan.concrete;
   obs::Span dag_span = obs::start_span(config_.tracer, "compute.dagman", "compute");
   grid::DagManSim dagman(
-      grid_, cost,
+      grid_, job_cost_model(config_.cost),
       pegasus::unify_retry_budgets(config_.failure, config_.retry.max_attempts),
       config_.seed ^ 0xDA6);
-  dagman.set_cancel_token(ctx.cancel);
-  if (ctx.budget.bounded()) {
+  dagman.set_cancel_token(rq.ctx.cancel);
+  if (rq.ctx.budget.bounded()) {
     // The DAG runs on its own simulated timeline starting at t=0 == now:
     // whatever budget survives staging/planning is the run's deadline. A
     // budget already at zero is caught here rather than letting 0 read as
     // "no deadline" in the executor.
-    if (ctx.expired(fabric_.now_ms())) {
+    if (rq.ctx.expired(fabric_.now_ms())) {
       return Error(ErrorCode::kDeadlineExceeded,
                    "deadline budget exhausted before workflow dispatch");
     }
-    dagman.set_deadline_s(ctx.budget.remaining_ms(fabric_.now_ms()) / 1000.0);
+    dagman.set_deadline_s(rq.ctx.budget.remaining_ms(fabric_.now_ms()) / 1000.0);
   }
   if (config_.work_stealing) {
     dagman.set_work_stealing(true);
@@ -696,169 +809,62 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
       return tc_.lookup_at(n.transformation, site).ok();
     });
   }
-  // Pipelined mode: replay the recorded per-fetch durations onto
-  // stage_in_window concurrent channels (list scheduling: each fetch takes
-  // the earliest-free channel, in issue order) to derive each cutout's
-  // arrival on the sim clock, then hand DagManSim a ready time per compute
-  // node — the node becomes dispatchable the moment its data lands, while
-  // other galaxies are still in flight. Only the timeline changes; the
-  // per-(node, attempt) failure draws are schedule-invariant.
-  if (pipelined && !fetch_timeline.empty()) {
-    const std::size_t window = std::max<std::size_t>(1, config_.stage_in_window);
-    std::priority_queue<double, std::vector<double>, std::greater<>> channels;
-    for (std::size_t c = 0; c < window; ++c) channels.push(0.0);
-    std::map<std::string, double> arrival_ms;
-    for (const auto& [lfn, dur_ms] : fetch_timeline) {
-      const double start = channels.top();
-      channels.pop();
-      const double done = start + dur_ms;
-      channels.push(done);
-      arrival_ms[lfn] = done;
-    }
-    std::map<std::string, double> ready;
-    for (const auto& [node_id, inputs] : trace.plan.data_inputs) {
-      double node_ready_ms = 0.0;
-      for (const std::string& lfn : inputs) {
-        const auto it = arrival_ms.find(lfn);
-        // Absent = cache hit or journal replay: resident before the run.
-        if (it != arrival_ms.end()) {
-          node_ready_ms = std::max(node_ready_ms, it->second);
-        }
-      }
-      if (node_ready_ms > 0.0) ready[node_id] = node_ready_ms / 1000.0;
-    }
-    // Multi-pool plans insert stage-in transfers sourced at the cache site
-    // for cutouts that are themselves still arriving from the archive: the
-    // inter-site stream cannot start before its file lands in the cache.
-    for (const std::string& tid : trace.plan.concrete.node_ids()) {
-      const vds::DagNode* tn = trace.plan.concrete.node(tid);
-      if (tn->type != vds::JobType::kTransfer ||
-          tn->source_site != config_.cache_site) {
-        continue;
-      }
-      const auto it = arrival_ms.find(tn->file);
-      if (it != arrival_ms.end()) {
-        double& slot = ready[tid];
-        slot = std::max(slot, it->second / 1000.0);
-      }
-    }
-    dagman.set_ready_times(std::move(ready));
+  // Each compute node becomes dispatchable the moment its data lands, while
+  // other galaxies are still in flight. Only the timeline depends on this;
+  // the per-(node, attempt) failure draws are schedule-invariant.
+  dagman.set_ready_times(
+      stage_in_ready_times(rq.fetch_timeline, trace.plan, config_.cache_site));
+  for (std::size_t i = 0; i < rq.galaxy_ids.size(); ++i) {
+    rq.node_row["m_" + rq.galaxy_ids[i]] = i;
   }
-  // Row index of each galaxy's compute node, for the incremental merge.
-  std::map<std::string, std::size_t> node_row;
-  if (writer) {
-    for (std::size_t i = 0; i < galaxy_ids.size(); ++i) {
-      node_row["m_" + galaxy_ids[i]] = i;
-    }
-  }
-  if (journal || config_.abort_after_nodes > 0 || writer) {
-    dagman.set_node_callback([this, journal, ck, w = writer.get(),
-                              &node_row](const grid::NodeResult& nr)
-                                 -> Status {
-      if (w) {
-        // Final outcome for this galaxy's node: its catalog row can be
-        // absorbed as soon as the kernel is also done. With rescue rounds
-        // budgeted, a failure is NOT final — a later round may still
-        // succeed, and mark_node_final is first-wins — so failed rows are
-        // left for the post-drain sweep over the merged report.
-        const auto it = node_row.find(nr.id);
-        if (it != node_row.end()) {
-          if (nr.outcome != grid::NodeOutcome::kFailed) {
-            w->mark_node_final(it->second, false);
-          } else if (config_.rescue_rounds == 0) {
-            w->mark_node_final(it->second, true);
-          }
-        }
-      }
-      if (journal && nr.outcome == grid::NodeOutcome::kSucceeded &&
-          !journal->has("node", ck + nr.id)) {
-        if (const Status s = journal->append("node", ck + nr.id, ""); !s.ok()) {
-          return s;
-        }
-      }
-      ++nodes_completed_total_;
-      if (config_.abort_after_nodes > 0 && !kill_fired_ &&
-          nodes_completed_total_ >= config_.abort_after_nodes) {
-        // Simulated submit-host death: the run aborts here, after the
-        // completion above was journaled, so resume loses nothing. The kill
-        // is one-shot — it takes down exactly the request whose DAG crosses
-        // the threshold; later requests through the same (multi-tenant)
-        // service run normally, as they would after a submit-host restart.
-        kill_fired_ = true;
-        return Error(ErrorCode::kAborted,
-                     format("chaos kill after %zu node completions",
-                            nodes_completed_total_));
-      }
-      return Status::Ok();
-    });
-  }
+  dagman.set_node_callback(
+      [this, &rq](const grid::NodeResult& nr) { return on_node_final(rq, nr); });
 
   // Journal-completed nodes are cut out of the DAG via the rescue machinery
   // before execution: a resumed run re-executes only the unfinished tail.
   std::map<std::string, grid::NodeResult> prior;
-  if (journal) {
-    for (const std::string& node_id : trace.plan.concrete.node_ids()) {
-      if (!journal->has("node", ck + node_id)) continue;
-      const vds::DagNode* n = trace.plan.concrete.node(node_id);
+  if (rq.journal) {
+    for (const std::string& node_id : dag.node_ids()) {
+      if (!rq.journal->has("node", rq.ck + node_id)) continue;
       grid::NodeResult r;
       r.id = node_id;
       r.outcome = grid::NodeOutcome::kSucceeded;
-      if (n) r.site = n->site;
+      if (const vds::DagNode* n = dag.node(node_id)) r.site = n->site;
       prior[node_id] = std::move(r);
     }
   }
   trace.nodes_resumed = prior.size();
-  // merge_node_outcomes rebuilds a report from per-node outcomes only, so
-  // run-level counters are accumulated by hand across rescue rounds.
-  std::size_t acc_retries = 0;
-  std::size_t acc_stolen = 0;
-  std::size_t acc_wan = 0;
-  std::size_t acc_expired = 0;
-  std::vector<std::string> acc_sites_lost;
-  std::map<std::string, double> acc_busy;
-  const auto absorb = [&](const grid::RunReport& rep) {
-    acc_retries += rep.retries;
-    acc_stolen += rep.stolen_jobs;
-    acc_wan += rep.wan_bytes;
-    acc_expired += rep.jobs_expired;
-    acc_sites_lost.insert(acc_sites_lost.end(), rep.sites_lost.begin(),
-                          rep.sites_lost.end());
-    for (const auto& [s, t] : rep.site_busy_seconds) acc_busy[s] += t;
-  };
-  bool report_is_merged = false;
-  const bool resumed_from_journal = !prior.empty();
+  // Rescue rounds. Journal resume keeps its single implicit round;
+  // config_.rescue_rounds budgets explicit rounds for failure and
+  // whole-pool-outage recovery. Rounds reuse the same sim engine, so latched
+  // dead pools and lifetime failure draws carry across; the unfinished
+  // portion is re-mapped off dead pools before each rerun. An expired or
+  // cancelled request burns no rounds: its nodes were dropped deliberately.
+  RunTotals totals;
+  std::size_t rounds_left =
+      std::max<std::size_t>(config_.rescue_rounds, prior.empty() ? 0 : 1);
   if (prior.empty()) {
-    auto report = dagman.run(trace.plan.concrete);
+    auto report = dagman.run(dag);
     if (!report.ok()) return report.error();
     if (report->cancelled) {
       return Error(ErrorCode::kCancelled,
-                   "workflow cancelled mid-execution: " + ctx.cancel.reason());
+                   "workflow cancelled mid-execution: " + rq.ctx.cancel.reason());
     }
-    absorb(report.value());
+    totals.absorb(report.value());
     // Seed the outcome map too: rescue rounds merge against `prior`, and a
     // map missing the first run's successes would report them skipped.
     for (const grid::NodeResult& r : report->nodes) prior[r.id] = r;
     trace.execution = std::move(report.value());
   } else {
-    record.messages.push_back(format("resuming: %zu of %zu nodes journal-complete",
-                                     prior.size(),
-                                     trace.plan.concrete.num_nodes()));
-    trace.execution = grid::merge_node_outcomes(trace.plan.concrete, prior);
-    report_is_merged = true;
+    rq.record.messages.push_back(format("resuming: %zu of %zu nodes journal-complete",
+                                        prior.size(), dag.num_nodes()));
+    trace.execution = grid::merge_node_outcomes(dag, prior);
+    totals.merged = true;
   }
-  // Rescue rounds. Journal resume keeps its single implicit round (the
-  // pre-multi-pool behavior); config_.rescue_rounds budgets explicit rounds
-  // for failure and whole-pool-outage recovery. Rounds reuse the same sim
-  // engine, so latched dead pools and lifetime failure draws carry across;
-  // the unfinished portion is re-mapped off dead pools before each rerun.
-  std::size_t rounds_left =
-      std::max<std::size_t>(config_.rescue_rounds, resumed_from_journal ? 1 : 0);
-  // An expired or cancelled request must not burn rescue rounds: its nodes
-  // were dropped deliberately, not lost to a failure worth recovering from.
   while (rounds_left > 0 && !trace.execution.workflow_succeeded &&
-         acc_expired == 0 && !ctx.cancelled()) {
+         totals.expired == 0 && !rq.ctx.cancelled()) {
     --rounds_left;
-    auto resume_dag = grid::make_rescue_dag(trace.plan.concrete, trace.execution);
+    auto resume_dag = grid::make_rescue_dag(dag, trace.execution);
     if (!resume_dag.ok()) return resume_dag.error();
     if (resume_dag->empty()) break;
     if (!dagman.dead_sites().empty()) {
@@ -867,7 +873,7 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
                                                config_.cache_site);
       if (!remap.ok()) return remap.error();
       if (remap->compute_remapped > 0 || remap->transfers_retargeted > 0) {
-        record.messages.push_back(
+        rq.record.messages.push_back(
             format("rescue: re-mapped %zu jobs, re-pointed %zu transfers, "
                    "re-staged %zu inputs off %zu lost pool(s)",
                    remap->compute_remapped, remap->transfers_retargeted,
@@ -878,30 +884,21 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
     if (!report.ok()) return report.error();
     if (report->cancelled) {
       return Error(ErrorCode::kCancelled,
-                   "rescue round cancelled mid-execution: " + ctx.cancel.reason());
+                   "rescue round cancelled mid-execution: " + rq.ctx.cancel.reason());
     }
-    absorb(report.value());
+    totals.absorb(report.value());
     for (const grid::NodeResult& r : report->nodes) prior[r.id] = r;
-    trace.execution = grid::merge_node_outcomes(trace.plan.concrete, prior);
-    report_is_merged = true;
+    trace.execution = grid::merge_node_outcomes(dag, prior);
+    totals.merged = true;
   }
-  if (report_is_merged) {
-    trace.execution.retries = acc_retries;
-    trace.execution.stolen_jobs = acc_stolen;
-    trace.execution.wan_bytes = acc_wan;
-    trace.execution.jobs_expired = acc_expired;
-    trace.execution.sites_lost = std::move(acc_sites_lost);
-    trace.execution.site_busy_seconds = std::move(acc_busy);
-  }
+  totals.apply_to(trace.execution);
   if (trace.execution.jobs_expired > 0) {
     // The deadline gate dropped part of the workflow: surface expiry instead
     // of materializing a catalog with silently missing galaxies. Journal
     // rows and node completions persisted so far are kept — a resubmission
     // with a fresh budget resumes from them.
-    dag_span.count("jobs_expired",
-                   static_cast<double>(trace.execution.jobs_expired));
-    dag_span.end();
-    record.messages.push_back(
+    dag_span.count("jobs_expired", static_cast<double>(trace.execution.jobs_expired));
+    rq.record.messages.push_back(
         format("deadline: %zu compute node(s) expired before dispatch",
                trace.execution.jobs_expired));
     return Error(ErrorCode::kDeadlineExceeded,
@@ -909,102 +906,104 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
                         "expired before dispatch",
                         trace.execution.jobs_expired));
   }
-  if (config_.tracer) {
-    // Node executions are simulated, so their spans are recorded
-    // retrospectively from the discrete-event report on the sim timeline.
-    // Journal-resumed nodes (attempts == 0) never ran here — no span.
-    for (const grid::NodeResult& r : trace.execution.nodes) {
-      if (r.outcome == grid::NodeOutcome::kSkipped || r.attempts == 0) continue;
-      config_.tracer->record_span(
-          dag_span.id(), "dag.node", "grid", r.start_seconds * 1000.0,
-          (r.end_seconds - r.start_seconds) * 1000.0,
-          {{"attempts", static_cast<double>(r.attempts)},
-           {"failed", r.outcome == grid::NodeOutcome::kFailed ? 1.0 : 0.0}},
-          {{"node", r.id}, {"site", r.site}});
-    }
-  }
+  record_node_spans(dag_span.id(), trace.execution);
   dag_span.count("jobs", static_cast<double>(trace.execution.jobs_total));
   dag_span.end();
-  (void)pegasus::commit_execution(trace.plan.concrete, trace.execution, rls_, grid_);
+  (void)pegasus::commit_execution(dag, trace.execution, rls_, grid_);
   // Record provenance of every product this run materialized.
   std::vector<std::string> succeeded;
   succeeded.reserve(trace.execution.nodes.size());
   for (const grid::NodeResult& r : trace.execution.nodes) {
     if (r.outcome == grid::NodeOutcome::kSucceeded) succeeded.push_back(r.id);
   }
-  provenance_.record_execution(trace.plan.concrete, succeeded,
-                               trace.execution.makespan_seconds);
+  provenance_.record_execution(dag, succeeded, trace.execution.makespan_seconds);
+  return Status::Ok();
+}
 
-  // (4e) Barrier for the pipelined kernels submitted during staging: the
-  // planning/execution simulation above ran concurrently with the tail of
-  // the real computation. kernel_wall_ms covers the full overlapped
-  // stage-and-compute window.
-  pool_.wait_idle();
-  trace.kernel_wall_ms = wall_ms_since(stage_t0);
-
-  // Grid-level failures (when injected) override kernel success: a job that
-  // never ran produces no product.
-  if (writer) {
-    // Sweep rows whose node outcome never went through this run's event
-    // loop — journal-resumed nodes and outcomes recovered by rescue-merge.
-    // mark_node_final is idempotent, so callback-finalized rows are safe.
-    for (std::size_t i = 0; i < galaxy_ids.size(); ++i) {
-      if (writer->node_finalized(i)) continue;
-      const grid::NodeResult* nr =
-          trace.execution.result_for("m_" + galaxy_ids[i]);
-      writer->mark_node_final(i,
-                              nr && nr->outcome == grid::NodeOutcome::kFailed);
-    }
-  } else {
-    for (std::size_t i = 0; i < galaxy_ids.size(); ++i) {
-      const grid::NodeResult* nr = trace.execution.result_for("m_" + galaxy_ids[i]);
-      if (nr && nr->outcome == grid::NodeOutcome::kFailed) {
-        results[i].params.valid = false;
-        results[i].params.failure_reason = "grid job failed";
-      }
+Status MorphologyService::on_node_final(Request& rq, const grid::NodeResult& nr) {
+  // A final outcome lets the galaxy's row be absorbed once its kernel is
+  // also done. With rescue rounds budgeted a failure is NOT final — a
+  // later round may still succeed, and mark_node_final is first-wins — so
+  // failed rows are left for materialize_catalog's sweep.
+  if (const auto it = rq.node_row.find(nr.id); it != rq.node_row.end()) {
+    if (nr.outcome != grid::NodeOutcome::kFailed) {
+      rq.writer.mark_node_final(it->second, false);
+    } else if (config_.rescue_rounds == 0) {
+      rq.writer.mark_node_final(it->second, true);
     }
   }
-  for (const core::GalMorphResult& r : results) {
+  if (rq.journal && nr.outcome == grid::NodeOutcome::kSucceeded &&
+      !rq.journal->has("node", rq.ck + nr.id)) {
+    if (const Status s = rq.journal->append("node", rq.ck + nr.id, ""); !s.ok()) {
+      return s;
+    }
+  }
+  ++nodes_completed_total_;
+  if (config_.abort_after_nodes > 0 && !kill_fired_ &&
+      nodes_completed_total_ >= config_.abort_after_nodes) {
+    // Simulated submit-host death: the run aborts here, after the
+    // completion above was journaled, so resume loses nothing. The kill is
+    // one-shot — it takes down exactly the request whose DAG crosses the
+    // threshold; later requests through the same (multi-tenant) service
+    // run normally, as they would after a submit-host restart.
+    kill_fired_ = true;
+    return Error(ErrorCode::kAborted,
+                 format("chaos kill after %zu node completions",
+                        nodes_completed_total_));
+  }
+  return Status::Ok();
+}
+
+void MorphologyService::record_node_spans(std::uint64_t dag_span,
+                                          const grid::RunReport& report) const {
+  if (!config_.tracer) return;
+  // Node executions are simulated, so their spans are recorded
+  // retrospectively from the discrete-event report on the sim timeline.
+  // Journal-resumed nodes (attempts == 0) never ran here — no span.
+  for (const grid::NodeResult& r : report.nodes) {
+    if (r.outcome == grid::NodeOutcome::kSkipped || r.attempts == 0) continue;
+    config_.tracer->record_span(
+        dag_span, "dag.node", "grid", r.start_seconds * 1000.0,
+        (r.end_seconds - r.start_seconds) * 1000.0,
+        {{"attempts", static_cast<double>(r.attempts)},
+         {"failed", r.outcome == grid::NodeOutcome::kFailed ? 1.0 : 0.0}},
+        {{"node", r.id}, {"site", r.site}});
+  }
+}
+
+void MorphologyService::materialize_catalog(Request& rq) {
+  ServiceTrace& trace = rq.trace;
+  // Grid-level failures override kernel success (a job that never ran
+  // produces no product). Sweep rows whose node outcome never went through
+  // this run's event loop — journal-resumed nodes and outcomes recovered by
+  // rescue-merge; mark_node_final is idempotent, so callback-finalized rows
+  // are safe.
+  for (std::size_t i = 0; i < rq.galaxy_ids.size(); ++i) {
+    if (rq.writer.node_finalized(i)) continue;
+    const grid::NodeResult* nr = trace.execution.result_for("m_" + rq.galaxy_ids[i]);
+    rq.writer.mark_node_final(i, nr && nr->outcome == grid::NodeOutcome::kFailed);
+  }
+  for (const core::GalMorphResult& r : rq.results) {
     if (r.params.valid) {
       ++trace.valid_results;
     } else {
       ++trace.invalid_results;
     }
   }
-
-  // (5) Materialize, register, and expose the output VOTable. The streamed
-  // document is a byte-identical decomposition of the concat path (shared
-  // schema, shared row serialization through VotableXmlStream).
-  if (writer) {
-    state_->results[out_lfn] = writer->finish();
-  } else {
-    const votable::Table out_table = core::concat_results(results, out_lfn);
-    state_->results[out_lfn] = votable::to_votable_xml(out_table);
-  }
-  rls_.add(out_lfn, config_.cache_site, record.result_lfn);
-  grid_.put_file(config_.cache_site, out_lfn, state_->results[out_lfn].size());
-  if (journal) {
+  // (5) Materialize, register, and expose the output VOTable.
+  std::string& xml = state_->results[rq.out_lfn];
+  xml = rq.writer.finish();
+  rls_.add(rq.out_lfn, config_.cache_site, rq.record.result_lfn);
+  grid_.put_file(config_.cache_site, rq.out_lfn, xml.size());
+  if (rq.journal) {
     // The finished catalog is the cluster's terminal record: a resumed
-    // campaign serves these bytes directly (step 2b) instead of re-running.
-    (void)journal->append("cluster", out_lfn, state_->results[out_lfn]);
+    // campaign serves these bytes directly (serve_materialized) instead of
+    // re-running.
+    (void)rq.journal->append("cluster", rq.out_lfn, xml);
   }
-
-  // Barriered: staging bills sequentially, then the DAG runs. Pipelined:
-  // staging arrivals are folded into the makespan as per-node ready times,
-  // so the makespan alone IS the end-to-end window (fetch latency that
-  // overlapped kernel time is not billed twice).
-  trace.total_sim_seconds =
-      pipelined ? trace.execution.makespan_seconds
-                : trace.image_fetch_sim_ms / 1000.0 +
-                      trace.execution.makespan_seconds;
-  req.count("valid", static_cast<double>(trace.valid_results));
-  req.count("invalid", static_cast<double>(trace.invalid_results));
-  record.state = "completed";
-  record.messages.push_back(
-      format("job completed: %zu valid, %zu invalid, makespan %.1f sim-s",
-             trace.valid_results, trace.invalid_results,
-             trace.execution.makespan_seconds));
-  return Status::Ok();
+  // Staging arrivals are folded into the makespan as per-node ready times,
+  // so the makespan alone is the end-to-end window.
+  trace.total_sim_seconds = trace.execution.makespan_seconds;
 }
 
 Expected<MorphologyService::PollResult> MorphologyService::poll(

@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/expected.hpp"
@@ -48,22 +49,6 @@
 
 namespace nvo::portal {
 
-/// How the simulated workflow execution is scheduled against image staging.
-enum class ExecutionMode {
-  /// Phase barrier: all images stage (sequentially on the sim clock), then
-  /// the DAG runs. The original executor; kept as the overlap baseline and
-  /// as the byte-identity oracle for the pipelined path.
-  kBarriered,
-  /// Event-driven dataflow: stage-in requests occupy a bounded window of
-  /// concurrent channels on the sim clock, each galaxy's compute node
-  /// becomes dispatchable the moment its cutout lands in the replica cache
-  /// (ready-on-data edges through DagManSim::set_ready_times), and finished
-  /// rows are absorbed into the output VOTable incrementally while other
-  /// galaxies are still staging. Science output is byte-identical to
-  /// kBarriered; only the simulated timeline changes.
-  kPipelined,
-};
-
 struct ComputeServiceConfig {
   std::string host = "galmorph.isi.sim";  ///< service host on the fabric
   std::string cache_site = "isi";         ///< grid site holding the image cache
@@ -80,18 +65,6 @@ struct ComputeServiceConfig {
   /// Byte-budgeted LRU replica store backing the image cache. Evicted LFNs
   /// are deregistered from the RLS/grid so plans never rely on them.
   services::ReplicaCacheConfig replica_cache;
-  /// Bound on staged-but-uncomputed images in flight: the staging loop
-  /// blocks once this many kernel tasks are pending, keeping pinned cutout
-  /// memory proportional to the bound rather than the cluster size.
-  std::size_t prefetch_depth = 32;
-  /// Execution scheduling mode (see ExecutionMode). Pipelined is the
-  /// default; barriered remains for benchmarking and identity checks.
-  ExecutionMode execution_mode = ExecutionMode::kPipelined;
-  /// Pipelined mode: number of concurrent stage-in channels on the sim
-  /// clock. Fetch latencies overlap each other up to this bound (and all of
-  /// them overlap kernel time), modeling a client that keeps this many
-  /// transfers in flight against the archive.
-  std::size_t stage_in_window = 8;
   /// Optional trace-span sink (staging, planning, DAGMan nodes, kernels).
   /// Must outlive the service.
   obs::Tracer* tracer = nullptr;
@@ -117,20 +90,17 @@ struct ComputeServiceConfig {
   /// queued-but-unstarted jobs from backlogged ones, gated on the thief
   /// site having the transformation installed (TC lookup).
   bool work_stealing = false;
-  /// Hedged stage-ins (pipelined executor only): once enough fetch
-  /// durations have been observed, a fetch slower than the hedge delay —
-  /// the `hedge_quantile` of a service-level rolling window of primary
-  /// durations (learned across requests, so a warm service protects a new
-  /// request's first fetches too) — is re-issued against the archive's
-  /// registered mirror. First verified success wins:
-  /// the cutout's effective arrival on the stage-in channels is
-  /// min(primary, delay + hedge), and the loser's bytes are charged to
-  /// `hedge_wasted_bytes` (the stream is cancelled, but its WAN transfer
-  /// already happened). Requires a mirror in `mirrors` for the archive
-  /// host; fetches without one are never hedged.
+  /// Hedged stage-ins: once enough fetch durations have been observed, a
+  /// fetch slower than the hedge delay — the 0.75 quantile of a
+  /// service-level rolling window of primary durations (learned across
+  /// requests, so a warm service protects a new request's first fetches
+  /// too) — is re-issued against the archive's registered mirror. First
+  /// verified success wins: the cutout's effective arrival on the stage-in
+  /// channels is min(primary, delay + hedge), and the loser's bytes are
+  /// charged to `hedge_wasted_bytes` (the stream is cancelled, but its WAN
+  /// transfer already happened). Requires a mirror in `mirrors` for the
+  /// archive host; fetches without one are never hedged.
   bool hedge_stage_ins = false;
-  double hedge_quantile = 0.95;
-  std::size_t hedge_min_samples = 8;
 };
 
 /// Everything measured about one request (drives the Fig. 6 benchmark).
@@ -173,11 +143,27 @@ struct ServiceTrace {
   std::size_t valid_results = 0;
   std::size_t invalid_results = 0;
   /// End-to-end simulated latency the portal would observe (zero on a
-  /// cache hit). Barriered: sequential image staging + workflow makespan.
-  /// Pipelined: the makespan alone — staging arrivals are folded into it
-  /// as per-node ready times, so overlapped fetch latency is not billed.
+  /// cache hit): the workflow makespan. Staging arrivals are folded into it
+  /// as per-node ready times, so fetch latency counts only where it
+  /// extends the critical path; image_fetch_sim_ms is the serial fetch bill.
   double total_sim_seconds = 0.0;
 };
+
+/// The stage-ins of one request as the sim clock saw them: each fetched
+/// cutout's LFN and its effective fetch duration in ms (after hedging), in
+/// issue order.
+using FetchTimeline = std::vector<std::pair<std::string, double>>;
+
+/// Ready-on-data times (node id -> sim seconds) for DagManSim::set_ready_times.
+/// The fetches are list-scheduled in issue order onto the service's 8
+/// concurrent stage-in channels (each takes the earliest-free channel) to
+/// give every cutout an arrival time. A compute node is ready when its last
+/// raw input (`plan.data_inputs`) lands; a transfer sourced at `cache_site`
+/// waits for the file it ships. Inputs absent from `fetches` (cache hits,
+/// journal replays) are resident at t=0 and impose no ready time.
+std::map<std::string, double> stage_in_ready_times(const FetchTimeline& fetches,
+                                                   const pegasus::PlanResult& plan,
+                                                   const std::string& cache_site);
 
 class MorphologyService {
  public:
@@ -256,8 +242,48 @@ class MorphologyService {
     ServiceTrace trace;
   };
 
+  /// Per-request state shared by the phases below (and, by reference, by
+  /// the request's kernel tasks). Defined in compute_service.cpp.
+  struct Request;
+  /// Defers deregistration of this request's evicted replicas until the
+  /// request is done with them (see defer_evictions_).
+  struct EvictionDeferral;
+
+  /// One Fig. 6 request, steps (2)-(5), as the phases below in order.
   Status process(RequestRecord& record, const votable::Table& input,
                  const std::string& out_name, const services::RequestContext& ctx);
+  /// (2) The output VOTable is already materialized (RLS or checkpoint
+  /// journal): completes the request and returns true.
+  bool serve_materialized(RequestRecord& record, const std::string& out_lfn,
+                          obs::Span& req);
+  /// Resume: re-registers the journal's staged images so the planner sees
+  /// the replica state of the original run.
+  void replay_journal_images(const Request& rq);
+  /// (3) Stages every cutout through the replica cache and submits its
+  /// kernel to the pool the moment the bytes are resident.
+  Status stage_and_compute(Request& rq);
+  /// One archive fetch, hedged against the mirror when it straggles. Sets
+  /// `effective_ms` to the winner's arrival on the stage-in channels.
+  Expected<services::HttpResponse> fetch_cutout(ServiceTrace& trace,
+                                                const std::string& url,
+                                                double& effective_ms);
+  /// Runs galaxy `i`'s kernel on the pool, blocking while kPrefetchDepth
+  /// kernels are already pending.
+  void submit_kernel(Request& rq, std::size_t i, services::ReplicaCache::Payload payload);
+  /// (4a, 4b) VDL generation and Chimera composition.
+  Expected<vds::Dag> compose_workflow(Request& rq);
+  /// (4c) Pegasus planning into rq.trace.plan.
+  Status plan_workflow(Request& rq, const vds::Dag& abstract);
+  /// (4d) Simulated DAGMan execution with ready-on-data dispatch, journal
+  /// resume and rescue rounds, then commit and provenance.
+  Status execute_workflow(Request& rq);
+  /// DAGMan node callback: releases the galaxy's catalog row, journals the
+  /// completion and fires the abort_after_nodes chaos kill.
+  Status on_node_final(Request& rq, const grid::NodeResult& nr);
+  /// Records one retrospective "dag.node" span per executed node.
+  void record_node_spans(std::uint64_t dag_span, const grid::RunReport& report) const;
+  /// (5) Finalizes every row, then registers and exposes the output VOTable.
+  void materialize_catalog(Request& rq);
 
   services::HttpFabric& fabric_;
   grid::Grid& grid_;
@@ -298,7 +324,7 @@ class MorphologyService {
   /// (other tenants through a shared service) proceed normally.
   bool kill_fired_ = false;
   /// Staged-but-uncomputed images currently pinned for pending kernel
-  /// tasks (the prefetch_depth bound's live occupancy). Atomic so the
+  /// tasks (the kPrefetchDepth bound's live occupancy). Atomic so the
   /// "staging.inflight" gauge can read it while pool workers decrement.
   std::atomic<std::size_t> staging_inflight_{0};
   /// Rolling window of primary (unhedged) stage-in durations across the

@@ -1,6 +1,6 @@
-// Incremental catalog merge for the pipelined dataflow executor: finished
-// galaxies are absorbed into the output VOTable while others are still
-// staging or computing, instead of one batch concat after a full barrier.
+// Incremental catalog merge for the compute service's dataflow executor:
+// finished galaxies are absorbed into the output VOTable while others are
+// still staging or computing, instead of one batch concat after a barrier.
 //
 // A catalog row is emittable only when BOTH halves of its story are final:
 // the real kernel result exists (the morphology numbers), and the simulated
@@ -11,8 +11,8 @@
 // loop on the caller thread. The writer holds a reorder buffer and emits
 // rows strictly in input (galaxy) order through votable::VotableXmlStream,
 // which is a byte-identical decomposition of to_votable_xml — so the
-// streamed catalog equals the phase-barriered concat_results path
-// bit-for-bit, for every completion order.
+// streamed catalog equals to_votable_xml(concat_results(...)) over the
+// overridden rows bit-for-bit, for every completion order.
 #pragma once
 
 #include <cstddef>

@@ -11,7 +11,6 @@
 
 #include "common/expected.hpp"
 #include "core/galmorph.hpp"
-#include "vds/vdl_parser.hpp"
 #include "votable/table.hpp"
 
 namespace nvo::portal {
@@ -39,10 +38,5 @@ std::string output_votable_lfn(const std::string& cluster_name);
 Expected<std::string> catalog_to_vdl(const votable::Table& catalog,
                                      const std::string& cluster_name,
                                      const core::GalMorphArgs& defaults);
-
-/// Convenience: parse + semantic check of generated VDL in one call.
-Expected<vds::VdlDocument> catalog_to_vdl_document(const votable::Table& catalog,
-                                                   const std::string& cluster_name,
-                                                   const core::GalMorphArgs& defaults);
 
 }  // namespace nvo::portal

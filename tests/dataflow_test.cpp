@@ -1,10 +1,10 @@
-// Pipelined dataflow executor invariants. The tentpole guarantee: switching
-// the compute service from phase-barriered execution to event-driven
-// dataflow (stage-in overlapped with kernels, ready-on-data DAG dispatch,
-// incremental catalog merge) changes the simulated timeline and nothing
-// else — catalogs are byte-identical in every completion order, under
-// chaos, and across kill/resume; and under injected fetch latency the
-// overlap buys real simulated throughput.
+// Pipelined dataflow executor invariants. The compute service has one
+// executor: stage-in overlapped with kernels, ready-on-data DAG dispatch and
+// incremental catalog merge. These tests pin what that schedule must not
+// change — catalogs equal a test-side phase-barriered reference (fetch every
+// cutout, run every kernel, apply the grid's verdicts, concat) in every
+// completion order, under chaos, and across kill/resume — and that an
+// archive brownout is absorbed by the overlap instead of billed serially.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,133 +19,173 @@
 #include "core/galmorph.hpp"
 #include "grid/dagman.hpp"
 #include "grid/threadpool.hpp"
+#include "pegasus/planner.hpp"
+#include "portal/compute_service.hpp"
 #include "portal/streaming_merge.hpp"
+#include "portal/transforms.hpp"
 #include "services/federation.hpp"
+#include "votable/table_ops.hpp"
 #include "votable/votable_io.hpp"
 
 namespace nvo::analysis {
 namespace {
 
-CampaignConfig small_config(portal::ExecutionMode mode,
-                            std::uint64_t seed = 20031115) {
+CampaignConfig small_config(std::uint64_t seed = 20031115) {
   CampaignConfig config;
   config.seed = seed;
   config.population_scale = 0.03;  // clusters of ~8-17 members
   config.compute_threads = 2;
-  config.execution_mode = mode;
   return config;
 }
 
-/// Sum of the compute service's end-to-end simulated request latencies
-/// across the campaign (fetch + makespan when barriered; the overlapped
-/// makespan when pipelined).
-double service_sim_seconds(Campaign& campaign, const CampaignReport& report) {
+/// A sustained brownout on the cutout archive: 250 sim-ms extra latency on
+/// every stage-in fetch, nothing else.
+CampaignConfig browned_out(CampaignConfig config) {
+  config.chaos.brownout(services::Federation::kMastHost,
+                        /*bandwidth_factor=*/1.0,
+                        /*extra_latency_ms=*/250.0, 0.0, 1e15);
+  return config;
+}
+
+/// Serial fetch bill and pipelined end-to-end window of a campaign, summed
+/// over its compute-service requests (simulated seconds).
+struct ServiceSeconds {
+  double fetch = 0.0;
   double total = 0.0;
+};
+
+ServiceSeconds service_seconds(Campaign& campaign, const CampaignReport& report) {
+  ServiceSeconds out;
   for (const ClusterOutcome& c : report.clusters) {
     const portal::ServiceTrace* t =
         campaign.compute_service().trace(c.portal_trace.compute_request_id);
-    if (t) total += t->total_sim_seconds;
+    if (!t) continue;
+    out.fetch += t->image_fetch_sim_ms / 1000.0;
+    out.total += t->total_sim_seconds;
   }
-  return total;
+  return out;
 }
 
-// ---------------------------------------------------------------------------
-// Byte identity: pipelined vs barriered
-// ---------------------------------------------------------------------------
-
-TEST(Dataflow, PipelinedCatalogsAreByteIdenticalToBarriered) {
-  Campaign barriered(small_config(portal::ExecutionMode::kBarriered));
-  Campaign pipelined(small_config(portal::ExecutionMode::kPipelined));
-
-  auto rb = barriered.run();
-  auto rp = pipelined.run();
-  ASSERT_TRUE(rb.ok()) << rb.error().to_string();
-  ASSERT_TRUE(rp.ok()) << rp.error().to_string();
-
-  ASSERT_EQ(rb->clusters.size(), rp->clusters.size());
-  for (std::size_t i = 0; i < rb->clusters.size(); ++i) {
-    EXPECT_EQ(rb->clusters[i].name, rp->clusters[i].name);
-    ASSERT_FALSE(rb->clusters[i].catalog_xml.empty());
-    EXPECT_EQ(rb->clusters[i].catalog_xml, rp->clusters[i].catalog_xml)
-        << rb->clusters[i].name;
-  }
-
-  // Overlap can only help: the pipelined end-to-end window is bounded by
-  // the barriered one (equal when fetches are instantaneous).
-  EXPECT_LE(service_sim_seconds(pipelined, rp.value()),
-            service_sim_seconds(barriered, rb.value()) + 1e-9);
-}
-
-TEST(Dataflow, ByteIdentityHoldsAcrossSeeds) {
-  for (const std::uint64_t seed : {7ull, 40961024ull}) {
-    Campaign barriered(small_config(portal::ExecutionMode::kBarriered, seed));
-    Campaign pipelined(small_config(portal::ExecutionMode::kPipelined, seed));
-    auto rb = barriered.run();
-    auto rp = pipelined.run();
-    ASSERT_TRUE(rb.ok()) << rb.error().to_string();
-    ASSERT_TRUE(rp.ok()) << rp.error().to_string();
-    ASSERT_EQ(rb->clusters.size(), rp->clusters.size());
-    for (std::size_t i = 0; i < rb->clusters.size(); ++i) {
-      EXPECT_EQ(rb->clusters[i].catalog_xml, rp->clusters[i].catalog_xml)
-          << "seed " << seed << " cluster " << rb->clusters[i].name;
+/// The catalog a phase-barriered executor would emit for a finished request:
+/// every cutout fetched straight from the fabric, every kernel run with the
+/// service's default args and the row's redshift, every row whose grid node
+/// failed voided, then one batch concat.
+std::string barriered_reference(Campaign& campaign, const votable::Table& input,
+                                const portal::ServiceTrace& trace,
+                                const std::string& out_lfn) {
+  const auto id_col = input.column_index("id");
+  const auto url_col = input.column_index("cutout_url");
+  const auto z_col = input.column_index("redshift");
+  std::vector<core::GalMorphResult> results;
+  for (std::size_t i = 0; i < input.num_rows(); ++i) {
+    const std::string id = *input.row(i)[*id_col].as_string();
+    auto response = campaign.fabric().get(*input.row(i)[*url_col].as_string());
+    EXPECT_TRUE(response.ok() && response->status == 200) << id;
+    core::GalMorphArgs args = campaign.compute_service().config().default_args;
+    if (z_col) {
+      if (const auto z = input.row(i)[*z_col].as_number()) args.redshift = *z;
+    }
+    results.push_back(core::run_gal_morph_bytes(
+        id, response.ok() ? response->body : std::vector<std::uint8_t>{}, args));
+    const grid::NodeResult* nr = trace.execution.result_for("m_" + id);
+    if (nr && nr->outcome == grid::NodeOutcome::kFailed) {
+      results.back().params.valid = false;
+      results.back().params.failure_reason = "grid job failed";
     }
   }
+  return votable::to_votable_xml(core::concat_results(results, out_lfn));
 }
 
 // ---------------------------------------------------------------------------
-// Overlap gain under injected fetch latency
+// Byte identity: pipelined service vs the barriered reference
+// ---------------------------------------------------------------------------
+
+TEST(Dataflow, CatalogsMatchBarrieredReferenceAcrossSeedsAndBrownout) {
+  std::size_t clusters_checked = 0;
+  for (const std::uint64_t seed : {20031115ull, 7ull, 40961024ull}) {
+    for (const bool brownout : {false, true}) {
+      CampaignConfig config = small_config(seed);
+      if (brownout) config = browned_out(config);
+      Campaign campaign(config);
+      for (const sim::Cluster& cluster : campaign.universe().clusters()) {
+        portal::Portal::AnalysisRun run;
+        run.cluster = run.out_name = cluster.name();
+        while (!run.finished()) campaign.portal().advance(run);
+        ASSERT_TRUE(run.ok()) << run.error().to_string();
+        // The compute service's input: the catalog rows with a cutout.
+        const auto url_col = run.with_refs.column_index("cutout_url");
+        ASSERT_TRUE(url_col.has_value());
+        const votable::Table input =
+            votable::select(run.with_refs, [&](const votable::Row& row) {
+              const auto url = row[*url_col].as_string();
+              return url && !url->empty();
+            });
+        const portal::ServiceTrace* trace =
+            campaign.compute_service().trace(run.trace.compute_request_id);
+        ASSERT_NE(trace, nullptr) << cluster.name();
+        const std::string out_lfn = portal::output_votable_lfn(cluster.name());
+        const std::string* xml = campaign.compute_service().result_xml(out_lfn);
+        ASSERT_NE(xml, nullptr) << cluster.name();
+        EXPECT_EQ(*xml, barriered_reference(campaign, input, *trace, out_lfn))
+            << "seed " << seed << " brownout " << brownout << " cluster "
+            << cluster.name();
+        ++clusters_checked;
+      }
+    }
+  }
+  EXPECT_EQ(clusters_checked, 48u);
+}
+
+// ---------------------------------------------------------------------------
+// Brownout-penalty absorption
 // ---------------------------------------------------------------------------
 
 TEST(Dataflow, BrownoutLatencyOverlapsWithKernelTime) {
-  // A sustained brownout on the cutout archive adds latency to every
-  // stage-in fetch. Barriered execution serializes that latency in front of
-  // the DAG; pipelined execution overlaps fetches with each other (the
-  // stage-in window) and with compute, so the same fault costs far less
-  // simulated time — while the science stays byte-identical.
-  auto browned = [](portal::ExecutionMode mode) {
-    CampaignConfig config = small_config(mode);
-    config.chaos.brownout(services::Federation::kMastHost,
-                          /*bandwidth_factor=*/1.0,
-                          /*extra_latency_ms=*/250.0, 0.0, 1e15);
-    return config;
-  };
-  Campaign barriered(browned(portal::ExecutionMode::kBarriered));
-  Campaign pipelined(browned(portal::ExecutionMode::kPipelined));
-
-  auto rb = barriered.run();
-  auto rp = pipelined.run();
+  // A brownout adds 250 sim-ms to every stage-in fetch. A barriered executor
+  // bills fetches serially in front of the DAG, so its penalty is exactly
+  // the growth of the serial fetch bill. The pipelined executor overlaps
+  // fetches with each other (the stage-in window) and with compute, so its
+  // end-to-end window grows by far less — with byte-identical science.
+  Campaign clean(small_config());
+  Campaign browned(browned_out(small_config()));
+  auto rc = clean.run();
+  auto rb = browned.run();
+  ASSERT_TRUE(rc.ok()) << rc.error().to_string();
   ASSERT_TRUE(rb.ok()) << rb.error().to_string();
-  ASSERT_TRUE(rp.ok()) << rp.error().to_string();
 
-  ASSERT_EQ(rb->clusters.size(), rp->clusters.size());
-  for (std::size_t i = 0; i < rb->clusters.size(); ++i) {
-    EXPECT_EQ(rb->clusters[i].catalog_xml, rp->clusters[i].catalog_xml)
-        << rb->clusters[i].name;
+  ASSERT_EQ(rc->clusters.size(), rb->clusters.size());
+  for (std::size_t i = 0; i < rc->clusters.size(); ++i) {
+    EXPECT_EQ(rc->clusters[i].catalog_xml, rb->clusters[i].catalog_xml)
+        << rc->clusters[i].name;
   }
 
-  const double barriered_s = service_sim_seconds(barriered, rb.value());
-  const double pipelined_s = service_sim_seconds(pipelined, rp.value());
-  ASSERT_GT(pipelined_s, 0.0);
-  EXPECT_GE(barriered_s / pipelined_s, 1.3)
-      << "barriered " << barriered_s << "s vs pipelined " << pipelined_s << "s";
+  const ServiceSeconds c = service_seconds(clean, rc.value());
+  const ServiceSeconds b = service_seconds(browned, rb.value());
+  const double serial_penalty = b.fetch - c.fetch;
+  const double pipelined_penalty = b.total - c.total;
+  ASSERT_GT(serial_penalty, 0.0);
+  ASSERT_GT(pipelined_penalty, 0.0);
+  EXPECT_GE(serial_penalty / pipelined_penalty, 5.0)
+      << "serial fetch bill +" << serial_penalty << "s vs pipelined +"
+      << pipelined_penalty << "s";
 }
 
 // ---------------------------------------------------------------------------
-// Kill/resume in pipelined mode
+// Kill/resume
 // ---------------------------------------------------------------------------
 
-TEST(Dataflow, PipelinedKillResumeMatchesBarrieredReference) {
+TEST(Dataflow, KillResumeMatchesFaultFreeRun) {
   const std::string journal_path =
       testing::TempDir() + "nvo_dataflow_resume.journal";
   std::remove(journal_path.c_str());
 
-  // Reference: barriered, journal-free, fault-free.
-  auto reference = Campaign(small_config(portal::ExecutionMode::kBarriered)).run();
+  // Reference: journal-free, fault-free.
+  auto reference = Campaign(small_config()).run();
   ASSERT_TRUE(reference.ok()) << reference.error().to_string();
 
-  // Pipelined campaign killed mid-DAG; the journal holds the partial run.
+  // Campaign killed mid-DAG; the journal holds the partial run.
   {
-    CampaignConfig config = small_config(portal::ExecutionMode::kPipelined);
+    CampaignConfig config = small_config();
     config.journal_path = journal_path;
     config.chaos.kill_after_nodes(20);
     Campaign campaign(config);
@@ -154,9 +194,9 @@ TEST(Dataflow, PipelinedKillResumeMatchesBarrieredReference) {
     ASSERT_FALSE(report.ok()) << "the chaos kill must abort the campaign";
   }
 
-  // Pipelined resume on the same journal: re-executes only the unfinished
-  // tail, catalogs byte-identical to the barriered fault-free reference.
-  CampaignConfig resume_config = small_config(portal::ExecutionMode::kPipelined);
+  // Resume on the same journal: re-executes only the unfinished tail,
+  // catalogs byte-identical to the fault-free reference.
+  CampaignConfig resume_config = small_config();
   resume_config.journal_path = journal_path;
   Campaign resumed(resume_config);
   ASSERT_NE(resumed.journal(), nullptr);
@@ -172,6 +212,65 @@ TEST(Dataflow, PipelinedKillResumeMatchesBarrieredReference) {
   }
   EXPECT_GT(report->total_nodes_resumed + report->clusters_resumed, 0u);
   std::remove(journal_path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Stage-in ready times: list scheduling onto the stage-in channels
+// ---------------------------------------------------------------------------
+
+vds::DagNode transfer_node(const std::string& id, const std::string& source,
+                           const std::string& file) {
+  vds::DagNode n;
+  n.id = id;
+  n.type = vds::JobType::kTransfer;
+  n.site = "remote";
+  n.source_site = source;
+  n.file = file;
+  return n;
+}
+
+TEST(Dataflow, StageInReadyTimesListScheduleFetchesOntoChannels) {
+  // Nine fetches on eight channels: f0 takes 50 ms, f1..f8 take 100 ms.
+  portal::FetchTimeline fetches;
+  pegasus::PlanResult plan;
+  for (int i = 0; i < 9; ++i) {
+    const std::string lfn = "f" + std::to_string(i) + ".fit";
+    fetches.emplace_back(lfn, i == 0 ? 50.0 : 100.0);
+    plan.data_inputs["m_" + std::to_string(i)] = {lfn};
+  }
+  // Inputs that were resident before the run: a replica-cache hit and a
+  // journal-replayed image never appear in the fetch timeline.
+  plan.data_inputs["m_hit"] = {"hit.fit"};
+  plan.data_inputs["m_journal"] = {"journal.fit"};
+  // A compute node with one fetched and one resident input.
+  plan.data_inputs["m_mixed"] = {"hit.fit", "f2.fit"};
+  // Inter-site transfers: only those sourced at the cache site wait for
+  // the file to arrive there.
+  ASSERT_TRUE(plan.concrete.add_node(transfer_node("x_f3", "isi", "f3.fit")).ok());
+  ASSERT_TRUE(plan.concrete.add_node(transfer_node("x_f8", "isi", "f8.fit")).ok());
+  ASSERT_TRUE(plan.concrete.add_node(transfer_node("x_remote", "uc", "f4.fit")).ok());
+  ASSERT_TRUE(plan.concrete.add_node(transfer_node("x_hit", "isi", "hit.fit")).ok());
+
+  const std::map<std::string, double> ready =
+      portal::stage_in_ready_times(fetches, plan, "isi");
+
+  EXPECT_DOUBLE_EQ(ready.at("m_0"), 0.05);
+  for (int i = 1; i < 8; ++i) {
+    EXPECT_DOUBLE_EQ(ready.at("m_" + std::to_string(i)), 0.1) << i;
+  }
+  // The 9th fetch waits for the earliest-free channel (f0's, at 50 ms).
+  EXPECT_DOUBLE_EQ(ready.at("m_8"), 0.15);
+  EXPECT_EQ(ready.count("m_hit"), 0u);
+  EXPECT_EQ(ready.count("m_journal"), 0u);
+  EXPECT_DOUBLE_EQ(ready.at("m_mixed"), 0.1);
+  EXPECT_DOUBLE_EQ(ready.at("x_f3"), 0.1);
+  EXPECT_DOUBLE_EQ(ready.at("x_f8"), 0.15);
+  EXPECT_EQ(ready.count("x_remote"), 0u);
+  EXPECT_EQ(ready.count("x_hit"), 0u);
+  EXPECT_EQ(ready.size(), 12u);  // 9 fetched + mixed compute, 2 transfers
+
+  // Nothing fetched (a fully warm cache): no node waits.
+  EXPECT_TRUE(portal::stage_in_ready_times({}, plan, "isi").empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "services/federation.hpp"
 #include "sim/universe.hpp"
 #include "vds/chimera.hpp"
+#include "vds/vdl_parser.hpp"
 #include "votable/table_ops.hpp"
 #include "votable/votable_io.hpp"
 
@@ -58,7 +59,7 @@ TEST(Transforms, LfnConventions) {
 
 TEST(Transforms, CatalogToVdlStructure) {
   core::GalMorphArgs defaults;
-  auto doc = catalog_to_vdl_document(tiny_catalog(3), "CL", defaults);
+  auto doc = vds::parse_vdl(catalog_to_vdl(tiny_catalog(3), "CL", defaults).value());
   ASSERT_TRUE(doc.ok()) << doc.error().to_string();
   // galMorph + generated concat TR.
   ASSERT_EQ(doc->transformations.size(), 2u);
@@ -84,7 +85,7 @@ TEST(Transforms, CatalogToVdlPerGalaxyRedshift) {
   votable::Table catalog = tiny_catalog(2);
   catalog.set_cell(1, "redshift", votable::Value::of_double(0.42));
   core::GalMorphArgs defaults;
-  auto doc = catalog_to_vdl_document(catalog, "CL", defaults);
+  auto doc = vds::parse_vdl(catalog_to_vdl(catalog, "CL", defaults).value());
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->derivations[1].bindings.at("redshift").value, "0.42");
 }

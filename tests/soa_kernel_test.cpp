@@ -5,6 +5,7 @@
 // tile executor rides on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
@@ -21,6 +22,59 @@ namespace {
 
 using grid::ThreadPool;
 using image::Image;
+
+// Direct per-pixel evaluation of the asymmetry statistic (the original
+// scalar kernel, kept verbatim): the equivalence oracle for the swept
+// production implementation.
+double asymmetry_statistic_reference(const image::Image& img, double cx, double cy,
+                                     double radius) {
+  // The rotated counterpart I_180(x, y) is sampled by index arithmetic —
+  // bilinear at (2cx - x, 2cy - y) — touching only aperture pixels, instead
+  // of materializing a full rotated frame per call. The source row index
+  // and vertical weight are fixed across a destination row, and the
+  // interior fast path reads the four taps directly; both evaluate the
+  // bilinear formula exactly as Image::sample_bilinear does.
+  double num = 0.0;
+  double den = 0.0;
+  const int x0 = std::max(0, static_cast<int>(cx - radius));
+  const int x1 = std::min(img.width() - 1, static_cast<int>(cx + radius));
+  const int y0 = std::max(0, static_cast<int>(cy - radius));
+  const int y1 = std::min(img.height() - 1, static_cast<int>(cy + radius));
+  const double r2 = radius * radius;
+  for (int y = y0; y <= y1; ++y) {
+    const double sy = 2.0 * cy - y;
+    const int iy0 = static_cast<int>(std::floor(sy));
+    const double fy = sy - iy0;
+    const bool row_interior = iy0 >= 0 && iy0 + 1 < img.height();
+    const float* row0 = row_interior ? img.data() + static_cast<std::size_t>(iy0) * img.width() : nullptr;
+    const float* row1 = row_interior ? row0 + img.width() : nullptr;
+    const double dy = y - cy;
+    const double dy2 = dy * dy;
+    for (int x = x0; x <= x1; ++x) {
+      const double dx = x - cx;
+      if (dx * dx + dy2 > r2) continue;
+      const float v = img.at(x, y);
+      const double sx = 2.0 * cx - x;
+      float rotated;
+      const int ix0 = static_cast<int>(std::floor(sx));
+      if (row_interior && ix0 >= 0 && ix0 + 1 < img.width()) {
+        const double fx = sx - ix0;
+        const double v00 = row0[ix0];
+        const double v10 = row0[ix0 + 1];
+        const double v01 = row1[ix0];
+        const double v11 = row1[ix0 + 1];
+        const double top = v01 * (1.0 - fx) + v11 * fx;
+        const double bot = v00 * (1.0 - fx) + v10 * fx;
+        rotated = static_cast<float>(bot * (1.0 - fy) + top * fy);
+      } else {
+        rotated = img.sample_bilinear(sx, sy);
+      }
+      num += std::fabs(v - rotated);
+      den += std::fabs(v);
+    }
+  }
+  return den > 0.0 ? num / (2.0 * den) : 0.0;
+}
 
 Image render_test_galaxy(sim::MorphType type, int size, std::uint64_t seed) {
   sim::GalaxyTruth g;

@@ -4,8 +4,8 @@
 # root ({"baseline": frozen seed run, "current": fresh run} — same shape as
 # BENCH_a3.json). Fails loudly if campaign throughput regresses more than
 # 10% against the stored baseline, if the VOTable codec hot paths allocate
-# on the heap in steady state, if the pipelined executor's overlap_speedup
-# under an archive brownout drops below 1.3x the barriered baseline, or if
+# on the heap in steady state, if the pipelined executor absorbs less than
+# 5x of an archive brownout's serial fetch penalty, or if
 # the emitted JSON context does not report a release build (each bench main
 # restates "library_build_type" from its own NDEBUG flag because the distro
 # libbenchmark bakes in "debug").
@@ -134,23 +134,27 @@ ratio = (current["BM_CampaignThroughput/15"]["items_per_second"]
          / baseline["BM_CampaignThroughput/15"]["items_per_second"])
 print(f"\ncampaign throughput: {ratio:.2f}x the seed baseline")
 
-# Pipelined-dataflow gate: under the injected archive brownout the
-# completion-triggered executor must finish the campaign >= 1.3x faster (in
-# simulated seconds) than the phase-barriered baseline. The counter is a
-# sim-clock quantity, deterministic in the seed — any drop is a real
+# Pipelined-dataflow gate: a 250 sim-ms archive brownout grows the serial
+# fetch bill (sum of image_fetch_sim_ms) by the penalty a phase-barriered
+# executor would pay in full; the pipelined executor must absorb it, its
+# end-to-end sim-seconds growing by at most a fifth of that. Both deltas are
+# sim-clock quantities, deterministic in the seed — any drop is a real
 # scheduling regression, not host noise.
 overlap = current.get("BM_PipelineOverlap/5")
 if overlap is None:
     failures.append("BM_PipelineOverlap/5: missing from current run")
 else:
-    speedup = overlap.get("overlap_speedup", 0.0)
-    print(f"pipeline overlap under brownout: {speedup:.2f}x the barriered "
-          f"baseline ({overlap.get('barriered_sim_seconds', 0.0):.1f}s -> "
-          f"{overlap.get('pipelined_sim_seconds', 0.0):.1f}s simulated)")
-    if speedup < 1.3:
+    absorption = overlap.get("absorption", 0.0)
+    serial = (overlap.get("brownout_fetch_sim_seconds", 0.0)
+              - overlap.get("clean_fetch_sim_seconds", 0.0))
+    pipelined = (overlap.get("brownout_sim_seconds", 0.0)
+                 - overlap.get("clean_sim_seconds", 0.0))
+    print(f"brownout penalty absorption: {absorption:.2f}x (serial fetch bill "
+          f"+{serial:.2f}s, pipelined end-to-end +{pipelined:.2f}s simulated)")
+    if absorption < 5.0:
         failures.append(
-            f"BM_PipelineOverlap/5: overlap_speedup = {speedup:.2f}x, "
-            "need >= 1.3x over the barriered baseline")
+            f"BM_PipelineOverlap/5: absorption = {absorption:.2f}x, "
+            "need >= 5x of the serial brownout penalty")
 
 if failures:
     print("\nFAIL:", file=sys.stderr)
