@@ -126,9 +126,9 @@ void print_a2() {
   (void)truth.add_site({"uwisc", 2, 0.8, 35.0, 45.0});  // 22 of 24 taken
   (void)truth.add_site({"fermilab", 12, 1.2, 25.0, 100.0});
   grid::Mds mds;
-  mds.publish(grid::ResourceInfo{"isi", 6, 0, 0, 0.0, 0.0, true});
-  mds.publish(grid::ResourceInfo{"uwisc", 24, 22, 40, 0.92, 0.0, true});
-  mds.publish(grid::ResourceInfo{"fermilab", 12, 0, 0, 0.0, 0.0, true});
+  mds.publish(grid::ResourceInfo{"isi", 6, 0, 0, 0.0, 0.0});
+  mds.publish(grid::ResourceInfo{"uwisc", 24, 22, 40, 0.92, 0.0});
+  mds.publish(grid::ResourceInfo{"fermilab", 12, 0, 0, 0.0, 0.0});
   const double blind = run_policy_split(plan_grid, truth,
                                         pegasus::SitePolicy::kLeastLoaded, 120, 100);
   const double informed = run_policy_split(plan_grid, truth,

@@ -5,18 +5,15 @@
 //                in flat, in image, out galMorph ) { ... }
 //
 // It consumes one galaxy cutout (FITS) plus the scalar parameters, measures
-// the three morphology parameters, derives the physical scale from the
-// cosmology, and writes a small key=value text product (the paper's
-// "NGP9_F323-0927589.txt"-style output) carrying the §4.3.1 validity flag.
-// concat_results is the final concatenation step that merges per-galaxy
-// products into the output VOTable.
+// the three morphology parameters and derives the physical scale from the
+// cosmology; the result carries the §4.3.1 validity flag. concat_results is
+// the final concatenation step that merges per-galaxy products into the
+// output VOTable.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/expected.hpp"
 #include "core/morphology.hpp"
 #include "image/fits.hpp"
 #include "sky/cosmology.hpp"
@@ -33,11 +30,6 @@ struct GalMorphArgs {
   double omega_m = 0.3;                         ///< om
   bool flat = true;                             ///< flat
 
-  /// Parses from the string map a workflow node carries (VDL actual
-  /// parameters). Missing keys keep defaults; malformed values error.
-  static Expected<GalMorphArgs> from_args(const std::map<std::string, std::string>& args);
-  std::map<std::string, std::string> to_args() const;
-
   sky::Cosmology cosmology() const;
 };
 
@@ -48,10 +40,6 @@ struct GalMorphResult {
   double redshift = 0.0;
   double kpc_per_arcsec = 0.0;   ///< physical scale from the cosmology
   double petrosian_r_kpc = 0.0;  ///< physical size of the aperture radius
-
-  /// key=value text serialization (the .txt workflow product).
-  std::string to_text() const;
-  static Expected<GalMorphResult> parse_text(const std::string& text);
 };
 
 /// Cutouts at or above this edge length fan the kernel's tiled stages out
@@ -95,9 +83,5 @@ votable::Row morphology_row(const GalMorphResult& result,
 /// experiment").
 votable::Table concat_results(const std::vector<GalMorphResult>& results,
                               const std::string& table_name);
-
-/// Parses one row of a concat_results table back into a result (used by the
-/// analysis layer and round-trip tests).
-Expected<GalMorphResult> result_from_row(const votable::Table& table, std::size_t row);
 
 }  // namespace nvo::core

@@ -1,16 +1,12 @@
-// DAGMan-style workflow execution, in two backends:
-//
-//  * DagManSim — a discrete-event simulation of Condor-G/DAGMan running a
-//    concrete workflow across the grid's sites: bounded slots per pool,
-//    modeled transfer times, stochastic + injected failures, and the DAGMan
-//    retry policy. Deterministic in its seed; used for every grid-scale
-//    benchmark (makespans are simulated seconds, not wall time).
-//
-//  * DagManLocal — real execution of node payloads on a thread pool, used
-//    where the workflow does actual work (computing morphology parameters).
-//    Dependency semantics match DAGMan: a node runs only when all its
-//    parents succeeded; descendants of a permanently failed node are
-//    skipped and the run is reported as partial.
+// DAGMan-style workflow execution: DagManSim is a discrete-event simulation
+// of Condor-G/DAGMan running a concrete workflow across the grid's sites —
+// bounded slots per pool, modeled transfer times, stochastic + injected
+// failures, and the DAGMan retry policy. Deterministic in its seed;
+// makespans are simulated seconds, not wall time. A node runs only when all
+// its parents succeeded; descendants of a permanently failed node are
+// skipped and the run is reported as partial. The morphology kernels
+// themselves run on the compute service's thread pool, driven by the
+// simulation's node callback.
 #pragma once
 
 #include <functional>
@@ -23,7 +19,6 @@
 #include "common/expected.hpp"
 #include "common/rng.hpp"
 #include "grid/grid.hpp"
-#include "grid/threadpool.hpp"
 #include "vds/dag.hpp"
 
 namespace nvo::grid {
@@ -181,31 +176,6 @@ class DagManSim {
   StealFilter steal_filter_;
   /// Pools lost to fired outages, persisting across run() calls.
   std::set<std::string> dead_sites_;
-};
-
-/// Real-execution backend. Payloads are keyed by transformation name for
-/// compute nodes; transfer and register nodes run optional hooks (default:
-/// immediate success).
-class DagManLocal {
- public:
-  using Payload = std::function<Status(const vds::DagNode&)>;
-
-  explicit DagManLocal(ThreadPool& pool) : pool_(pool) {}
-
-  /// Registers the executable body for a logical transformation.
-  void register_payload(const std::string& transformation, Payload payload);
-  void set_transfer_hook(Payload hook) { transfer_hook_ = std::move(hook); }
-  void set_register_hook(Payload hook) { register_hook_ = std::move(hook); }
-
-  /// Runs the DAG to completion (or to blocked-on-failure). Thread-safe
-  /// with respect to its own bookkeeping; payloads run concurrently.
-  Expected<RunReport> run(const vds::Dag& dag);
-
- private:
-  ThreadPool& pool_;
-  std::map<std::string, Payload> payloads_;
-  Payload transfer_hook_;
-  Payload register_hook_;
 };
 
 }  // namespace nvo::grid

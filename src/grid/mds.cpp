@@ -6,32 +6,12 @@ namespace nvo::grid {
 
 void Mds::publish(ResourceInfo info) { records_[info.site] = std::move(info); }
 
-void Mds::mark_dead(const std::string& site) {
-  const auto it = records_.find(site);
-  if (it != records_.end()) it->second.alive = false;
-}
-
 std::optional<ResourceInfo> Mds::query(const std::string& site, double now_s) const {
   const auto it = records_.find(site);
   if (it == records_.end()) return std::nullopt;
   const ResourceInfo& r = it->second;
-  if (!r.alive) return std::nullopt;
   if (now_s - r.timestamp_s > ttl_seconds_) return std::nullopt;
   return r;
-}
-
-std::vector<ResourceInfo> Mds::query_all(double now_s) const {
-  std::vector<ResourceInfo> out;
-  for (const auto& [site, r] : records_) {
-    if (!r.alive) continue;
-    if (now_s - r.timestamp_s > ttl_seconds_) continue;
-    out.push_back(r);
-  }
-  std::sort(out.begin(), out.end(), [](const ResourceInfo& a, const ResourceInfo& b) {
-    if (a.pressure() != b.pressure()) return a.pressure() < b.pressure();
-    return a.site < b.site;
-  });
-  return out;
 }
 
 std::vector<ResourceInfo> Mds::snapshot(const Grid& grid,

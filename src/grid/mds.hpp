@@ -3,7 +3,7 @@
 // future, we plan to include dynamic information provided by Globus
 // Monitoring and Discovery Service (MDS)" (§3.2). This is that future
 // work: a resource-information service publishing per-site dynamic state
-// (free slots, queue depth, load, liveness) that the planner can rank
+// (free slots, queue depth, load) that the planner can rank
 // sites with instead of static configuration.
 #pragma once
 
@@ -26,7 +26,6 @@ struct ResourceInfo {
   int queued_jobs = 0;
   double load_average = 0.0;     ///< busy/total smoothed
   double timestamp_s = 0.0;      ///< publication time (simulated)
-  bool alive = true;
 
   int free_slots() const { return total_slots - busy_slots; }
   /// Rank for scheduling: effective wait pressure per slot (lower=better).
@@ -37,8 +36,7 @@ struct ResourceInfo {
 };
 
 /// The index (GIIS): sites publish, planners query. Stale records (older
-/// than `ttl_seconds` relative to the query time) and dead sites are not
-/// returned.
+/// than `ttl_seconds` relative to the query time) are not returned.
 class Mds {
  public:
   explicit Mds(double ttl_seconds = 300.0) : ttl_seconds_(ttl_seconds) {}
@@ -46,14 +44,8 @@ class Mds {
   /// Publishes (upserts) a site's record.
   void publish(ResourceInfo info);
 
-  /// Marks a site dead (heartbeat loss).
-  void mark_dead(const std::string& site);
-
   /// Fresh record for one site at query time `now_s`.
   std::optional<ResourceInfo> query(const std::string& site, double now_s) const;
-
-  /// All fresh, alive sites at `now_s`, sorted by ascending pressure.
-  std::vector<ResourceInfo> query_all(double now_s) const;
 
   /// Snapshot helper: derives records for every site of a grid, given a
   /// busy/queued map (used by the benchmarks and by the planner seeding).

@@ -8,6 +8,13 @@
 
 namespace nvo::portal {
 
+namespace {
+/// Bucket bounds (simulated ms) of every request-latency histogram.
+const std::vector<double> kLatencyBoundsMs = {50,     100,    200,   500,   1000,
+                                              2000,   5000,   10000, 20000, 50000,
+                                              100000, 200000, 500000};
+}  // namespace
+
 const char* to_string(RequestState state) {
   switch (state) {
     case RequestState::kQueued: return "queued";
@@ -91,10 +98,8 @@ void AsyncPortal::add_tenant(const std::string& name, double weight) {
   for (const ClusterEntry& c : clusters_) tenant->portal->add_cluster(c);
   drr_.set_weight(name, weight);
   if (registry_ && !tenant_hists_.count(name)) {
-    tenant_hists_[name] = registry_->histogram(
-        "portal.async.latency_ms." + name,
-        {50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000, 50000, 100000,
-         200000, 500000});
+    tenant_hists_[name] =
+        registry_->histogram("portal.async.latency_ms." + name, kLatencyBoundsMs);
   }
   tenants_.emplace(name, std::move(tenant));
 }
@@ -168,7 +173,6 @@ Submission AsyncPortal::submit(const std::string& tenant_name,
 
   req.admission_held = true;
   ++stats_.admitted;
-  ++stats_.queued;
   out.admitted = true;
   publish_status(req);
   tenant.queue.push_back(req.id);
@@ -245,10 +249,7 @@ Status AsyncPortal::cancel(const std::string& id, const std::string& reason) {
   auto& q = tenant.queue;
   if (const auto qit = std::find(q.begin(), q.end(), id); qit != q.end()) {
     q.erase(qit);
-    release_admission(req);
-    req.error = "cancelled: " + reason;
-    req.retry_after_ms = admission_.retry_after_hint();
-    finish(tenant, req, RequestState::kCancelled);
+    cancel_request(tenant, req, "cancelled: " + reason);
     refresh_activation(tenant);
     return Status::Ok();
   }
@@ -260,13 +261,7 @@ Status AsyncPortal::cancel(const std::string& id, const std::string& reason) {
       const auto fit = std::find(parked.begin(), parked.end(), id);
       if (fit == parked.end()) continue;
       parked.erase(fit);
-      --stats_.waiting;
-      ++stats_.queued;  // rejoin queued accounting so release balances it
-      --waiting_;
-      release_admission(req);
-      req.error = "cancelled: " + reason;
-      req.retry_after_ms = admission_.retry_after_hint();
-      finish(tenant, req, RequestState::kCancelled);
+      cancel_request(tenant, req, "cancelled: " + reason);
       return Status::Ok();
     }
   }
@@ -282,11 +277,7 @@ Status AsyncPortal::cancel(const std::string& id, const std::string& reason) {
 void AsyncPortal::start_request(Tenant& tenant, const std::string& id) {
   Request& req = requests_.at(id);
   if (req.ctx.cancel.cancelled()) {
-    release_admission(req);
-    req.error = "cancelled: " + req.ctx.cancel.reason();
-    req.retry_after_ms = admission_.retry_after_hint();
-    finish(tenant, req, RequestState::kCancelled);
-    return;
+    return cancel_request(tenant, req, "cancelled: " + req.ctx.cancel.reason());
   }
   if (req.ctx.expired(now_ms())) {
     release_admission(req);
@@ -301,7 +292,6 @@ void AsyncPortal::start_request(Tenant& tenant, const std::string& id) {
     req.state = RequestState::kRunning;
     req.stage = Stage::kMemoServe;
     req.start_ms = now_ms();
-    ++stats_.running;
     tenant.running = id;
     publish_status(req);
     return;
@@ -313,14 +303,7 @@ void AsyncPortal::start_request(Tenant& tenant, const std::string& id) {
     // occupying the system); the tenant's slot frees up for other work.
     // (A request finding ITSELF in the registry was re-elected leader after
     // the previous leader cancelled; it proceeds to run below.)
-    req.coalesced = true;
-    ++stats_.coalesced;
-    ++stats_.waiting;
-    --stats_.queued;
-    ++waiting_;
-    followers_[leader->second].push_back(id);
-    publish_status(req);
-    return;
+    return park_behind(leader->second, req);
   }
   release_admission(req);
   inflight_[req.memo_key] = id;
@@ -328,7 +311,6 @@ void AsyncPortal::start_request(Tenant& tenant, const std::string& id) {
   req.state = RequestState::kRunning;
   req.stage = Stage::kPipeline;
   req.start_ms = now_ms();
-  ++stats_.running;
   tenant.running = id;
   publish_status(req);
 }
@@ -338,9 +320,7 @@ void AsyncPortal::advance(Tenant& tenant, Request& req) {
   // stage was in flight (or between scheduling units) terminalizes here,
   // before the next stage spends anything.
   if (req.ctx.cancel.cancelled()) {
-    req.error = "cancelled: " + req.ctx.cancel.reason();
-    req.retry_after_ms = admission_.retry_after_hint();
-    return finish(tenant, req, RequestState::kCancelled);
+    return cancel_request(tenant, req, "cancelled: " + req.ctx.cancel.reason());
   }
   if (req.ctx.expired(now_ms())) {
     return expire_request(
@@ -380,9 +360,7 @@ void AsyncPortal::advance(Tenant& tenant, Request& req) {
     case RunStage::kFailed:
       return fail_request(tenant, req, run.error().to_string());
     case RunStage::kCancelled:
-      req.error = run.error().message;
-      req.retry_after_ms = admission_.retry_after_hint();
-      return finish(tenant, req, RequestState::kCancelled);
+      return cancel_request(tenant, req, run.error().message);
     case RunStage::kExpired:
       return expire_request(tenant, req, run.error().message);
     default:
@@ -398,16 +376,8 @@ void AsyncPortal::serve_from_memo(Tenant& tenant, Request& req) {
     // demote to a full derivation, re-entering the single-flight protocol.
     if (const auto leader = inflight_.find(req.memo_key);
         leader != inflight_.end()) {
-      req.coalesced = true;
-      ++stats_.coalesced;
-      ++stats_.waiting;
-      --stats_.running;
-      ++waiting_;
-      followers_[leader->second].push_back(req.id);
       tenant.running.clear();
-      req.state = RequestState::kQueued;
-      publish_status(req);
-      return;
+      return park_behind(leader->second, req);
     }
     inflight_[req.memo_key] = req.id;
     req.leader = true;
@@ -425,6 +395,34 @@ void AsyncPortal::serve_from_memo(Tenant& tenant, Request& req) {
   req.memo_hit = true;
   ++stats_.memo_hits;
   finish(tenant, req, RequestState::kDone);
+}
+
+void AsyncPortal::park_behind(const std::string& leader_id, Request& req) {
+  req.coalesced = true;
+  req.state = RequestState::kQueued;
+  ++stats_.coalesced;
+  followers_[leader_id].push_back(req.id);
+  publish_status(req);
+}
+
+void AsyncPortal::requeue(Request& req, bool front) {
+  req.stage = Stage::kStart;
+  req.state = RequestState::kQueued;
+  std::deque<std::string>& queue = tenants_.at(req.tenant)->queue;
+  if (front) {
+    queue.push_front(req.id);
+  } else {
+    queue.push_back(req.id);
+  }
+  publish_status(req);
+  drr_.activate(req.tenant);
+}
+
+void AsyncPortal::cancel_request(Tenant& tenant, Request& req, std::string error) {
+  release_admission(req);
+  req.error = std::move(error);
+  req.retry_after_ms = admission_.retry_after_hint();
+  finish(tenant, req, RequestState::kCancelled);
 }
 
 void AsyncPortal::fail_request(Tenant& tenant, Request& req,
@@ -454,10 +452,7 @@ void AsyncPortal::finish(Tenant& tenant, Request& req, RequestState state) {
   req.state = state;
   req.stage = Stage::kFinished;
   req.finish_ms = now_ms();
-  if (tenant.running == req.id) {
-    tenant.running.clear();
-    --stats_.running;
-  }
+  if (tenant.running == req.id) tenant.running.clear();
   switch (state) {
     case RequestState::kDone: ++stats_.done; ++tenant.stats.done; break;
     case RequestState::kPartial: ++stats_.partial; ++tenant.stats.partial; break;
@@ -519,32 +514,11 @@ void AsyncPortal::finish(Tenant& tenant, Request& req, RequestState state) {
     if (!promoted.empty()) {
       followers_[new_leader_id] = std::move(promoted);
     }
-    new_leader.stage = Stage::kStart;
-    new_leader.state = RequestState::kQueued;
-    --stats_.waiting;
-    ++stats_.queued;
-    --waiting_;
-    Tenant& nt = *tenants_.at(new_leader.tenant);
-    nt.queue.push_front(new_leader_id);
-    publish_status(new_leader);
-    drr_.activate(new_leader.tenant);
+    requeue(new_leader, /*front=*/true);
     return;
   }
   for (const std::string& fid : promoted) {
-    Request& follower = requests_.at(fid);
-    follower.stage = Stage::kStart;
-    follower.state = RequestState::kQueued;
-    --stats_.waiting;
-    ++stats_.queued;
-    --waiting_;
-    Tenant& ft = *tenants_.at(follower.tenant);
-    if (state == RequestState::kDone) {
-      ft.queue.push_front(fid);
-    } else {
-      ft.queue.push_back(fid);
-    }
-    publish_status(follower);
-    drr_.activate(follower.tenant);
+    requeue(requests_.at(fid), /*front=*/state == RequestState::kDone);
   }
 }
 
@@ -552,7 +526,6 @@ void AsyncPortal::release_admission(Request& req) {
   if (!req.admission_held) return;
   req.admission_held = false;
   admission_.release(req.tenant, config_.estimated_request_bytes);
-  if (stats_.queued > 0) --stats_.queued;
 }
 
 void AsyncPortal::refresh_activation(Tenant& tenant) {
@@ -648,7 +621,17 @@ const votable::Table* AsyncPortal::result(const std::string& id) const {
   return &req.run.catalog;
 }
 
-AsyncPortal::Stats AsyncPortal::stats() const { return stats_; }
+AsyncPortal::Stats AsyncPortal::stats() const {
+  // The gauges are derived from the scheduler's own structures, so they can
+  // never drift from what status() reports.
+  Stats out = stats_;
+  for (const auto& [name, tenant] : tenants_) {
+    out.queued += tenant->queue.size();
+    if (!tenant->running.empty()) ++out.running;
+  }
+  for (const auto& [leader, parked] : followers_) out.waiting += parked.size();
+  return out;
+}
 
 Expected<TenantStats> AsyncPortal::tenant_stats(const std::string& name) const {
   const auto it = tenants_.find(name);
@@ -660,40 +643,38 @@ Expected<TenantStats> AsyncPortal::tenant_stats(const std::string& name) const {
 
 void AsyncPortal::register_metrics(obs::MetricsRegistry& registry) {
   registry_ = &registry;
-  const std::vector<double> bounds = {50,    100,   200,   500,    1000,
-                                      2000,  5000,  10000, 20000,  50000,
-                                      100000, 200000, 500000};
-  latency_hist_ = registry.histogram("portal.async.latency_ms", bounds);
+  latency_hist_ = registry.histogram("portal.async.latency_ms", kLatencyBoundsMs);
   for (const auto& [name, tenant] : tenants_) {
     (void)tenant;
     if (!tenant_hists_.count(name)) {
       tenant_hists_[name] =
-          registry.histogram("portal.async.latency_ms." + name, bounds);
+          registry.histogram("portal.async.latency_ms." + name, kLatencyBoundsMs);
     }
   }
   registry.register_collector(
       "portal.async", [this](std::map<std::string, double>& counters,
                              std::map<std::string, double>& gauges) {
-        counters["portal.async.submitted"] = static_cast<double>(stats_.submitted);
-        counters["portal.async.admitted"] = static_cast<double>(stats_.admitted);
-        counters["portal.async.shed"] = static_cast<double>(stats_.shed);
-        counters["portal.async.done"] = static_cast<double>(stats_.done);
-        counters["portal.async.partial"] = static_cast<double>(stats_.partial);
-        counters["portal.async.failed"] = static_cast<double>(stats_.failed);
-        counters["portal.async.expired"] = static_cast<double>(stats_.expired);
+        const Stats s = stats();
+        counters["portal.async.submitted"] = static_cast<double>(s.submitted);
+        counters["portal.async.admitted"] = static_cast<double>(s.admitted);
+        counters["portal.async.shed"] = static_cast<double>(s.shed);
+        counters["portal.async.done"] = static_cast<double>(s.done);
+        counters["portal.async.partial"] = static_cast<double>(s.partial);
+        counters["portal.async.failed"] = static_cast<double>(s.failed);
+        counters["portal.async.expired"] = static_cast<double>(s.expired);
         counters["portal.async.cancelled"] =
-            static_cast<double>(stats_.cancelled);
+            static_cast<double>(s.cancelled);
         counters["portal.async.recomputes"] =
-            static_cast<double>(stats_.recomputes);
+            static_cast<double>(s.recomputes);
         counters["portal.async.compute_cache_hits"] =
-            static_cast<double>(stats_.compute_cache_hits);
-        counters["portal.async.memo_hits"] = static_cast<double>(stats_.memo_hits);
-        counters["portal.async.coalesced"] = static_cast<double>(stats_.coalesced);
+            static_cast<double>(s.compute_cache_hits);
+        counters["portal.async.memo_hits"] = static_cast<double>(s.memo_hits);
+        counters["portal.async.coalesced"] = static_cast<double>(s.coalesced);
         counters["portal.async.memo_evictions"] =
-            static_cast<double>(stats_.memo_evictions);
-        gauges["portal.async.queued"] = static_cast<double>(stats_.queued);
-        gauges["portal.async.running"] = static_cast<double>(stats_.running);
-        gauges["portal.async.waiting"] = static_cast<double>(stats_.waiting);
+            static_cast<double>(s.memo_evictions);
+        gauges["portal.async.queued"] = static_cast<double>(s.queued);
+        gauges["portal.async.running"] = static_cast<double>(s.running);
+        gauges["portal.async.waiting"] = static_cast<double>(s.waiting);
         const services::AdmissionStats a = admission_.stats();
         counters["portal.async.admission.shed_tenant_queue"] =
             static_cast<double>(a.shed_tenant_queue);

@@ -219,8 +219,9 @@ class AsyncPortal {
     std::uint64_t memo_hits = 0;           ///< portal memo fast-path serves
     std::uint64_t coalesced = 0;           ///< followers parked on a leader
     std::uint64_t memo_evictions = 0;
+    /// Gauges, derived from the scheduler's queues when stats() is called.
     std::size_t queued = 0;   ///< admitted, waiting in tenant queues
-    std::size_t running = 0;
+    std::size_t running = 0;  ///< tenants with a request in flight
     std::size_t waiting = 0;  ///< parked followers
   };
   Stats stats() const;
@@ -283,6 +284,12 @@ class AsyncPortal {
   void advance(Tenant& tenant, Request& req);
   void serve_from_memo(Tenant& tenant, Request& req);
   void finish(Tenant& tenant, Request& req, RequestState state);
+  /// Single-flight: parks `req` behind the in-flight leader `leader_id`.
+  void park_behind(const std::string& leader_id, Request& req);
+  /// Puts a promoted follower back on its tenant's queue (front or back).
+  void requeue(Request& req, bool front);
+  /// Terminalizes a withdrawn request as kCancelled.
+  void cancel_request(Tenant& tenant, Request& req, std::string error);
   void fail_request(Tenant& tenant, Request& req, const std::string& error);
   /// Terminalizes an expired request: retry-after from the admission floors,
   /// partial results surfaced from whatever pipeline stage had completed.
@@ -316,7 +323,6 @@ class AsyncPortal {
   /// shed_record_limit; one ring for all three terminal kinds, so none of
   /// them can grow the status map without bound).
   std::deque<std::string> terminal_ring_;
-  std::size_t waiting_ = 0;  ///< parked follower count
   Stats stats_;
   /// Fabric status board: id -> status line (shared with the /status route
   /// so the handler outlives the portal safely).

@@ -87,38 +87,6 @@ const ClusterEntry* Portal::find_cluster(const std::string& name) const {
   return nullptr;
 }
 
-void Portal::publish_to_registry(services::Registry& registry) const {
-  using services::Capability;
-  using services::ServiceRecord;
-  const auto add = [&](const char* ident, const char* title, const char* publisher,
-                       Capability cap, const std::string& url, const char* band) {
-    ServiceRecord r;
-    r.identifier = ident;
-    r.title = title;
-    r.publisher = publisher;
-    r.capability = cap;
-    r.base_url = url;
-    r.waveband = band;
-    (void)registry.add(std::move(r));
-  };
-  add("ivo://sim.cda/sia", "Chandra Data Archive", "Chandra X-ray Center",
-      Capability::kSimpleImageAccess, federation_.chandra_sia, "x-ray");
-  add("ivo://sim.heasarc/rosat", "ROSAT X-ray data", "NASA HEASARC",
-      Capability::kSimpleImageAccess, federation_.rosat_sia, "x-ray");
-  add("ivo://sim.ipac/ned", "NASA Extragalactic Database", "NASA IPAC",
-      Capability::kConeSearch, federation_.ned_cone, "optical");
-  add("ivo://sim.cadc/cnoc-sia", "CNOC Survey images", "CADC",
-      Capability::kSimpleImageAccess, federation_.cnoc_sia, "optical");
-  add("ivo://sim.cadc/cnoc-cone", "CNOC Survey catalog", "CADC",
-      Capability::kConeSearch, federation_.cnoc_cone, "optical");
-  add("ivo://sim.mast/dss", "Digitized Sky Survey", "MAST",
-      Capability::kSimpleImageAccess, federation_.dss_sia, "optical");
-  add("ivo://sim.mast/cutout", "DSS galaxy cutout service", "MAST",
-      Capability::kCutout, federation_.cutout_sia, "optical");
-  add("ivo://sim.isi/galmorph", "Galaxy morphology compute service", "USC/ISI",
-      Capability::kCompute, "http://" + compute_.config().host + "/status", "");
-}
-
 Expected<Portal::ImageLinks> Portal::find_large_scale_images(
     const std::string& cluster_name, PortalTrace* trace) {
   const ClusterEntry* cluster = find_cluster(cluster_name);
@@ -129,40 +97,29 @@ Expected<Portal::ImageLinks> Portal::find_large_scale_images(
   const double before = fabric_.now_ms();
   // Optical: DSS. X-ray: ROSAT + Chandra. An archive being down is not
   // fatal — the analysis can proceed without a large-scale image.
-  {
-    obs::Span q = obs::start_span(config_.tracer, "query.DSS", "archive");
-    const auto snap = stats_snapshot(client_, federation_.dss_sia);
-    auto dss = services::sia_query(client_, federation_.dss_sia, cluster->position,
-                                   cluster->search_radius_deg * 2.0);
-    ArchiveStatus status = archive_status("DSS", federation_.dss_sia, snap);
-    if (dss.ok()) {
-      status.rows = dss->size();
-      for (const auto& r : dss.value()) links.optical.push_back(r.access_url);
-    } else {
-      status.skipped_reason = dss.error().to_string();
-      log_warn("portal", "DSS SIA failed: " + dss.error().to_string());
-      q.note("skipped", status.skipped_reason);
-    }
-    q.count("attempts", static_cast<double>(status.attempted));
-    q.count("retries", static_cast<double>(status.retries));
-    q.count("rows", static_cast<double>(status.rows));
-    record_archive(trace, std::move(status));
-  }
-  const std::pair<const char*, const std::string*> xray_archives[] = {
-      {"ROSAT", &federation_.rosat_sia}, {"Chandra", &federation_.chandra_sia}};
-  for (const auto& [name, base] : xray_archives) {
+  struct Archive {
+    const char* name;
+    const std::string& base;
+    std::vector<std::string>& dest;
+    const char* label;
+  };
+  const Archive archives[] = {
+      {"DSS", federation_.dss_sia, links.optical, "DSS"},
+      {"ROSAT", federation_.rosat_sia, links.xray, "X-ray"},
+      {"Chandra", federation_.chandra_sia, links.xray, "X-ray"}};
+  for (const Archive& a : archives) {
     obs::Span q =
-        obs::start_span(config_.tracer, std::string("query.") + name, "archive");
-    const auto snap = stats_snapshot(client_, *base);
-    auto xr = services::sia_query(client_, *base, cluster->position,
-                                  cluster->search_radius_deg * 2.0);
-    ArchiveStatus status = archive_status(name, *base, snap);
-    if (xr.ok()) {
-      status.rows = xr->size();
-      for (const auto& r : xr.value()) links.xray.push_back(r.access_url);
+        obs::start_span(config_.tracer, std::string("query.") + a.name, "archive");
+    const auto snap = stats_snapshot(client_, a.base);
+    auto rows = services::sia_query(client_, a.base, cluster->position,
+                                    cluster->search_radius_deg * 2.0);
+    ArchiveStatus status = archive_status(a.name, a.base, snap);
+    if (rows.ok()) {
+      status.rows = rows->size();
+      for (const auto& r : rows.value()) a.dest.push_back(r.access_url);
     } else {
-      status.skipped_reason = xr.error().to_string();
-      log_warn("portal", "X-ray SIA failed: " + xr.error().to_string());
+      status.skipped_reason = rows.error().to_string();
+      log_warn("portal", std::string(a.label) + " SIA failed: " + rows.error().to_string());
       q.note("skipped", status.skipped_reason);
     }
     q.count("attempts", static_cast<double>(status.attempted));

@@ -20,7 +20,6 @@
 #include "portal/compute_service.hpp"
 #include "services/federation.hpp"
 #include "services/http.hpp"
-#include "services/registry.hpp"
 #include "services/resilience.hpp"
 #include "sky/coords.hpp"
 #include "votable/table.hpp"
@@ -123,10 +122,6 @@ class Portal {
   /// Populates the internal cluster list.
   void add_cluster(ClusterEntry entry);
   const std::vector<ClusterEntry>& clusters() const { return clusters_; }
-
-  /// Registers the federation + compute endpoints in a service registry
-  /// (the discovery capability the paper's portal lacked).
-  void publish_to_registry(services::Registry& registry) const;
 
   /// Stage: the three large-scale image searches (DSS optical, ROSAT and
   /// Chandra X-ray). Returns access URLs; per Fig. 5, "links to these

@@ -2,22 +2,18 @@
 // input VOTable: the first simply created a URL list for loading the images
 // into the RLS, and a second stylesheet converted the catalog directly into
 // a derivation file containing the Virtual Data Language markup". XSLT is
-// replaced by typed transforms over the parsed table; the outputs (URL list,
-// VDL text) are identical in role.
+// replaced by typed transforms over the parsed table. The compute service
+// reads the `cutout_url` column itself when it stages images, which is the
+// first stylesheet's role; catalog_to_vdl is the second.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "common/expected.hpp"
 #include "core/galmorph.hpp"
 #include "votable/table.hpp"
 
 namespace nvo::portal {
-
-/// Stylesheet 1: the image URL list. Reads the `cutout_url` column (the
-/// acref merged in by the portal's SIA step).
-Expected<std::vector<std::string>> extract_url_list(const votable::Table& catalog);
 
 /// Logical file names used by the galMorph workflow for one galaxy.
 std::string image_lfn(const std::string& galaxy_id);

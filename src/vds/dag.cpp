@@ -116,42 +116,6 @@ Expected<std::vector<std::string>> Dag::topological_order() const {
   return order;
 }
 
-namespace {
-void erase_value(std::vector<std::string>& v, const std::string& value) {
-  v.erase(std::remove(v.begin(), v.end(), value), v.end());
-}
-}  // namespace
-
-Status Dag::remove_node_splice(const std::string& id) {
-  if (!index_.count(id)) return Error(ErrorCode::kNotFound, "node " + id);
-  const std::vector<std::string> my_parents = parents_[id];
-  const std::vector<std::string> my_children = children_[id];
-  const Status s = remove_node(id);
-  if (!s.ok()) return s;
-  for (const std::string& p : my_parents) {
-    for (const std::string& c : my_children) {
-      (void)add_edge(p, c);
-    }
-  }
-  return Status::Ok();
-}
-
-Status Dag::remove_node(const std::string& id) {
-  const auto it = index_.find(id);
-  if (it == index_.end()) return Error(ErrorCode::kNotFound, "node " + id);
-  for (const std::string& p : parents_[id]) erase_value(children_[p], id);
-  for (const std::string& c : children_[id]) erase_value(parents_[c], id);
-  parents_.erase(id);
-  children_.erase(id);
-  const std::size_t pos = it->second;
-  nodes_.erase(nodes_.begin() + static_cast<std::ptrdiff_t>(pos));
-  index_.erase(it);
-  for (auto& [node_id, node_pos] : index_) {
-    if (node_pos > pos) --node_pos;
-  }
-  return Status::Ok();
-}
-
 std::string Dag::to_string() const {
   std::string out;
   for (const DagNode& n : nodes_) {

@@ -66,14 +66,6 @@ class Dag {
   /// Kahn topological order; error when a cycle exists.
   Expected<std::vector<std::string>> topological_order() const;
 
-  /// Removes a node, splicing edges: every parent of the removed node
-  /// becomes a parent of each of its children (used by DAG reduction so
-  /// pruning an interior job preserves ordering constraints).
-  Status remove_node_splice(const std::string& id);
-
-  /// Removes a node and its incident edges without splicing.
-  Status remove_node(const std::string& id);
-
   /// Multi-line human-readable rendering for logs and examples.
   std::string to_string() const;
 

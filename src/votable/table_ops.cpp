@@ -235,16 +235,4 @@ Expected<Table> project(const Table& table, const std::vector<std::string>& colu
   return out;
 }
 
-Table with_column(const Table& table, Field field,
-                  const std::function<Value(const Row&, std::size_t)>& compute) {
-  Table out = table;
-  const auto existing = out.column_index(field.name);
-  if (!existing) out.add_column(field);
-  const std::size_t col = out.column_index(field.name).value();
-  for (std::size_t r = 0; r < out.num_rows(); ++r) {
-    out.row(r)[col] = compute(table.row(r), r);
-  }
-  return out;
-}
-
 }  // namespace nvo::votable

@@ -48,8 +48,4 @@ Expected<Table> sort_by(const Table& table, const std::string& column,
 /// Projection onto a subset of columns, in the given order.
 Expected<Table> project(const Table& table, const std::vector<std::string>& columns);
 
-/// Adds (or overwrites) a column computed row-by-row.
-Table with_column(const Table& table, Field field,
-                  const std::function<Value(const Row&, std::size_t)>& compute);
-
 }  // namespace nvo::votable

@@ -528,6 +528,110 @@ TEST(AsyncPortal, CancelledLeaderHandsSingleFlightToFollower) {
   EXPECT_EQ(portal->stats().running, 0u);
 }
 
+/// The derived gauges must agree with what status() reports for every
+/// request: queued + parked requests are kQueued, in-flight ones kRunning.
+void expect_gauges_match_statuses(const AsyncPortal& portal,
+                                  const std::vector<std::string>& ids) {
+  std::size_t queued = 0;
+  std::size_t running = 0;
+  for (const std::string& id : ids) {
+    const auto status = portal.status(id);
+    ASSERT_TRUE(status.ok()) << id;
+    if (status->state == RequestState::kQueued) ++queued;
+    if (status->state == RequestState::kRunning) ++running;
+  }
+  const AsyncPortal::Stats stats = portal.stats();
+  EXPECT_EQ(stats.queued + stats.waiting, queued);
+  EXPECT_EQ(stats.running, running);
+}
+
+TEST(AsyncPortal, GaugesMatchRequestStatesThroughTheLifecycleMix) {
+  analysis::Campaign campaign(small_campaign());
+  AsyncPortalConfig config;
+  config.memo_cache.byte_budget = 1;  // each memoized catalog evicts the last
+  config.memo_cache.shards = 1;
+  // Every unit is charged one full quantum, so the scheduler is strict round
+  // robin and the interleavings below are fixed.
+  config.drr.quantum_ms = 1e6;
+  config.min_stage_charge_ms = 1e6;
+  auto portal = make_portal(campaign, config);
+  for (const char* t : {"alice", "bob", "carol", "dave"}) portal->add_tenant(t);
+
+  std::vector<std::string> ids;
+  const auto submit = [&](const char* tenant, std::size_t cluster,
+                          double deadline_ms = 0.0) {
+    const Submission s =
+        portal->submit(tenant, cluster_name(campaign, cluster), "", deadline_ms);
+    EXPECT_TRUE(s.admitted);
+    ids.push_back(s.id);
+    expect_gauges_match_statuses(*portal, ids);
+    return s.id;
+  };
+  const auto cancel = [&](const std::string& id) {
+    ASSERT_TRUE(portal->cancel(id).ok());
+    expect_gauges_match_statuses(*portal, ids);
+  };
+  const auto step_until = [&](const auto& done) {
+    for (int i = 0; i < 500 && !done() && portal->step(); ++i) {
+      expect_gauges_match_statuses(*portal, ids);
+    }
+    ASSERT_TRUE(done());
+  };
+  const auto status = [&](const std::string& id) { return portal->status(id).value(); };
+
+  // Single flight: alice leads cluster 0, bob and carol park behind her.
+  // Dave queues three requests; the last has a budget it cannot meet.
+  const std::string lead = submit("alice", 0);
+  const std::string heir = submit("bob", 0);
+  const std::string parked = submit("carol", 0);
+  const std::string first = submit("dave", 1);
+  const std::string dropped = submit("dave", 2);
+  const std::string late = submit("dave", 3, 1.0);
+  step_until([&] { return portal->stats().waiting == 2; });
+  ASSERT_EQ(status(dropped).state, RequestState::kQueued);
+  ASSERT_EQ(status(lead).state, RequestState::kRunning);
+  cancel(dropped);  // queued in the tenant FIFO
+  cancel(parked);   // parked behind the leader
+  cancel(lead);     // running leader: bob is re-elected at the next unit
+  step_until([&] { return portal->idle(); });
+  EXPECT_EQ(status(lead).state, RequestState::kCancelled);
+  EXPECT_EQ(status(heir).state, RequestState::kDone);
+  EXPECT_EQ(status(parked).state, RequestState::kCancelled);
+  EXPECT_EQ(status(first).state, RequestState::kDone);
+  EXPECT_EQ(status(dropped).state, RequestState::kCancelled);
+  EXPECT_EQ(status(late).state, RequestState::kExpired);
+  EXPECT_NE(status(late).error.find("in queue"), std::string::npos);
+
+  // Memo eviction between scheduling and serve. Alice and carol duplicate a
+  // memoized derivation and are both scheduled onto the memo fast path.
+  // Round robin then runs bob's merge, which memoizes his catalog and so
+  // evicts theirs. Alice's serve unit finds the memo gone and leads a full
+  // run; carol's finds alice in flight and parks behind her.
+  submit("alice", 4);
+  step_until([&] { return portal->idle(); });
+  const std::string evictor = submit("bob", 5);
+  step_until([&] { return status(evictor).stage == "merge"; });
+  const std::string demoted = submit("alice", 4);
+  const std::string parked_again = submit("carol", 4);
+  step_until([&] { return status(parked_again).stage == "memo_serve"; });
+  EXPECT_EQ(status(demoted).stage, "memo_serve");
+  step_until([&] { return status(parked_again).coalesced; });
+  EXPECT_EQ(status(evictor).state, RequestState::kDone);
+  EXPECT_EQ(status(demoted).stage, "images");
+  EXPECT_EQ(status(parked_again).state, RequestState::kQueued);
+  step_until([&] { return portal->idle(); });
+  EXPECT_EQ(status(demoted).state, RequestState::kDone);
+  EXPECT_FALSE(status(demoted).memo_hit);
+  EXPECT_EQ(status(parked_again).state, RequestState::kDone);
+  EXPECT_TRUE(status(parked_again).memo_hit);
+  EXPECT_GT(portal->stats().memo_evictions, 0u);
+
+  const AsyncPortal::Stats stats = portal->stats();
+  EXPECT_EQ(stats.queued, 0u);
+  EXPECT_EQ(stats.running, 0u);
+  EXPECT_EQ(stats.waiting, 0u);
+}
+
 TEST(AsyncPortal, MemoizationCoalescesDuplicateDerivations) {
   analysis::Campaign campaign(small_campaign());
   auto portal = make_portal(campaign);

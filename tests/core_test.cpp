@@ -310,34 +310,6 @@ TEST(Morphology, AsymmetryGrowsWithArmAmplitude) {
 // galMorph transformation
 // ---------------------------------------------------------------------------
 
-TEST(GalMorph, ArgsRoundTripThroughStringMap) {
-  GalMorphArgs args;
-  args.redshift = 0.027886;
-  args.pix_scale_deg = 2.831933107035062e-4;
-  args.zero_point = 24.5;
-  args.h0 = 72.0;
-  args.omega_m = 0.27;
-  args.flat = true;
-  auto parsed = GalMorphArgs::from_args(args.to_args());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_DOUBLE_EQ(parsed->redshift, args.redshift);
-  EXPECT_DOUBLE_EQ(parsed->pix_scale_deg, args.pix_scale_deg);
-  EXPECT_DOUBLE_EQ(parsed->h0, 72.0);
-  EXPECT_TRUE(parsed->flat);
-}
-
-TEST(GalMorph, ArgsDefaultsWhenMissing) {
-  auto parsed = GalMorphArgs::from_args({});
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_DOUBLE_EQ(parsed->h0, 100.0);  // paper default
-  EXPECT_DOUBLE_EQ(parsed->omega_m, 0.3);
-}
-
-TEST(GalMorph, ArgsRejectMalformed) {
-  EXPECT_FALSE(GalMorphArgs::from_args({{"redshift", "abc"}}).ok());
-  EXPECT_FALSE(GalMorphArgs::from_args({{"flat", "maybe"}}).ok());
-}
-
 TEST(GalMorph, RunOnRenderedCutout) {
   GalaxyTruth g = make_truth(MorphType::kElliptical, "RUN_E");
   image::FitsFile fits;
@@ -356,43 +328,6 @@ TEST(GalMorph, UndecodableBytesAreInvalidNotFatal) {
       run_gal_morph_bytes("BAD", std::vector<std::uint8_t>(100, 0xFF), GalMorphArgs{});
   EXPECT_FALSE(r.params.valid);
   EXPECT_NE(r.params.failure_reason.find("undecodable"), std::string::npos);
-}
-
-TEST(GalMorph, ResultTextRoundTrip) {
-  GalMorphResult r;
-  r.galaxy_id = "A2390_G0042";
-  r.redshift = 0.228;
-  r.params.valid = true;
-  r.params.surface_brightness = 21.35;
-  r.params.concentration = 4.2;
-  r.params.asymmetry = 0.07;
-  r.params.petrosian_r = 8.5;
-  r.params.snr = 42.0;
-  r.kpc_per_arcsec = 2.5;
-  r.petrosian_r_kpc = 21.25;
-  auto parsed = GalMorphResult::parse_text(r.to_text());
-  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-  EXPECT_EQ(parsed->galaxy_id, r.galaxy_id);
-  EXPECT_TRUE(parsed->params.valid);
-  EXPECT_NEAR(parsed->params.concentration, 4.2, 1e-6);
-  EXPECT_NEAR(parsed->petrosian_r_kpc, 21.25, 1e-6);
-}
-
-TEST(GalMorph, InvalidResultTextKeepsReason) {
-  GalMorphResult r;
-  r.galaxy_id = "X";
-  r.params.valid = false;
-  r.params.failure_reason = "saturated defect band";
-  auto parsed = GalMorphResult::parse_text(r.to_text());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_FALSE(parsed->params.valid);
-  EXPECT_EQ(parsed->params.failure_reason, "saturated defect band");
-}
-
-TEST(GalMorph, ParseTextRejectsGarbage) {
-  EXPECT_FALSE(GalMorphResult::parse_text("no equals sign here").ok());
-  EXPECT_FALSE(GalMorphResult::parse_text("valid=1\n").ok());  // no id
-  EXPECT_FALSE(GalMorphResult::parse_text("id=x\nasymmetry=abc\n").ok());
 }
 
 TEST(GalMorph, ConcatBuildsValidityFlaggedTable) {
@@ -414,13 +349,6 @@ TEST(GalMorph, ConcatBuildsValidityFlaggedTable) {
   EXPECT_EQ(t.cell(1, "valid").as_bool().value(), false);
   EXPECT_TRUE(t.cell(1, "concentration").is_null());  // nulls for invalid
   EXPECT_NEAR(t.cell(2, "asymmetry").as_double().value(), 0.3, 1e-9);
-
-  // Row -> result round trip.
-  auto back = result_from_row(t, 0);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->galaxy_id, "g0");
-  EXPECT_NEAR(back->params.concentration, 4.0, 1e-9);
-  EXPECT_FALSE(result_from_row(t, 99).ok());
 }
 
 }  // namespace

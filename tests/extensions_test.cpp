@@ -1,18 +1,14 @@
 // Tests for the paper's named future-work features, implemented here: MDS
-// dynamic resource discovery (§3.2), provenance tracking (§3.3), MyProxy
-// authentication (§4.3.1 item 5), the generic table web service (§4.2/§5),
-// and the Mirage export (§4.4).
+// dynamic resource discovery (§3.2), provenance tracking (§3.3) and the
+// Mirage export (§4.4).
 #include <gtest/gtest.h>
 
 #include "analysis/mirage.hpp"
 #include "common/strings.hpp"
 #include "grid/mds.hpp"
 #include "pegasus/planner.hpp"
-#include "services/myproxy.hpp"
-#include "services/table_service.hpp"
 #include "vds/chimera.hpp"
 #include "vds/provenance.hpp"
-#include "votable/votable_io.hpp"
 
 namespace nvo {
 namespace {
@@ -43,25 +39,6 @@ TEST(Mds, PublishQueryFreshness) {
   mds.publish(info("isi", 6, 5, 3, 140.0));
   ASSERT_TRUE(mds.query("isi", 150.0).has_value());
   EXPECT_EQ(mds.query("isi", 150.0)->busy_slots, 5);
-}
-
-TEST(Mds, DeadSitesHidden) {
-  grid::Mds mds;
-  mds.publish(info("isi", 6, 0, 0));
-  mds.mark_dead("isi");
-  EXPECT_FALSE(mds.query("isi", 1.0).has_value());
-  EXPECT_TRUE(mds.query_all(1.0).empty());
-}
-
-TEST(Mds, QueryAllSortedByPressure) {
-  grid::Mds mds;
-  mds.publish(info("busy", 10, 9, 5));    // pressure 1.4
-  mds.publish(info("idle", 10, 1, 0));    // pressure 0.1
-  mds.publish(info("medium", 10, 5, 0));  // pressure 0.5
-  const auto all = mds.query_all(1.0);
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[0].site, "idle");
-  EXPECT_EQ(all[2].site, "busy");
 }
 
 TEST(Mds, SnapshotDerivesFromGrid) {
@@ -246,157 +223,6 @@ TEST(Provenance, RecordExecutionFromDag) {
   EXPECT_EQ(r->site, "uwisc");
   EXPECT_EQ(r->parameters.at("redshift"), "0.1");
   EXPECT_DOUBLE_EQ(r->completed_at_s, 99.0);
-}
-
-// ---------------------------------------------------------------------------
-// MyProxy
-// ---------------------------------------------------------------------------
-
-TEST(MyProxy, StoreRetrieveLifecycle) {
-  services::MyProxyServer server;
-  server.store("/O=NVO/CN=Jane", "hunter2", 0.0, 7 * 86400.0);
-  EXPECT_EQ(server.stored_count(), 1u);
-
-  auto proxy = server.retrieve("/O=NVO/CN=Jane", "hunter2", 10.0, 43200.0);
-  ASSERT_TRUE(proxy.ok()) << proxy.error().to_string();
-  EXPECT_EQ(proxy->delegation_depth, 1);
-  EXPECT_DOUBLE_EQ(proxy->lifetime_s, 43200.0);
-  EXPECT_TRUE(server.validate(proxy.value(), 100.0).ok());
-  // Expired proxy fails validation.
-  EXPECT_FALSE(server.validate(proxy.value(), 10.0 + 43200.0 + 1.0).ok());
-}
-
-TEST(MyProxy, WrongPassphraseAndUnknownSubject) {
-  services::MyProxyServer server;
-  server.store("/CN=A", "pw", 0.0);
-  EXPECT_FALSE(server.retrieve("/CN=A", "wrong", 1.0).ok());
-  EXPECT_FALSE(server.retrieve("/CN=B", "pw", 1.0).ok());
-}
-
-TEST(MyProxy, ProxyLifetimeCappedByStoredCredential) {
-  services::MyProxyServer server;
-  server.store("/CN=A", "pw", 0.0, 3600.0);  // one hour stored
-  auto proxy = server.retrieve("/CN=A", "pw", 1800.0, 43200.0);
-  ASSERT_TRUE(proxy.ok());
-  EXPECT_DOUBLE_EQ(proxy->lifetime_s, 1800.0);  // the remaining half hour
-  // After the stored credential expires, retrieval fails outright.
-  EXPECT_FALSE(server.retrieve("/CN=A", "pw", 3700.0).ok());
-}
-
-TEST(MyProxy, RevocationPropagates) {
-  services::MyProxyServer server;
-  server.store("/CN=A", "pw", 0.0);
-  auto proxy = server.retrieve("/CN=A", "pw", 1.0);
-  ASSERT_TRUE(proxy.ok());
-  ASSERT_TRUE(server.revoke("/CN=A").ok());
-  EXPECT_FALSE(server.validate(proxy.value(), 2.0).ok());
-  EXPECT_FALSE(server.retrieve("/CN=A", "pw", 2.0).ok());
-  EXPECT_FALSE(server.revoke("/CN=Z").ok());
-}
-
-TEST(MyProxy, DelegationChainsAndCaps) {
-  services::MyProxyServer server;
-  server.store("/CN=A", "pw", 0.0);
-  auto proxy = server.retrieve("/CN=A", "pw", 0.0, 1000.0);
-  ASSERT_TRUE(proxy.ok());
-  auto job_proxy = server.delegate(proxy.value(), 400.0, 1e9);
-  ASSERT_TRUE(job_proxy.ok());
-  EXPECT_EQ(job_proxy->delegation_depth, 2);
-  EXPECT_DOUBLE_EQ(job_proxy->lifetime_s, 600.0);  // parent's remainder
-  EXPECT_TRUE(server.validate(job_proxy.value(), 900.0).ok());
-  // Cannot delegate from an expired parent.
-  EXPECT_FALSE(server.delegate(proxy.value(), 1500.0, 10.0).ok());
-}
-
-TEST(MyProxy, ForgedSerialRejected) {
-  services::MyProxyServer server;
-  server.store("/CN=A", "pw", 0.0);
-  services::ProxyCredential forged;
-  forged.subject = "/CN=A";
-  forged.issuer = "/CN=A";
-  forged.delegation_depth = 1;
-  forged.issued_at_s = 0.0;
-  forged.lifetime_s = 1e6;
-  forged.serial = 9999;  // never issued
-  EXPECT_FALSE(server.validate(forged, 1.0).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Table web service
-// ---------------------------------------------------------------------------
-
-class TableServiceTest : public ::testing::Test {
- protected:
-  TableServiceTest() : svc_(services::register_table_service(fabric_)) {
-    // Host two operand tables as static VOTable documents.
-    left_.name = "left";
-    left_ = votable::Table({votable::Field{"id", votable::DataType::kString},
-                            votable::Field{"mag", votable::DataType::kDouble}});
-    (void)left_.append_row({votable::Value::of_string("g1"),
-                            votable::Value::of_double(21.0)});
-    (void)left_.append_row({votable::Value::of_string("g2"),
-                            votable::Value::of_double(19.5)});
-    right_ = votable::Table({votable::Field{"id", votable::DataType::kString},
-                             votable::Field{"asym", votable::DataType::kDouble}});
-    (void)right_.append_row({votable::Value::of_string("g1"),
-                             votable::Value::of_double(0.2)});
-    const std::string left_xml = votable::to_votable_xml(left_);
-    const std::string right_xml = votable::to_votable_xml(right_);
-    fabric_.route("data.sim", "/left", [left_xml](const services::Url&) {
-      return services::HttpResponse::text(left_xml, "text/xml");
-    });
-    fabric_.route("data.sim", "/right", [right_xml](const services::Url&) {
-      return services::HttpResponse::text(right_xml, "text/xml");
-    });
-  }
-
-  services::HttpFabric fabric_{3};
-  services::TableService svc_;
-  votable::Table left_;
-  votable::Table right_;
-};
-
-TEST_F(TableServiceTest, RemoteInnerAndLeftJoin) {
-  auto inner = services::remote_join(fabric_, svc_, "http://data.sim/left",
-                                     "http://data.sim/right", "id", "id", false);
-  ASSERT_TRUE(inner.ok()) << inner.error().to_string();
-  EXPECT_EQ(inner->num_rows(), 1u);
-  EXPECT_DOUBLE_EQ(inner->cell(0, "asym").as_double().value(), 0.2);
-
-  auto left = services::remote_join(fabric_, svc_, "http://data.sim/left",
-                                    "http://data.sim/right", "id", "id", true);
-  ASSERT_TRUE(left.ok());
-  EXPECT_EQ(left->num_rows(), 2u);
-  EXPECT_TRUE(left->cell(1, "asym").is_null());
-}
-
-TEST_F(TableServiceTest, RemoteSortAndProject) {
-  auto sorted = services::remote_sort(fabric_, svc_, "http://data.sim/left",
-                                      "mag", true);
-  ASSERT_TRUE(sorted.ok());
-  EXPECT_EQ(sorted->cell(0, "id").as_string().value(), "g2");  // 19.5 first
-  auto desc = services::remote_sort(fabric_, svc_, "http://data.sim/left",
-                                    "mag", false);
-  ASSERT_TRUE(desc.ok());
-  EXPECT_EQ(desc->cell(0, "id").as_string().value(), "g1");
-
-  auto projected = services::remote_project(fabric_, svc_,
-                                            "http://data.sim/left", {"mag"});
-  ASSERT_TRUE(projected.ok());
-  EXPECT_EQ(projected->num_columns(), 1u);
-}
-
-TEST_F(TableServiceTest, ProtocolErrors) {
-  // Missing params -> 400 surfaced as error by the client.
-  auto r1 = fabric_.get(svc_.join_url + "?left=http://data.sim/left");
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(r1->status, 400);
-  // Unknown operand URL -> error.
-  auto r2 = services::remote_sort(fabric_, svc_, "http://nowhere.sim/x", "mag");
-  EXPECT_FALSE(r2.ok());
-  // Bad column -> 400.
-  auto r3 = services::remote_sort(fabric_, svc_, "http://data.sim/left", "nope");
-  EXPECT_FALSE(r3.ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,11 @@
 // Tests for the execution substrate: thread pool, grid storage/transfer
-// model, the discrete-event DAGMan, the real-execution DAGMan, rescue
-// DAGs, and the durable checkpoint journal.
+// model, the discrete-event DAGMan, rescue DAGs, and the durable checkpoint
+// journal.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <fstream>
-#include <mutex>
 #include <set>
-#include <thread>
 
 #include "grid/checkpoint.hpp"
 #include "grid/dagman.hpp"
@@ -354,106 +351,6 @@ TEST(DagManSim, ParallelBranchesOverlap) {
   auto report = DagManSim(g, cost, FailureModel{}).run(dag);
   ASSERT_TRUE(report.ok());
   EXPECT_DOUBLE_EQ(report->makespan_seconds, 3.0);  // branches run together
-}
-
-// ---------------------------------------------------------------------------
-// DagManLocal
-// ---------------------------------------------------------------------------
-
-TEST(DagManLocal, ExecutesInDependencyOrder) {
-  ThreadPool pool(3);
-  DagManLocal dagman(pool);
-  std::mutex m;
-  std::vector<std::string> order;
-  dagman.register_payload("t", [&](const vds::DagNode& n) {
-    std::lock_guard lock(m);
-    order.push_back(n.id);
-    return Status::Ok();
-  });
-  auto report = dagman.run(compute_chain(5, ""));
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->workflow_succeeded);
-  ASSERT_EQ(order.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(order[i], "j" + std::to_string(i));
-}
-
-TEST(DagManLocal, MissingPayloadIsError) {
-  ThreadPool pool(2);
-  DagManLocal dagman(pool);
-  EXPECT_FALSE(dagman.run(compute_chain(1, "")).ok());
-}
-
-TEST(DagManLocal, FailurePropagatesAsSkip) {
-  ThreadPool pool(2);
-  DagManLocal dagman(pool);
-  dagman.register_payload("t", [](const vds::DagNode& n) -> Status {
-    if (n.id == "j1") return Error(ErrorCode::kComputeFailed, "boom");
-    return Status::Ok();
-  });
-  auto report = dagman.run(compute_chain(4, ""));
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report->workflow_succeeded);
-  EXPECT_EQ(report->jobs_succeeded, 1u);
-  EXPECT_EQ(report->jobs_failed, 1u);
-  EXPECT_EQ(report->jobs_skipped, 2u);
-}
-
-TEST(DagManLocal, ParallelFanOutActuallyConcurrent) {
-  ThreadPool pool(4);
-  DagManLocal dagman(pool);
-  std::atomic<int> running{0};
-  std::atomic<int> peak{0};
-  dagman.register_payload("t", [&](const vds::DagNode&) {
-    const int now = running.fetch_add(1) + 1;
-    int old_peak = peak.load();
-    while (now > old_peak && !peak.compare_exchange_weak(old_peak, now)) {
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    running.fetch_sub(1);
-    return Status::Ok();
-  });
-  vds::Dag dag;
-  for (int i = 0; i < 8; ++i) {
-    vds::DagNode n;
-    n.id = "p" + std::to_string(i);
-    n.type = vds::JobType::kCompute;
-    n.transformation = "t";
-    (void)dag.add_node(n);
-  }
-  auto report = dagman.run(dag);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->workflow_succeeded);
-  EXPECT_GE(peak.load(), 2);  // at least two payloads overlapped
-}
-
-TEST(DagManLocal, TransferAndRegisterHooksRun) {
-  ThreadPool pool(2);
-  DagManLocal dagman(pool);
-  std::atomic<int> transfers{0}, registers{0};
-  dagman.set_transfer_hook([&](const vds::DagNode&) {
-    transfers.fetch_add(1);
-    return Status::Ok();
-  });
-  dagman.set_register_hook([&](const vds::DagNode&) {
-    registers.fetch_add(1);
-    return Status::Ok();
-  });
-  vds::Dag dag;
-  vds::DagNode tx;
-  tx.id = "tx";
-  tx.type = vds::JobType::kTransfer;
-  (void)dag.add_node(tx);
-  vds::DagNode reg;
-  reg.id = "reg";
-  reg.type = vds::JobType::kRegister;
-  (void)dag.add_node(reg);
-  (void)dag.add_edge("tx", "reg");
-  auto report = dagman.run(dag);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(transfers.load(), 1);
-  EXPECT_EQ(registers.load(), 1);
-  EXPECT_EQ(report->transfer_jobs, 1u);
-  EXPECT_EQ(report->register_jobs, 1u);
 }
 
 // ---------------------------------------------------------------------------

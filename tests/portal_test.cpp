@@ -39,18 +39,6 @@ votable::Table tiny_catalog(int n = 3) {
 // transforms (the two "stylesheets")
 // ---------------------------------------------------------------------------
 
-TEST(Transforms, UrlListExtraction) {
-  auto urls = extract_url_list(tiny_catalog(4));
-  ASSERT_TRUE(urls.ok());
-  ASSERT_EQ(urls->size(), 4u);
-  EXPECT_EQ((*urls)[2], "http://img.sim/c?i=2");
-}
-
-TEST(Transforms, UrlListRequiresColumn) {
-  votable::Table t({votable::Field{"id", votable::DataType::kString}});
-  EXPECT_FALSE(extract_url_list(t).ok());
-}
-
 TEST(Transforms, LfnConventions) {
   EXPECT_EQ(image_lfn("A_G1"), "A_G1.fit");
   EXPECT_EQ(result_lfn("A_G1"), "A_G1.txt");
@@ -294,17 +282,6 @@ TEST_F(PortalFixture, FullAnalysisMergesMorphology) {
   EXPECT_EQ(outcome->trace.valid + outcome->trace.invalid, merged.num_rows());
   EXPECT_GT(outcome->trace.polls, 0u);
   EXPECT_GT(outcome->trace.total_ms(), 0.0);
-}
-
-TEST_F(PortalFixture, RegistryPublication) {
-  services::Registry registry;
-  campaign_.portal().publish_to_registry(registry);
-  EXPECT_EQ(registry.size(), 8u);
-  EXPECT_EQ(registry.find_by_capability(services::Capability::kConeSearch).size(), 2u);
-  EXPECT_EQ(registry.find_by_capability(services::Capability::kCompute).size(), 1u);
-  auto dss = registry.resolve("ivo://sim.mast/dss");
-  ASSERT_TRUE(dss.ok());
-  EXPECT_EQ(dss->waveband, "optical");
 }
 
 TEST_F(PortalFixture, CutoutArchiveOutageYieldsInvalidRowsNotFailure) {

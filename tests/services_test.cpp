@@ -1,12 +1,11 @@
 // Tests for the simulated NVO federation layer: URL handling, the HTTP
-// fabric, the Cone Search and SIA protocols, the five Table-1 data centers,
-// and the service registry.
+// fabric, the Cone Search and SIA protocols, and the five Table-1 data
+// centers.
 #include <gtest/gtest.h>
 
 #include "services/cone_search.hpp"
 #include "services/federation.hpp"
 #include "services/http.hpp"
-#include "services/registry.hpp"
 #include "services/sia.hpp"
 #include "sim/universe.hpp"
 #include "votable/votable_io.hpp"
@@ -398,57 +397,6 @@ TEST_F(FederationTest, ArchiveOutageIsIsolated) {
   // NED is unaffected.
   auto ned = cone_search(fabric_, federation_.ned_cone, c.center(), 0.2);
   EXPECT_TRUE(ned.ok());
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-ServiceRecord record(const char* id, Capability cap, const char* band,
-                     double ra = 0.0, double dec = 0.0, double radius = -1.0) {
-  ServiceRecord r;
-  r.identifier = id;
-  r.title = std::string("title of ") + id;
-  r.publisher = "pub";
-  r.capability = cap;
-  r.base_url = "http://x";
-  r.waveband = band;
-  r.coverage_center = {ra, dec};
-  r.coverage_radius_deg = radius;
-  return r;
-}
-
-TEST(Registry, AddAndResolve) {
-  Registry reg;
-  ASSERT_TRUE(reg.add(record("ivo://a", Capability::kConeSearch, "optical")).ok());
-  EXPECT_FALSE(reg.add(record("ivo://a", Capability::kConeSearch, "optical")).ok());
-  EXPECT_TRUE(reg.resolve("ivo://a").ok());
-  EXPECT_FALSE(reg.resolve("ivo://missing").ok());
-}
-
-TEST(Registry, DiscoverByCapabilityCoverageAndBand) {
-  Registry reg;
-  (void)reg.add(record("ivo://allsky", Capability::kSimpleImageAccess, "optical"));
-  (void)reg.add(record("ivo://north", Capability::kSimpleImageAccess, "x-ray",
-                       0.0, 60.0, 30.0));
-  (void)reg.add(record("ivo://cone", Capability::kConeSearch, "optical"));
-
-  auto sia_opt = reg.discover(Capability::kSimpleImageAccess, {0.0, 0.0}, "optical");
-  ASSERT_EQ(sia_opt.size(), 1u);
-  EXPECT_EQ(sia_opt[0].identifier, "ivo://allsky");
-
-  auto sia_north = reg.discover(Capability::kSimpleImageAccess, {0.0, 62.0}, "");
-  EXPECT_EQ(sia_north.size(), 2u);  // all-sky + north coverage
-
-  auto sia_south = reg.discover(Capability::kSimpleImageAccess, {0.0, -62.0}, "x-ray");
-  EXPECT_TRUE(sia_south.empty());
-}
-
-TEST(Registry, KeywordSearchCaseInsensitive) {
-  Registry reg;
-  (void)reg.add(record("ivo://dss", Capability::kSimpleImageAccess, "optical"));
-  EXPECT_EQ(reg.search_keyword("TITLE OF IVO://DSS").size(), 1u);
-  EXPECT_EQ(reg.search_keyword("nomatch").size(), 0u);
 }
 
 }  // namespace

@@ -85,22 +85,6 @@ TEST(Dag, CycleDetected) {
   EXPECT_FALSE(d.topological_order().ok());
 }
 
-TEST(Dag, RemoveNodeSpliceKeepsOrdering) {
-  Dag d = chain3();
-  ASSERT_TRUE(d.remove_node_splice("b").ok());
-  EXPECT_EQ(d.num_nodes(), 2u);
-  // a -> c edge spliced in.
-  EXPECT_EQ(d.children("a"), std::vector<std::string>{"c"});
-}
-
-TEST(Dag, RemoveNodePlain) {
-  Dag d = chain3();
-  ASSERT_TRUE(d.remove_node("b").ok());
-  EXPECT_TRUE(d.children("a").empty());
-  EXPECT_TRUE(d.parents("c").empty());
-  EXPECT_FALSE(d.remove_node("b").ok());
-}
-
 TEST(Dag, ToStringMentionsNodes) {
   const std::string s = chain3().to_string();
   EXPECT_NE(s.find("a"), std::string::npos);

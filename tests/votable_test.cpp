@@ -326,20 +326,5 @@ TEST(TableOps, Project) {
   EXPECT_FALSE(project(right_table(), {"nope"}).ok());
 }
 
-TEST(TableOps, WithColumnComputesAndOverwrites) {
-  Table t = left_table();
-  t = with_column(t, {"double_ra", DataType::kDouble, "", "", ""},
-                  [&](const Row& r, std::size_t) {
-                    return Value::of_double(r[1].as_double().value() * 2.0);
-                  });
-  EXPECT_DOUBLE_EQ(t.cell(2, "double_ra").as_double().value(), 6.0);
-  // Overwrite in place keeps the column count.
-  const std::size_t cols = t.num_columns();
-  t = with_column(t, {"double_ra", DataType::kDouble, "", "", ""},
-                  [](const Row&, std::size_t) { return Value::of_double(0.0); });
-  EXPECT_EQ(t.num_columns(), cols);
-  EXPECT_DOUBLE_EQ(t.cell(0, "double_ra").as_double().value(), 0.0);
-}
-
 }  // namespace
 }  // namespace nvo::votable

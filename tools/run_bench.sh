@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Campaign-scale perf lane: builds the benchmark targets in Release, runs
-# the data-plane benchmarks, and refreshes BENCH_s5.json at the repository
-# root ({"baseline": frozen seed run, "current": fresh run} — same shape as
-# BENCH_a3.json). Fails loudly if campaign throughput regresses more than
+# the data-plane benchmarks, and refreshes BENCH_s5.json and BENCH_a3.json at
+# the repository root (each {"baseline": frozen seed run, "current": fresh
+# run}; the A3 baseline is bench/baselines/bench_a3_seed.json). Fails loudly if campaign throughput regresses more than
 # 10% against the stored baseline, if the VOTable codec hot paths allocate
 # on the heap in steady state, if the pipelined executor absorbs less than
 # 5x of an archive brownout's serial fetch penalty, or if
@@ -54,7 +54,8 @@ METRICS_TMP="$(mktemp)"
 SURVEY_TMP="$(mktemp)"
 PORTAL_TMP="$(mktemp)"
 MULTIPOOL_TMP="$(mktemp)"
-trap 'rm -f "$TMP" "$METRICS_TMP" "$SURVEY_TMP" "$PORTAL_TMP" "$MULTIPOOL_TMP"' EXIT
+A3_TMP="$(mktemp)"
+trap 'rm -f "$TMP" "$METRICS_TMP" "$SURVEY_TMP" "$PORTAL_TMP" "$MULTIPOOL_TMP" "$A3_TMP"' EXIT
 
 echo "=== bench_s5_campaign (NVO_S5_SCALE=$SCALE) ==="
 NVO_S5_SCALE="$SCALE" NVO_S5_METRICS_OUT="$METRICS_TMP" \
@@ -66,7 +67,17 @@ echo "=== bench_fig5_portal ==="
 "$BUILD/bench/bench_fig5_portal"
 
 echo "=== bench_a3_morphology_kernel ==="
-"$BUILD/bench/bench_a3_morphology_kernel"
+"$BUILD/bench/bench_a3_morphology_kernel" \
+  --benchmark_out="$A3_TMP" --benchmark_out_format=json
+
+{
+  printf '{\n"baseline": '
+  cat "$ROOT/bench/baselines/bench_a3_seed.json"
+  printf ',\n"current": '
+  cat "$A3_TMP"
+  printf '}\n'
+} > "$ROOT/BENCH_a3.json"
+echo "wrote $ROOT/BENCH_a3.json"
 
 # The campaign's unified MetricsRegistry snapshot rides along in the report
 # (empty object when the bench binary predates NVO_S5_METRICS_OUT).
