@@ -7,13 +7,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <optional>
 
+#include "bench_common.hpp"
 #include "core/background.hpp"
 #include "core/galmorph.hpp"
 #include "core/morphology.hpp"
@@ -22,40 +21,9 @@
 #include "grid/threadpool.hpp"
 #include "sim/galaxy.hpp"
 
-// ---------------------------------------------------------------------------
-// Heap-allocation counter: replaceable global operator new/delete, so any
-// benchmark can report exact allocations per iteration. Used to demonstrate
-// the asymmetry stage and the steady-state kernel allocation budget.
-// ---------------------------------------------------------------------------
-static std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace {
 
 using namespace nvo;
-
-/// Attaches an exact allocations-per-iteration counter to `state`. Call with
-/// the counter value snapshotted before the benchmark loop.
-void report_allocs(benchmark::State& state, std::uint64_t before) {
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
-  state.counters["heap_allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(after - before) /
-      static_cast<double>(state.iterations()));
-}
 
 // ---------------------------------------------------------------------------
 // Legacy (pre-curve-of-growth) radial query implementations, kept verbatim in
@@ -210,12 +178,12 @@ void BM_MeasureMorphologyBySize(benchmark::State& state) {
   // Warm-up populates the thread-local workspace so the counter reflects the
   // steady state, not first-call buffer growth.
   benchmark::DoNotOptimize(core::measure_morphology(img));
-  const std::uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs = bench::heap_allocs();
   for (auto _ : state) {
     auto params = core::measure_morphology(img);
     benchmark::DoNotOptimize(params);
   }
-  report_allocs(state, allocs);
+  bench::report_allocs(state, allocs);
   state.SetComplexityN(size);
 }
 BENCHMARK(BM_MeasureMorphologyBySize)
@@ -259,13 +227,13 @@ void BM_StageAsymmetry(benchmark::State& state) {
       sim::render_galaxy(make_truth(sim::MorphType::kSpiral, 64), 64, {});
   const auto bg = core::estimate_background(raw);
   const image::Image img = core::subtract_background(raw, bg);
-  const std::uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs = bench::heap_allocs();
   for (auto _ : state) {
     const double a = core::asymmetry_statistic(img, 31.5, 31.5, 18.0);
     benchmark::DoNotOptimize(a);
   }
   // The index-arithmetic rotation touches no heap: this counter must be 0.
-  report_allocs(state, allocs);
+  bench::report_allocs(state, allocs);
 }
 BENCHMARK(BM_StageAsymmetry)->Unit(benchmark::kMicrosecond);
 
@@ -276,12 +244,12 @@ void BM_StageAsymmetryRotateCopy(benchmark::State& state) {
       sim::render_galaxy(make_truth(sim::MorphType::kSpiral, 64), 64, {});
   const auto bg = core::estimate_background(raw);
   const image::Image img = core::subtract_background(raw, bg);
-  const std::uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs = bench::heap_allocs();
   for (auto _ : state) {
     const double a = legacy::asymmetry_statistic(img, 31.5, 31.5, 18.0);
     benchmark::DoNotOptimize(a);
   }
-  report_allocs(state, allocs);
+  bench::report_allocs(state, allocs);
 }
 BENCHMARK(BM_StageAsymmetryRotateCopy)->Unit(benchmark::kMicrosecond);
 
@@ -338,7 +306,7 @@ void BM_RadialQueriesCog(benchmark::State& state) {
   const RadialFixture fx(static_cast<int>(state.range(0)));
   core::CurveOfGrowth cog;
   cog.build(fx.img, fx.cx, fx.cy);  // warm-up sizes the internal buffers
-  const std::uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs = bench::heap_allocs();
   for (auto _ : state) {
     cog.build(fx.img, fx.cx, fx.cy);
     const auto rp = cog.petrosian_radius(0.2, fx.limit);
@@ -349,7 +317,7 @@ void BM_RadialQueriesCog(benchmark::State& state) {
     benchmark::DoNotOptimize(r20);
     benchmark::DoNotOptimize(r80);
   }
-  report_allocs(state, allocs);
+  bench::report_allocs(state, allocs);
 }
 BENCHMARK(BM_RadialQueriesCog)->Arg(64)->Arg(96)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
@@ -454,7 +422,5 @@ BENCHMARK(BM_BatchThreadScaling)->Arg(1)->Arg(2)->Arg(4)
 
 int main(int argc, char** argv) {
   print_a3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return nvo::bench::run_benchmarks(argc, argv);
 }

@@ -3,8 +3,9 @@
 // large (500 MB) and partitioned across the pools' replica catalogs, so a
 // placement that ignores where the bytes live pays the WAN for most jobs.
 // All gated figures are simulated-clock quantities (makespan) or exact
-// transfer accounting (wan_bytes) — deterministic in the seed, so the
-// run_bench.sh gate compares counters, not wall time.
+// transfer accounting (wan_bytes) — deterministic in the seed, so
+// tools/check_bench.py pins them exactly and compares counters, not wall
+// time.
 //
 // The work-stealing scenario pins every replica on one pool (locality then
 // maps every job there) and lets the idle pools pull queued-but-unstarted
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "grid/dagman.hpp"
 #include "pegasus/planner.hpp"
 #include "vds/chimera.hpp"
@@ -181,17 +183,5 @@ BENCHMARK(BM_MultiPoolWorkStealing)->Unit(benchmark::kMillisecond)->Iterations(1
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The distro benchmark library is compiled without NDEBUG and stamps
-  // "library_build_type": "debug" regardless of this binary's flags; restate
-  // provenance from our own build (duplicate key — JSON readers keep the
-  // last one) so tools/run_bench.sh can gate on a release build.
-#ifdef NDEBUG
-  benchmark::AddCustomContext("library_build_type", "release");
-#else
-  benchmark::AddCustomContext("library_build_type", "debug");
-#endif
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return nvo::bench::run_benchmarks(argc, argv);
 }

@@ -14,53 +14,22 @@
 // density-morphology relation rediscovered.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "analysis/campaign.hpp"
+#include "bench_common.hpp"
 #include "obs/metrics.hpp"
 #include "services/federation.hpp"
 #include "votable/table.hpp"
 #include "votable/votable_io.hpp"
 
-// ---------------------------------------------------------------------------
-// Heap-allocation counter (same replaceable-operator pattern as the A3
-// bench): the campaign data plane claims allocation-free VOTable codec hot
-// paths, so the serialize/parse benchmarks report exact allocations per
-// iteration.
-// ---------------------------------------------------------------------------
-static std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace {
 
 using namespace nvo;
-
-void report_allocs(benchmark::State& state, std::uint64_t before) {
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
-  state.counters["heap_allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(after - before) /
-      static_cast<double>(state.iterations()));
-}
 
 /// A morphology-catalog-shaped table (the VOTable that rides every compute
 /// round-trip): short string id, positional/photometric doubles, a validity
@@ -226,7 +195,7 @@ void BM_PipelineOverlap(benchmark::State& state) {
   // fetch latency). Each iteration runs the same seeded campaign clean and
   // browned out and reports
   //   absorption = delta serial fetch bill / delta pipelined sim-seconds
-  // (tools/run_bench.sh gates on >= 5x). The brownout catalogs must equal
+  // (tools/check_bench.py gates on >= 5x). The brownout catalogs must equal
   // the clean ones — a schedule that changed science output would be a
   // bug, not a win.
   const double scale = static_cast<double>(state.range(0)) / 100.0;
@@ -280,12 +249,12 @@ void BM_VotableSerialize(benchmark::State& state) {
   const votable::Table table = make_codec_table(static_cast<std::size_t>(state.range(0)));
   std::string xml;
   votable::to_votable_xml(table, xml);  // warm the buffer outside the loop
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = bench::heap_allocs();
   for (auto _ : state) {
     votable::to_votable_xml(table, xml);
     benchmark::DoNotOptimize(xml.data());
   }
-  report_allocs(state, before);
+  bench::report_allocs(state, before);
   state.SetBytesProcessed(static_cast<std::int64_t>(xml.size() * state.iterations()));
 }
 BENCHMARK(BM_VotableSerialize)->Arg(512)->Unit(benchmark::kMicrosecond);
@@ -302,12 +271,12 @@ void BM_VotableParse(benchmark::State& state) {
     state.SkipWithError(status.error().to_string().c_str());
     return;
   }
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = bench::heap_allocs();
   for (auto _ : state) {
     (void)reader.read(xml, parsed);
     benchmark::DoNotOptimize(parsed.num_rows());
   }
-  report_allocs(state, before);
+  bench::report_allocs(state, before);
   state.SetBytesProcessed(static_cast<std::int64_t>(xml.size() * state.iterations()));
 }
 BENCHMARK(BM_VotableParse)->Arg(512)->Unit(benchmark::kMicrosecond);
@@ -316,28 +285,6 @@ BENCHMARK(BM_VotableParse)->Arg(512)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
   print_s5();
-#if defined(__AVX512F__)
-  benchmark::AddCustomContext("simd_width", "512-bit (avx512f)");
-#elif defined(__AVX2__)
-  benchmark::AddCustomContext("simd_width", "256-bit (avx2)");
-#elif defined(__SSE2__) || defined(__x86_64__)
-  benchmark::AddCustomContext("simd_width", "128-bit (sse2)");
-#else
-  benchmark::AddCustomContext("simd_width", "scalar");
-#endif
   benchmark::AddCustomContext("campaign_compute_threads", "2");
-  // The distro-packaged benchmark library is compiled without NDEBUG, so its
-  // JSON reporter stamps "library_build_type": "debug" into every context no
-  // matter how THIS binary was built. Re-state provenance from our own build
-  // flags: custom context entries are emitted after the library's, and JSON
-  // readers keep the last duplicate key, so the release gate in
-  // tools/run_bench.sh sees this value.
-#ifdef NDEBUG
-  benchmark::AddCustomContext("library_build_type", "release");
-#else
-  benchmark::AddCustomContext("library_build_type", "debug");
-#endif
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return nvo::bench::run_benchmarks(argc, argv);
 }

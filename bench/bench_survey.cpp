@@ -2,62 +2,29 @@
 // (lazy cluster realization -> SoA kernel -> spill runs -> k-way merge)
 // measured in galaxies/second at 2x10^4 and 10^5, next to the §5 campaign
 // data plane it must beat by >= 3x, plus a steady-state allocation audit of
-// the merge inner loop (heap counters, same replaceable-operator pattern as
-// the A3/S5 benches).
+// the merge inner loop (alloc_counter.cpp).
 //
-// tools/run_bench.sh runs this binary, writes BENCH_survey.json, and gates
-// on: >10% throughput regression vs the checked-in baseline, the 3x
-// campaign multiple, zero merge-inner-loop allocations, and flat RSS
-// between the two survey sizes.
+// tools/run_bench.sh writes this binary's output to BENCH_survey.json, and
+// tools/check_bench.py gates on the 3x campaign multiple (a ratio within
+// one run), zero merge-inner-loop allocations, and flat RSS between the two
+// survey sizes.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/campaign.hpp"
 #include "analysis/survey.hpp"
+#include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "votable/votable_io.hpp"
-
-static std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
 using namespace nvo;
-
-/// Compile-time SIMD width of this build (what -march resolved to).
-const char* simd_width() {
-#if defined(__AVX512F__)
-  return "512-bit (avx512f)";
-#elif defined(__AVX2__)
-  return "256-bit (avx2)";
-#elif defined(__SSE2__) || defined(__x86_64__)
-  return "128-bit (sse2)";
-#else
-  return "scalar";
-#endif
-}
 
 std::size_t survey_threads() {
   if (const char* env = std::getenv("NVO_THREADS")) {
@@ -205,15 +172,15 @@ void BM_SurveyMergeSteadyState(benchmark::State& state) {
   };
   merge_once(ptrs2x);  // warm row/line buffers to their steady-state sizes
 
-  const std::uint64_t a0 = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = bench::heap_allocs();
   merge_once(ptrs);
-  const std::uint64_t a1 = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a1 = bench::heap_allocs();
   merge_once(ptrs2x);
-  const std::uint64_t a2 = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a2 = bench::heap_allocs();
   const auto inner_allocs =
       static_cast<double>(a2 - a1) - static_cast<double>(a1 - a0);
 
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = bench::heap_allocs();
   for (auto _ : state) {
     merge_once(ptrs);
     benchmark::DoNotOptimize(xml.data());
@@ -224,10 +191,7 @@ void BM_SurveyMergeSteadyState(benchmark::State& state) {
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * kRuns * rows_per_run));
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
-  state.counters["heap_allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(after - before) /
-      static_cast<double>(state.iterations()));
+  bench::report_allocs(state, before);
   state.counters["merge_inner_allocs"] = benchmark::Counter(inner_allocs);
 }
 BENCHMARK(BM_SurveyMergeSteadyState)->Arg(256)->Unit(benchmark::kMillisecond);
@@ -235,22 +199,7 @@ BENCHMARK(BM_SurveyMergeSteadyState)->Arg(256)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::AddCustomContext("simd_width", simd_width());
   benchmark::AddCustomContext("survey_compute_threads",
                               std::to_string(survey_threads()));
-  benchmark::AddCustomContext(
-      "hardware_threads",
-      std::to_string(std::thread::hardware_concurrency()));
-  // The distro benchmark library is compiled without NDEBUG and stamps
-  // "library_build_type": "debug" regardless of this binary's flags; restate
-  // provenance from our own build (duplicate key — JSON readers keep the
-  // last one) so tools/run_bench.sh can gate on a release build.
-#ifdef NDEBUG
-  benchmark::AddCustomContext("library_build_type", "release");
-#else
-  benchmark::AddCustomContext("library_build_type", "debug");
-#endif
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return nvo::bench::run_benchmarks(argc, argv);
 }

@@ -58,7 +58,6 @@ Campaign::Campaign(CampaignConfig config) : config_(config) {
   scfg.abort_after_nodes = config_.chaos.kill_after_node_completions();
   scfg.failure.site_outage_at_s = config_.chaos.site_outages();
   scfg.rescue_rounds = config_.rescue_rounds;
-  scfg.work_stealing = config_.work_stealing;
   scfg.hedge_stage_ins = config_.hedge_stage_ins;
   if (!federation_.mirror_host.empty()) {
     scfg.mirrors[services::Federation::kMastHost] = federation_.mirror_host;

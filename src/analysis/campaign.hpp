@@ -63,9 +63,6 @@ struct CampaignConfig {
   /// site-outage chaos scripted, each round re-maps the unfinished portion
   /// onto surviving pools (see ChaosSchedule::site_outage).
   std::size_t rescue_rounds = 0;
-  /// Straggler rebalancing: idle pools pull queued-but-unstarted jobs from
-  /// backlogged ones in the simulated executor.
-  bool work_stealing = false;
   /// Hedged stage-ins: slow archive fetches are re-issued against the
   /// mirror after a quantile-derived delay, first verified success wins
   /// (portal::ComputeServiceConfig::hedge_stage_ins).

@@ -54,7 +54,6 @@ struct PlannerConfig {
   bool register_outputs = true;     ///< add RLS registration nodes
   bool stage_out = true;            ///< deliver final outputs to output_site
   std::string output_site = "user"; ///< the "user-specified location U" of Fig. 4
-  std::size_t default_output_bytes = 4 * 1024;  ///< size estimate for new products
   /// kDataLocality: seconds of stage-in a site may cost before one unit of
   /// load (a full slot's worth of assignments, or 100% MDS pressure) makes
   /// a farther site preferable.

@@ -13,6 +13,8 @@ namespace {
 const std::vector<double> kLatencyBoundsMs = {50,     100,    200,   500,   1000,
                                               2000,   5000,   10000, 20000, 50000,
                                               100000, 200000, 500000};
+/// Admission byte estimate per request (queued-bytes budget accounting).
+constexpr std::size_t kEstimatedRequestBytes = 96 * 1024;
 }  // namespace
 
 const char* to_string(RequestState state) {
@@ -145,13 +147,11 @@ Submission AsyncPortal::submit(const std::string& tenant_name,
   // The absolute deadline is fixed HERE, at submission — every layer below
   // computes its remaining budget against this instant, so queue time counts
   // against the SLO just like service time does.
-  const double budget =
-      deadline_ms > 0.0 ? deadline_ms : config_.default_deadline_ms;
-  req.ctx.budget = services::DeadlineBudget::after(req.submit_ms, budget);
+  req.ctx.budget = services::DeadlineBudget::after(req.submit_ms, deadline_ms);
   out.id = req.id;
 
   const auto decision =
-      admission_.offer(tenant_name, config_.estimated_request_bytes);
+      admission_.offer(tenant_name, kEstimatedRequestBytes);
   if (!decision.admitted) {
     // Explicit shed: instantaneous, with a congestion-scaled retry-after.
     // The record stays poll-able so the client sees WHY it was turned away.
@@ -525,7 +525,7 @@ void AsyncPortal::finish(Tenant& tenant, Request& req, RequestState state) {
 void AsyncPortal::release_admission(Request& req) {
   if (!req.admission_held) return;
   req.admission_held = false;
-  admission_.release(req.tenant, config_.estimated_request_bytes);
+  admission_.release(req.tenant, kEstimatedRequestBytes);
 }
 
 void AsyncPortal::refresh_activation(Tenant& tenant) {

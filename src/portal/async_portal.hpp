@@ -69,8 +69,6 @@ struct AsyncPortalConfig {
   /// entries silently fall back to a full derivation. Small budgets are a
   /// legitimate configuration — the eviction callback keeps accounting.
   services::ReplicaCacheConfig memo_cache{8ull << 20, 1};
-  /// Admission byte estimate per request (queued-bytes budget accounting).
-  std::size_t estimated_request_bytes = 96 * 1024;
   /// Shed, expired and cancelled requests stay poll-able (terminal state +
   /// retry-after), but only the most recent this-many such records are
   /// retained — under sustained overload the reject/abandon path must stay
@@ -78,12 +76,6 @@ struct AsyncPortalConfig {
   /// afterwards). All three terminal kinds share ONE bounded ring. 0 keeps
   /// every record.
   std::size_t shed_record_limit = 1024;
-  /// Default end-to-end deadline budget (simulated ms from submit) applied
-  /// when submit() passes none. <= 0 means unbounded. The budget rides the
-  /// request through federation queries, staging fetches (clamping retry
-  /// backoff), and workflow dispatch; when it runs out the request finishes
-  /// kExpired with whatever partial results were built.
-  double default_deadline_ms = 0.0;
   /// Floor on the simulated cost charged to a tenant per scheduling unit,
   /// so zero-fabric-cost units (local merges, scheduling decisions) still
   /// rotate the round robin.
@@ -169,8 +161,11 @@ class AsyncPortal {
   /// tenant's FIFO queue; a shed one gets an explicit reason + retry-after
   /// (and remains poll-able in state kShed). `params` tags the derivation
   /// variant — the memoization key is (cluster, params). `deadline_ms` is
-  /// the end-to-end budget in simulated ms from now (<= 0 falls back to
-  /// AsyncPortalConfig::default_deadline_ms; both <= 0 means unbounded).
+  /// the end-to-end budget in simulated ms from now (<= 0 means unbounded).
+  /// The budget rides the request through federation queries, staging
+  /// fetches (clamping retry backoff) and workflow dispatch; when it runs
+  /// out the request finishes kExpired with whatever partial results were
+  /// built.
   Submission submit(const std::string& tenant, const std::string& cluster,
                     const std::string& params = "", double deadline_ms = 0.0);
 

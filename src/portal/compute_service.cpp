@@ -802,13 +802,6 @@ Status MorphologyService::execute_workflow(Request& rq) {
     }
     dagman.set_deadline_s(rq.ctx.budget.remaining_ms(fabric_.now_ms()) / 1000.0);
   }
-  if (config_.work_stealing) {
-    dagman.set_work_stealing(true);
-    // A thief pool can only take jobs whose transformation it has installed.
-    dagman.set_steal_filter([this](const vds::DagNode& n, const std::string& site) {
-      return tc_.lookup_at(n.transformation, site).ok();
-    });
-  }
   // Each compute node becomes dispatchable the moment its data lands, while
   // other galaxies are still in flight. Only the timeline depends on this;
   // the per-(node, attempt) failure draws are schedule-invariant.

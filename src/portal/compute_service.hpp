@@ -86,10 +86,6 @@ struct ComputeServiceConfig {
   /// re-maps it off any pools the executor has latched dead (site-outage
   /// chaos), and reruns it on the same sim engine.
   std::size_t rescue_rounds = 0;
-  /// Straggler rebalancing in the simulated executor: idle pools pull
-  /// queued-but-unstarted jobs from backlogged ones, gated on the thief
-  /// site having the transformation installed (TC lookup).
-  bool work_stealing = false;
   /// Hedged stage-ins: once enough fetch durations have been observed, a
   /// fetch slower than the hedge delay — the 0.75 quantile of a
   /// service-level rolling window of primary durations (learned across

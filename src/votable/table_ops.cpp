@@ -193,46 +193,4 @@ Table select(const Table& table, const std::function<bool(const Row&)>& predicat
   return out;
 }
 
-Expected<Table> sort_by(const Table& table, const std::string& column, bool ascending) {
-  const auto idx = table.column_index(column);
-  if (!idx) return Error(ErrorCode::kNotFound, "sort column '" + column + "'");
-  std::vector<std::size_t> order(table.num_rows());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const auto va = table.row(a)[*idx].as_number();
-    const auto vb = table.row(b)[*idx].as_number();
-    if (!va && !vb) return false;
-    if (!va) return false;  // nulls last regardless of direction
-    if (!vb) return true;
-    return ascending ? *va < *vb : *va > *vb;
-  });
-  Table out(table.fields());
-  out.name = table.name;
-  out.description = table.description;
-  out.reserve_rows(table.num_rows());
-  for (std::size_t i : order) (void)out.append_row(table.row(i));
-  return out;
-}
-
-Expected<Table> project(const Table& table, const std::vector<std::string>& columns) {
-  std::vector<std::size_t> idx;
-  std::vector<Field> fields;
-  for (const std::string& name : columns) {
-    const auto i = table.column_index(name);
-    if (!i) return Error(ErrorCode::kNotFound, "project column '" + name + "'");
-    idx.push_back(*i);
-    fields.push_back(table.fields()[*i]);
-  }
-  Table out(std::move(fields));
-  out.name = table.name;
-  out.reserve_rows(table.num_rows());
-  for (const Row& r : table.rows()) {
-    Row row;
-    row.reserve(idx.size());
-    for (std::size_t i : idx) row.push_back(r[i]);
-    (void)out.append_row(std::move(row));
-  }
-  return out;
-}
-
 }  // namespace nvo::votable

@@ -40,12 +40,4 @@ Expected<Table> vstack_all(std::vector<Table> parts);
 /// Rows satisfying the predicate.
 Table select(const Table& table, const std::function<bool(const Row&)>& predicate);
 
-/// Stable sort by a numeric column (ascending by default). Null cells sort
-/// last.
-Expected<Table> sort_by(const Table& table, const std::string& column,
-                        bool ascending = true);
-
-/// Projection onto a subset of columns, in the given order.
-Expected<Table> project(const Table& table, const std::vector<std::string>& columns);
-
 }  // namespace nvo::votable

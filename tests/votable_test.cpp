@@ -1,5 +1,5 @@
 // Tests for the XML substrate, the typed table model, VOTable round-trips,
-// and the generic table operations (join/vstack/select/sort/project).
+// and the generic table operations (join/vstack/select).
 #include <gtest/gtest.h>
 
 #include "votable/table.hpp"
@@ -300,30 +300,6 @@ TEST(TableOps, SelectFilters) {
   const auto ra = t.column_index("ra").value();
   const Table s = select(t, [&](const Row& r) { return r[ra].as_double() > 1.5; });
   EXPECT_EQ(s.num_rows(), 2u);
-}
-
-TEST(TableOps, SortAscendingDescendingNullsLast) {
-  Table t({Field{"x", DataType::kDouble}});
-  (void)t.append_row({Value::of_double(3)});
-  (void)t.append_row({Value()});
-  (void)t.append_row({Value::of_double(1)});
-  auto asc = sort_by(t, "x", true);
-  ASSERT_TRUE(asc.ok());
-  EXPECT_DOUBLE_EQ(asc->cell(0, "x").as_double().value(), 1.0);
-  EXPECT_TRUE(asc->cell(2, "x").is_null());
-  auto desc = sort_by(t, "x", false);
-  ASSERT_TRUE(desc.ok());
-  EXPECT_DOUBLE_EQ(desc->cell(0, "x").as_double().value(), 3.0);
-  EXPECT_TRUE(desc->cell(2, "x").is_null());
-}
-
-TEST(TableOps, Project) {
-  auto p = project(right_table(), {"v", "key"});
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p->num_columns(), 2u);
-  EXPECT_EQ(p->fields()[0].name, "v");
-  EXPECT_EQ(p->cell(0, "key").as_string().value(), "a");
-  EXPECT_FALSE(project(right_table(), {"nope"}).ok());
 }
 
 }  // namespace

@@ -1,525 +1,63 @@
 #!/usr/bin/env sh
-# Campaign-scale perf lane: builds the benchmark targets in Release, runs
-# the data-plane benchmarks, and refreshes BENCH_s5.json and BENCH_a3.json at
-# the repository root (each {"baseline": frozen seed run, "current": fresh
-# run}; the A3 baseline is bench/baselines/bench_a3_seed.json). Fails loudly if campaign throughput regresses more than
-# 10% against the stored baseline, if the VOTable codec hot paths allocate
-# on the heap in steady state, if the pipelined executor absorbs less than
-# 5x of an archive brownout's serial fetch penalty, or if
-# the emitted JSON context does not report a release build (each bench main
-# restates "library_build_type" from its own NDEBUG flag because the distro
-# libbenchmark bakes in "debug").
+# Writes the benchmark ledger: builds the five ledger benches in Release,
+# runs each once, writes its google-benchmark JSON to BENCH_<lane>.json at
+# the repository root (a3, s5, survey, portal, multipool), and checks the
+# result with tools/check_bench.py, which prints every host-independent
+# invariant and every pinned sim-clock counter. Each bench stamps its own
+# provenance (git sha, build type, SIMD width, hardware threads) into the
+# JSON context; this script also requires the recorded num_cpus to equal
+# nproc. BENCH_s5.json carries the campaign's metrics snapshot under
+# "metrics". Wall-clock speed is judged by perfbench's parent/change pairs,
+# not here. The survey lane takes a few minutes.
 #
-# Also runs the survey lane (bench_survey -> BENCH_survey.json) and gates
-# on: >10% regression vs bench/baselines/bench_survey_seed.json, streaming
-# survey throughput >= 3x the campaign data plane at 10^5 galaxies, flat
-# RSS between 2x10^4 and 10^5, and a zero-allocation merge inner loop.
-#
-# The multi-pool lane (bench_multipool -> BENCH_multipool.json) compares
-# random vs load-aware vs locality-aware site selection on a three-pool grid
-# with an explicit link matrix, plus the work-stealing rebalance scenario.
-# Gates: locality beats random on BOTH simulated makespan and WAN bytes
-# (the deltas are written into BENCH_multipool.json), stealing beats the
-# no-steal pin, and no counter regresses >10% vs the frozen seed. All gated
-# figures are sim-clock/accounting counters — deterministic across hosts.
-#
-# And the portal lane (bench_portal -> BENCH_portal.json): the multi-tenant
-# async portal under 1x/2x/5x overload. Gates on >10% p99-latency or goodput
-# regression vs bench/baselines/bench_portal_seed.json, a non-zero shed rate
-# at 5x, recomputes < requests (cross-request memoization), deadline
-# attainment >= 90% for the SLO tenants at 1x, and — on the hedged stage-in
-# sweep — hedged p99 strictly below unhedged on the identical workload with
-# WAN-byte inflation bounded by the hedge rate. Those figures are
-# simulated-clock quantities — deterministic across hosts — so the gate
-# compares counters, not wall time.
-#
-# Usage: tools/run_bench.sh [extra google-benchmark flags for bench_s5_campaign]
-#   BUILD_DIR=<dir>     Release build tree (default: <repo>/build-release)
-#   NVO_S5_SCALE=<f>    campaign population scale (default 0.1, matches the
-#                       frozen baseline run in bench/baselines/bench_s5_seed.json)
+# Usage: tools/run_bench.sh
+#   BUILD_DIR=<dir>   Release build tree (default: <repo>/build-release)
 set -e
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-release}"
-SCALE="${NVO_S5_SCALE:-0.1}"
 
 cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD" -j \
-  --target bench_s5_campaign --target bench_fig5_portal \
-  --target bench_a3_morphology_kernel --target bench_survey \
-  --target bench_portal --target bench_multipool
+cmake --build "$BUILD" -j "$(nproc)" \
+  --target bench_a3_morphology_kernel --target bench_s5_campaign \
+  --target bench_survey --target bench_portal --target bench_multipool
 
-TMP="$(mktemp)"
 METRICS_TMP="$(mktemp)"
-SURVEY_TMP="$(mktemp)"
-PORTAL_TMP="$(mktemp)"
-MULTIPOOL_TMP="$(mktemp)"
-A3_TMP="$(mktemp)"
-trap 'rm -f "$TMP" "$METRICS_TMP" "$SURVEY_TMP" "$PORTAL_TMP" "$MULTIPOOL_TMP" "$A3_TMP"' EXIT
+S5_TMP="$(mktemp)"
+trap 'rm -f "$METRICS_TMP" "$S5_TMP"' EXIT
 
-echo "=== bench_s5_campaign (NVO_S5_SCALE=$SCALE) ==="
-NVO_S5_SCALE="$SCALE" NVO_S5_METRICS_OUT="$METRICS_TMP" \
-  "$BUILD/bench/bench_s5_campaign" \
-  --benchmark_min_time=0.5 \
-  --benchmark_out="$TMP" --benchmark_out_format=json "$@"
+run() {  # run <lane> <binary> [flags...]: one run -> BENCH_<lane>.json
+  lane="$1"
+  bin="$2"
+  shift 2
+  echo "=== $bin -> BENCH_$lane.json ==="
+  "$BUILD/bench/$bin" "$@" \
+    --benchmark_out="$ROOT/BENCH_$lane.json" --benchmark_out_format=json
+}
 
-echo "=== bench_fig5_portal ==="
-"$BUILD/bench/bench_fig5_portal"
+run a3 bench_a3_morphology_kernel
+NVO_S5_SCALE=0.1 NVO_S5_METRICS_OUT="$METRICS_TMP" \
+  run s5 bench_s5_campaign --benchmark_min_time=0.5
+run survey bench_survey
+run portal bench_portal
+run multipool bench_multipool
 
-echo "=== bench_a3_morphology_kernel ==="
-"$BUILD/bench/bench_a3_morphology_kernel" \
-  --benchmark_out="$A3_TMP" --benchmark_out_format=json
-
+# The campaign's MetricsRegistry snapshot rides along in BENCH_s5.json: drop
+# the closing brace of the run's JSON object and append the "metrics" key.
+mv "$ROOT/BENCH_s5.json" "$S5_TMP"
 {
-  printf '{\n"baseline": '
-  cat "$ROOT/bench/baselines/bench_a3_seed.json"
-  printf ',\n"current": '
-  cat "$A3_TMP"
-  printf '}\n'
-} > "$ROOT/BENCH_a3.json"
-echo "wrote $ROOT/BENCH_a3.json"
-
-# The campaign's unified MetricsRegistry snapshot rides along in the report
-# (empty object when the bench binary predates NVO_S5_METRICS_OUT).
-[ -s "$METRICS_TMP" ] || printf '{}' > "$METRICS_TMP"
-{
-  printf '{\n"baseline": '
-  cat "$ROOT/bench/baselines/bench_s5_seed.json"
-  printf ',\n"current": '
-  cat "$TMP"
+  sed '$d' "$S5_TMP"
   printf ',\n"metrics": '
   cat "$METRICS_TMP"
-  printf '}\n'
+  printf '\n}\n'
 } > "$ROOT/BENCH_s5.json"
-echo "wrote $ROOT/BENCH_s5.json"
 
-python3 - "$ROOT/BENCH_s5.json" <<'EOF'
-import json
-import sys
+python3 "$ROOT/tools/check_bench.py" "$ROOT"/BENCH_a3.json "$ROOT"/BENCH_s5.json \
+  "$ROOT"/BENCH_survey.json "$ROOT"/BENCH_portal.json "$ROOT"/BENCH_multipool.json
 
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-def by_name(run):
-    return {b["name"]: b for b in run["benchmarks"]}
-
-baseline = by_name(doc["baseline"])
-current = by_name(doc["current"])
-failures = []
-
-# Provenance: the numbers are meaningless from a debug build. The bench
-# binary restates library_build_type from its own NDEBUG flag (the distro
-# libbenchmark always says "debug"); json.load keeps the last duplicate key,
-# so this reads the binary's value. Only the CURRENT run is gated — the
-# frozen baseline predates the override.
-build_type = doc["current"].get("context", {}).get("library_build_type")
-if build_type != "release":
-    failures.append(
-        f"current run context reports library_build_type={build_type!r}, "
-        "expected 'release' — rerun via tools/run_bench.sh (Release build)")
-
-print(f"{'benchmark':<28} {'baseline':>12} {'current':>12} {'speedup':>8}")
-for name, base in baseline.items():
-    cur = current.get(name)
-    if cur is None:
-        failures.append(f"{name}: present in baseline but missing from current run")
-        continue
-    if "items_per_second" in base:  # throughput: higher is better
-        b, c = base["items_per_second"], cur["items_per_second"]
-        ratio = c / b
-        unit = "items/s"
-    else:  # latency: lower is better
-        b, c = base["real_time"], cur["real_time"]
-        ratio = b / c
-        unit = base["time_unit"]
-    print(f"{name:<28} {b:>12.1f} {c:>12.1f} {ratio:>7.2f}x  ({unit})")
-    if ratio < 0.9:
-        failures.append(f"{name}: >10% regression vs baseline ({ratio:.2f}x)")
-
-for name in ("BM_VotableSerialize/512", "BM_VotableParse/512"):
-    allocs = current[name].get("heap_allocs_per_iter", -1)
-    if allocs != 0:
-        failures.append(f"{name}: heap_allocs_per_iter = {allocs}, expected 0")
-
-ratio = (current["BM_CampaignThroughput/15"]["items_per_second"]
-         / baseline["BM_CampaignThroughput/15"]["items_per_second"])
-print(f"\ncampaign throughput: {ratio:.2f}x the seed baseline")
-
-# Pipelined-dataflow gate: a 250 sim-ms archive brownout grows the serial
-# fetch bill (sum of image_fetch_sim_ms) by the penalty a phase-barriered
-# executor would pay in full; the pipelined executor must absorb it, its
-# end-to-end sim-seconds growing by at most a fifth of that. Both deltas are
-# sim-clock quantities, deterministic in the seed — any drop is a real
-# scheduling regression, not host noise.
-overlap = current.get("BM_PipelineOverlap/5")
-if overlap is None:
-    failures.append("BM_PipelineOverlap/5: missing from current run")
-else:
-    absorption = overlap.get("absorption", 0.0)
-    serial = (overlap.get("brownout_fetch_sim_seconds", 0.0)
-              - overlap.get("clean_fetch_sim_seconds", 0.0))
-    pipelined = (overlap.get("brownout_sim_seconds", 0.0)
-                 - overlap.get("clean_sim_seconds", 0.0))
-    print(f"brownout penalty absorption: {absorption:.2f}x (serial fetch bill "
-          f"+{serial:.2f}s, pipelined end-to-end +{pipelined:.2f}s simulated)")
-    if absorption < 5.0:
-        failures.append(
-            f"BM_PipelineOverlap/5: absorption = {absorption:.2f}x, "
-            "need >= 5x of the serial brownout penalty")
-
-if failures:
-    print("\nFAIL:", file=sys.stderr)
-    for f in failures:
-        print(f"  {f}", file=sys.stderr)
-    sys.exit(1)
-print("OK: no benchmark regressed >10%; codec hot paths are allocation-free")
-EOF
-
-# --- Survey lane: streaming 10^5-galaxy throughput vs the campaign data ---
-# plane, flat-RSS check, and the merge inner loop's zero-allocation audit.
-echo "=== bench_survey ==="
-"$BUILD/bench/bench_survey" \
-  --benchmark_out="$SURVEY_TMP" --benchmark_out_format=json
-
-{
-  printf '{\n"baseline": '
-  cat "$ROOT/bench/baselines/bench_survey_seed.json"
-  printf ',\n"current": '
-  cat "$SURVEY_TMP"
-  printf '}\n'
-} > "$ROOT/BENCH_survey.json"
-echo "wrote $ROOT/BENCH_survey.json"
-
-python3 - "$ROOT/BENCH_survey.json" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-def by_name(run):
-    # Strip google-benchmark run-option suffixes ("/iterations:1") so names
-    # stay stable if iteration pinning changes.
-    out = {}
-    for b in run["benchmarks"]:
-        name = "/".join(p for p in b["name"].split("/") if ":" not in p)
-        out[name] = b
-    return out
-
-baseline = by_name(doc["baseline"])
-current = by_name(doc["current"])
-failures = []
-
-# Same release-provenance gate as the s5 lane (current run only).
-build_type = doc["current"].get("context", {}).get("library_build_type")
-if build_type != "release":
-    failures.append(
-        f"current run context reports library_build_type={build_type!r}, "
-        "expected 'release' — rerun via tools/run_bench.sh (Release build)")
-
-print(f"{'benchmark':<32} {'baseline':>12} {'current':>12} {'speedup':>8}")
-for name, base in baseline.items():
-    cur = current.get(name)
-    if cur is None:
-        failures.append(f"{name}: present in baseline but missing from current run")
-        continue
-    if "items_per_second" in base:
-        b, c = base["items_per_second"], cur["items_per_second"]
-        ratio = c / b
-        unit = "items/s"
-    else:
-        b, c = base["real_time"], cur["real_time"]
-        ratio = b / c
-        unit = base["time_unit"]
-    print(f"{name:<32} {b:>12.1f} {c:>12.1f} {ratio:>7.2f}x  ({unit})")
-    # The merge microbench runs ~25 ms and its wall time swings with host
-    # load; its durable contract is the merge_inner_allocs == 0 gate below,
-    # not throughput. The multi-minute streaming legs are the stable timing
-    # signal, and they carry the regression gate.
-    if ratio < 0.9 and name != "BM_SurveyMergeSteadyState/256":
-        failures.append(f"{name}: >10% regression vs baseline ({ratio:.2f}x)")
-
-survey = current["BM_SurveyStreaming/100000"]
-small = current["BM_SurveyStreaming/20000"]
-campaign = current["BM_CampaignBaseline"]
-merge = current["BM_SurveyMergeSteadyState/256"]
-
-multiple = survey["items_per_second"] / campaign["items_per_second"]
-print(f"\nsurvey throughput at 10^5: {survey['items_per_second']:.0f} gal/s "
-      f"= {multiple:.1f}x the campaign data plane "
-      f"({campaign['items_per_second']:.0f} gal/s)")
-if multiple < 3.0:
-    failures.append(
-        f"survey throughput only {multiple:.2f}x campaign baseline, need >= 3x")
-
-rss_small = small.get("vm_rss_end_kb", 0)
-rss_large = survey.get("vm_rss_end_kb", 0)
-print(f"survey RSS after run: {rss_small:.0f} kB at 2x10^4, "
-      f"{rss_large:.0f} kB at 10^5")
-if rss_small <= 0 or rss_large <= 0:
-    print("  (procfs unavailable; RSS gate skipped)")
-elif rss_large >= 2.0 * rss_small:
-    failures.append(
-        f"peak RSS not flat: {rss_large:.0f} kB at 10^5 vs "
-        f"{rss_small:.0f} kB at 2x10^4 (>= 2x)")
-
-inner = merge.get("merge_inner_allocs", -1)
-if inner != 0:
-    failures.append(f"merge inner loop allocates: merge_inner_allocs = {inner}")
-
-if failures:
-    print("\nFAIL:", file=sys.stderr)
-    for f in failures:
-        print(f"  {f}", file=sys.stderr)
-    sys.exit(1)
-print("OK: survey lane >= 3x campaign, flat RSS, allocation-free merge loop")
-EOF
-
-# --- Portal lane: the multi-tenant async portal under 1x/2x/5x overload ---
-echo "=== bench_portal ==="
-"$BUILD/bench/bench_portal" \
-  --benchmark_out="$PORTAL_TMP" --benchmark_out_format=json
-
-{
-  printf '{\n"baseline": '
-  cat "$ROOT/bench/baselines/bench_portal_seed.json"
-  printf ',\n"current": '
-  cat "$PORTAL_TMP"
-  printf '}\n'
-} > "$ROOT/BENCH_portal.json"
-echo "wrote $ROOT/BENCH_portal.json"
-
-python3 - "$ROOT/BENCH_portal.json" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-def by_name(run):
-    out = {}
-    for b in run["benchmarks"]:
-        name = "/".join(p for p in b["name"].split("/") if ":" not in p)
-        out[name] = b
-    return out
-
-baseline = by_name(doc["baseline"])
-current = by_name(doc["current"])
-failures = []
-
-# Same release-provenance gate as the s5 lane (current run only).
-build_type = doc["current"].get("context", {}).get("library_build_type")
-if build_type != "release":
-    failures.append(
-        f"current run context reports library_build_type={build_type!r}, "
-        "expected 'release' — rerun via tools/run_bench.sh (Release build)")
-
-# The overload sweep reports simulated-clock latency/goodput counters, which
-# are deterministic in the seed: any drift is a real behavior change. The
-# wall-time of the sweep (and the shed-decision microbench) is host noise
-# and carries no gate.
-print(f"{'overload':>8} {'p50_ms':>10} {'p99_ms':>10} {'goodput/s':>10} "
-      f"{'shed%':>6} {'recompute':>9}")
-for arg in ("1", "2", "5"):
-    name = f"BM_PortalOverload/{arg}"
-    base, cur = baseline.get(name), current.get(name)
-    if cur is None or base is None:
-        failures.append(f"{name}: missing from {'current' if base else 'baseline'} run")
-        continue
-    print(f"{arg + 'x':>8} {cur['p50_ms']:>10.1f} {cur['p99_ms']:>10.1f} "
-          f"{cur['goodput_per_s']:>10.3f} {100 * cur['shed_rate']:>5.1f} "
-          f"{cur['recomputes']:>9.0f}")
-    if cur["p99_ms"] > 1.10 * base["p99_ms"]:
-        failures.append(
-            f"{name}: p99 regressed >10% ({base['p99_ms']:.1f} -> {cur['p99_ms']:.1f} ms)")
-    if cur["goodput_per_s"] < 0.90 * base["goodput_per_s"]:
-        failures.append(
-            f"{name}: goodput regressed >10% "
-            f"({base['goodput_per_s']:.3f} -> {cur['goodput_per_s']:.3f}/s)")
-    if cur["recomputes"] >= cur["requests"]:
-        failures.append(
-            f"{name}: memoization inert — {cur['recomputes']:.0f} recomputes "
-            f"for {cur['requests']:.0f} requests")
-
-deep = current.get("BM_PortalOverload/5", {})
-if deep.get("shed_rate", 0.0) <= 0.0:
-    failures.append("BM_PortalOverload/5: no load shed at 5x overload")
-
-# Deadline attainment for the tenants carrying an SLO. Attainment is
-# client-centric: shed requests count against it (no catalog inside the
-# budget either way), and the bursty arrival process sheds a few requests
-# even at 1x, so the nominal floor is 80%. The sweep's budgets are generous
-# multiples of the calibrated service time, so at 1x the budget machinery
-# itself must never expire a request — an expiry there means the plumbing
-# is eating latency. Overloaded points report attainment but carry no
-# floor: expiring instead of queueing forever is the designed behavior.
-for arg in ("1", "2", "5"):
-    cur = current.get(f"BM_PortalOverload/{arg}")
-    if cur is None or "deadline_attainment" not in cur:
-        continue
-    print(f"deadline attainment at {arg}x: "
-          f"{100 * cur['deadline_attainment']:.1f}% "
-          f"({cur.get('deadlines_assigned', 0):.0f} SLO requests, "
-          f"{cur.get('expired', 0):.0f} expired)")
-nominal = current.get("BM_PortalOverload/1", {})
-if nominal.get("deadlines_assigned", 0) > 0:
-    if nominal.get("expired", 0) > 0:
-        failures.append(
-            f"BM_PortalOverload/1: {nominal['expired']:.0f} requests expired "
-            "at nominal load under generous budgets")
-    if nominal.get("deadline_attainment", 0.0) < 0.80:
-        failures.append(
-            f"BM_PortalOverload/1: deadline attainment "
-            f"{100 * nominal['deadline_attainment']:.1f}% at nominal load, "
-            "need >= 80%")
-
-# Hedged stage-in gate: identical campaigns and brownout script, hedging
-# off vs on. Hedging must cut the stage-in p99 outright, and the extra WAN
-# bytes it spends must stay within the fraction of fetches it hedged (a
-# hedge moves at most one duplicate payload).
-unhedged = current.get("BM_PortalStageInHedging/0")
-hedged = current.get("BM_PortalStageInHedging/1")
-if unhedged is None or hedged is None:
-    failures.append("BM_PortalStageInHedging: missing from current run")
-else:
-    print(f"stage-in p99 under brownouts: {unhedged['stage_in_p99_ms']:.1f} ms "
-          f"unhedged -> {hedged['stage_in_p99_ms']:.1f} ms hedged "
-          f"(hedge rate {100 * hedged['hedge_rate']:.1f}%, "
-          f"{hedged['hedge_wins']:.0f}/{hedged['hedged_fetches']:.0f} wins)")
-    if hedged.get("images_fetched") != unhedged.get("images_fetched") or \
-            hedged.get("clusters") != unhedged.get("clusters"):
-        failures.append(
-            "BM_PortalStageInHedging: variants did not run the same workload")
-    if hedged.get("hedged_fetches", 0) <= 0:
-        failures.append("BM_PortalStageInHedging/1: hedging never fired")
-    if hedged["stage_in_p99_ms"] >= unhedged["stage_in_p99_ms"]:
-        failures.append(
-            f"hedging did not improve stage-in p99 "
-            f"({unhedged['stage_in_p99_ms']:.1f} -> "
-            f"{hedged['stage_in_p99_ms']:.1f} ms)")
-    if unhedged.get("staging_wan_bytes", 0) > 0:
-        inflation = (hedged["staging_wan_bytes"]
-                     / unhedged["staging_wan_bytes"]) - 1.0
-        print(f"hedging WAN inflation: {100 * inflation:.1f}% "
-              f"(bound: hedge rate {100 * hedged['hedge_rate']:.1f}%)")
-        if inflation > hedged["hedge_rate"] + 1e-9:
-            failures.append(
-                f"hedging inflated WAN bytes by {100 * inflation:.1f}%, "
-                f"more than the {100 * hedged['hedge_rate']:.1f}% hedge rate")
-
-if failures:
-    print("\nFAIL:", file=sys.stderr)
-    for f in failures:
-        print(f"  {f}", file=sys.stderr)
-    sys.exit(1)
-print("OK: portal p99/goodput within 10% of seed; 5x overload sheds; "
-      "recomputes < requests; SLO attainment holds at 1x; hedging cuts "
-      "stage-in p99 within its WAN budget")
-EOF
-
-# --- Multi-pool lane: site-selection policies and straggler rebalancing ---
-echo "=== bench_multipool ==="
-"$BUILD/bench/bench_multipool" \
-  --benchmark_out="$MULTIPOOL_TMP" --benchmark_out_format=json
-
-{
-  printf '{\n"baseline": '
-  cat "$ROOT/bench/baselines/bench_multipool_seed.json"
-  printf ',\n"current": '
-  cat "$MULTIPOOL_TMP"
-  printf '}\n'
-} > "$ROOT/BENCH_multipool.json"
-echo "wrote $ROOT/BENCH_multipool.json"
-
-python3 - "$ROOT/BENCH_multipool.json" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-def by_name(run):
-    out = {}
-    for b in run["benchmarks"]:
-        name = "/".join(p for p in b["name"].split("/") if ":" not in p)
-        out[name] = b
-    return out
-
-baseline = by_name(doc["baseline"])
-current = by_name(doc["current"])
-failures = []
-
-# Same release-provenance gate as the s5 lane (current run only).
-build_type = doc["current"].get("context", {}).get("library_build_type")
-if build_type != "release":
-    failures.append(
-        f"current run context reports library_build_type={build_type!r}, "
-        "expected 'release' — rerun via tools/run_bench.sh (Release build)")
-
-# Every gated figure is a simulated-clock or byte-accounting counter:
-# deterministic in the seed, so drift vs the frozen baseline is a real
-# scheduling/accounting change, not host noise. Lower is better for both.
-print(f"{'policy':<28} {'makespan(sim s)':>16} {'wan_bytes':>14}")
-for name in ("BM_MultiPoolRandom", "BM_MultiPoolLoadAware",
-             "BM_MultiPoolLocality", "BM_MultiPoolWorkStealing"):
-    base, cur = baseline.get(name), current.get(name)
-    if cur is None or base is None:
-        failures.append(
-            f"{name}: missing from {'current' if base else 'baseline'} run")
-        continue
-    print(f"{name:<28} {cur['makespan_sim_s']:>16.1f} {cur['wan_bytes']:>14.0f}")
-    for counter in ("makespan_sim_s", "wan_bytes"):
-        b, c = base[counter], cur[counter]
-        if b > 0 and c > 1.10 * b:
-            failures.append(
-                f"{name}: {counter} regressed >10% ({b:.1f} -> {c:.1f})")
-
-rand = current.get("BM_MultiPoolRandom", {})
-loc = current.get("BM_MultiPoolLocality", {})
-deltas = {}
-if rand and loc:
-    deltas = {
-        "makespan_random_s": rand["makespan_sim_s"],
-        "makespan_locality_s": loc["makespan_sim_s"],
-        "makespan_delta_s": rand["makespan_sim_s"] - loc["makespan_sim_s"],
-        "wan_bytes_random": rand["wan_bytes"],
-        "wan_bytes_locality": loc["wan_bytes"],
-        "wan_bytes_delta": rand["wan_bytes"] - loc["wan_bytes"],
-    }
-    print(f"\nlocality vs random: "
-          f"{deltas['makespan_delta_s']:.1f} sim s faster, "
-          f"{deltas['wan_bytes_delta']:.0f} fewer WAN bytes")
-    if deltas["makespan_delta_s"] <= 0:
-        failures.append(
-            "locality-aware does not beat random on makespan "
-            f"({loc['makespan_sim_s']:.1f} vs {rand['makespan_sim_s']:.1f} sim s)")
-    if deltas["wan_bytes_delta"] <= 0:
-        failures.append(
-            "locality-aware does not beat random on WAN bytes "
-            f"({loc['wan_bytes']:.0f} vs {rand['wan_bytes']:.0f})")
-
-steal = current.get("BM_MultiPoolWorkStealing", {})
-if steal:
-    print(f"work stealing: {steal['stolen_jobs']:.0f} jobs migrated, "
-          f"{steal['makespan_nosteal_s']:.1f} -> {steal['makespan_sim_s']:.1f} sim s")
-    if steal.get("stolen_jobs", 0) <= 0:
-        failures.append("work stealing never fired (stolen_jobs = 0)")
-    if steal.get("makespan_sim_s", 0) >= steal.get("makespan_nosteal_s", 0):
-        failures.append(
-            "work stealing did not improve the pinned-pool makespan "
-            f"({steal.get('makespan_nosteal_s', 0):.1f} -> "
-            f"{steal.get('makespan_sim_s', 0):.1f} sim s)")
-
-# The headline deltas ride along in the report for downstream consumers.
-doc["deltas"] = deltas
-with open(sys.argv[1], "w") as f:
-    json.dump(doc, f, indent=1)
-
-if failures:
-    print("\nFAIL:", file=sys.stderr)
-    for f in failures:
-        print(f"  {f}", file=sys.stderr)
-    sys.exit(1)
-print("OK: locality-aware beats random on makespan and WAN bytes; "
-      "stealing rebalances the pinned pool")
-EOF
+cpus="$(sed -n 's/.*"num_cpus": *\([0-9]*\).*/\1/p' "$ROOT/BENCH_a3.json")"
+if [ "$cpus" != "$(nproc)" ]; then
+  echo "FAIL: the ledger records num_cpus=$cpus but nproc is $(nproc)" >&2
+  exit 1
+fi
+echo "OK: num_cpus $cpus matches nproc"
