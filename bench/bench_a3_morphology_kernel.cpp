@@ -19,7 +19,11 @@
 #include "core/photometry.hpp"
 #include "core/segmentation.hpp"
 #include "grid/threadpool.hpp"
+#include "image/fits.hpp"
+#include "sim/cluster.hpp"
 #include "sim/galaxy.hpp"
+#include "sim/survey.hpp"
+#include "sim/universe.hpp"
 
 namespace {
 
@@ -379,6 +383,42 @@ void BM_CogBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CogBuild)->Arg(64)->Arg(128)->Unit(benchmark::kMicrosecond);
+
+/// A survey cutout as the archives serve it: WCS, OBJECT, REDSHIFT and MAG
+/// cards over a float data unit of `size` px on a side.
+std::vector<std::uint8_t> survey_cutout_bytes(int size) {
+  const auto specs = sim::survey_cluster_specs({1, 2000});
+  const sim::Cluster cluster =
+      sim::generate_cluster(specs.front(), core::GalMorphArgs{}.cosmology());
+  sim::RenderOptions render;
+  render.supersample = 1;
+  return image::write_fits(
+      sim::synthesize_galaxy_cutout(cluster, cluster.galaxies.front(), size, render, 1, 0.0));
+}
+
+void BM_FitsDecode(benchmark::State& state) {
+  // read_fits: the structural scan, the pixel loop and the header cards.
+  const std::vector<std::uint8_t> bytes = survey_cutout_bytes(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    auto fits = image::read_fits(bytes);
+    benchmark::DoNotOptimize(fits);
+  }
+}
+BENCHMARK(BM_FitsDecode)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+void BM_FitsDecodePixels(benchmark::State& state) {
+  // decode_fits_pixels into a reused frame: what the galMorph job decodes.
+  const std::vector<std::uint8_t> bytes = survey_cutout_bytes(static_cast<int>(state.range(0)));
+  image::Image frame;
+  const std::uint64_t before = nvo::bench::heap_allocs();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(image::decode_fits_pixels(bytes, frame));
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  nvo::bench::report_allocs(state, before);
+}
+BENCHMARK(BM_FitsDecodePixels)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 void BM_GalMorphFromBytes(benchmark::State& state) {
   // The full job body: decode FITS + measure + physical scale.

@@ -15,9 +15,11 @@ sky::Cosmology GalMorphArgs::cosmology() const {
   return c;
 }
 
-GalMorphResult run_gal_morph(const std::string& galaxy_id, const image::FitsFile& fits,
-                             const GalMorphArgs& args,
-                             const ParallelFor* tile_executor) {
+namespace {
+
+/// The job body on a decoded frame: measure, then the physical scale.
+GalMorphResult measure_frame(const std::string& galaxy_id, const image::Image& frame,
+                             const GalMorphArgs& args, const ParallelFor* tile_executor) {
   GalMorphResult out;
   out.galaxy_id = galaxy_id;
   out.redshift = args.redshift;
@@ -25,10 +27,10 @@ GalMorphResult run_gal_morph(const std::string& galaxy_id, const image::FitsFile
   MorphologyOptions options;
   options.pixel_scale_arcsec = args.pix_scale_deg * sky::kArcsecPerDeg;
   options.zero_point = args.zero_point;
-  if (fits.data.width() >= kTileMinDim || fits.data.height() >= kTileMinDim) {
+  if (frame.width() >= kTileMinDim || frame.height() >= kTileMinDim) {
     options.tile_executor = tile_executor;
   }
-  out.params = measure_morphology(fits.data, options);
+  out.params = measure_morphology(frame, options);
 
   const sky::Cosmology cosmology = args.cosmology();
   out.kpc_per_arcsec =
@@ -40,20 +42,34 @@ GalMorphResult run_gal_morph(const std::string& galaxy_id, const image::FitsFile
   return out;
 }
 
+}  // namespace
+
+GalMorphResult run_gal_morph(const std::string& galaxy_id, const image::FitsFile& fits,
+                             const GalMorphArgs& args,
+                             const ParallelFor* tile_executor) {
+  return measure_frame(galaxy_id, fits.data, args, tile_executor);
+}
+
 GalMorphResult run_gal_morph_bytes(const std::string& galaxy_id,
                                    const std::vector<std::uint8_t>& fits_bytes,
                                    const GalMorphArgs& args,
                                    const ParallelFor* tile_executor) {
-  auto fits = image::read_fits(fits_bytes);
-  if (!fits.ok()) {
+  // The job never reads the header, so it decodes only the pixels, into a
+  // frame this thread keeps across jobs (same-sized cutouts reuse its
+  // buffer). No other job can decode into the frame while it is measured,
+  // also on the kernel pool: a tiled kernel fans out through
+  // grid::parallel_for_shared, whose calling thread drains only its own
+  // loop and never starts another job.
+  thread_local image::Image frame;
+  if (const Status decoded = image::decode_fits_pixels(fits_bytes, frame); !decoded.ok()) {
     GalMorphResult out;
     out.galaxy_id = galaxy_id;
     out.redshift = args.redshift;
     out.params.valid = false;
-    out.params.failure_reason = "undecodable FITS: " + fits.error().message;
+    out.params.failure_reason = "undecodable FITS: " + decoded.error().message;
     return out;
   }
-  return run_gal_morph(galaxy_id, fits.value(), args, tile_executor);
+  return measure_frame(galaxy_id, frame, args, tile_executor);
 }
 
 votable::Table morphology_schema(const std::string& table_name) {

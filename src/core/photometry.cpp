@@ -201,6 +201,13 @@ void CurveOfGrowth::build(const image::Image& img, double cx, double cy,
   }
   num_shells_ = static_cast<int>(std::sqrt(d2max)) + 2;
   const int last_shell = num_shells_ - 1;
+  // The per-shell arrays are reserved for any center inside the frame (no
+  // corner is farther than the diagonal), so a workspace that has measured
+  // one frame of this size never grows for another.
+  const std::size_t max_shells =
+      static_cast<std::size_t>(std::hypot(width_ - 1.0, height_ - 1.0)) + 3;
+  shell_start_.reserve(max_shells + 1);
+  shell_flux_prefix_.reserve(max_shells + 1);
 
   // Column squared offsets, computed once: d2 for pixel (x, y) is
   // col_dx2_[x] + dy2, which — with contraction disabled — is bit-identical
@@ -216,11 +223,13 @@ void CurveOfGrowth::build(const image::Image& img, double cx, double cy,
     bands = std::min((height_ + kBandRows - 1) / kBandRows, kMaxBands);
   }
   const int rows_per_band = (height_ + bands - 1) / bands;
-  const auto run_bands = [&](const std::function<void(std::size_t)>& fn) {
+  // Only the tiled path wraps a pass in a std::function (which allocates);
+  // the serial path calls it directly.
+  const auto run_bands = [&](const auto& fn) {
     if (bands > 1) {
-      (*par)(static_cast<std::size_t>(bands), fn);
+      (*par)(static_cast<std::size_t>(bands), std::function<void(std::size_t)>(fn));
     } else {
-      for (std::size_t b = 0; b < static_cast<std::size_t>(bands); ++b) fn(b);
+      fn(std::size_t{0});
     }
   };
 
@@ -228,6 +237,7 @@ void CurveOfGrowth::build(const image::Image& img, double cx, double cy,
   // vectorizable sqrt sweep over the column offsets) plus a per-band shell
   // histogram.
   shell_scratch_.resize(n);
+  band_cursor_.reserve(static_cast<std::size_t>(bands) * max_shells);
   band_cursor_.assign(static_cast<std::size_t>(bands) * num_shells_, 0);
   run_bands([&](std::size_t b) {
     const int y_lo = static_cast<int>(b) * rows_per_band;

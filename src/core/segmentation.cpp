@@ -110,6 +110,14 @@ void mask_companions_inplace(image::Image& img, double background_sigma,
   // Membership is precomputed into a byte plane: the fill loop vectorizes,
   // and the BFS predicate becomes a byte load instead of a float compare.
   const std::size_t n = img.size();
+  // Reserved for the frame, not its content: no queue or wavefront holds
+  // more than n pixels, and 4-connected cores are at most n/2 + 1, so
+  // scratch that has seen one frame of this size never grows for another.
+  scratch.frontier.reserve(n);
+  scratch.rim.reserve(n);
+  scratch.peak_x.reserve(n / 2 + 2);
+  scratch.peak_y.reserve(n / 2 + 2);
+  scratch.peak_v.reserve(n / 2 + 2);
   scratch.above.resize(n);
   std::uint8_t* above = scratch.above.data();
   for (std::size_t i = 0; i < n; ++i) above[i] = px[i] >= thr ? 1 : 0;

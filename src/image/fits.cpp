@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <climits>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "common/strings.hpp"
 
@@ -89,15 +91,253 @@ long long quantize(float v, long long lo, long long hi) {
   return std::clamp<long long>(std::llround(static_cast<double>(v)), lo, hi);
 }
 
-std::uint32_t read_be(const std::uint8_t* p, int n) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < n; ++i) v = (v << 8) | p[i];
+std::uint32_t load_be32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap32(v);
   return v;
+}
+
+std::uint16_t load_be16(const std::uint8_t* p) {
+  std::uint16_t v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap16(v);
+  return v;
+}
+
+// --- reader -----------------------------------------------------------------
+
+/// A structural card as the header scan found it (empty when absent). When
+/// a keyword repeats, the last card wins, as in FitsHeader.
+struct CardValue {
+  std::string_view text;   ///< trimmed value, up to any comment slash
+  bool is_string = false;  ///< quoted: neither a number nor a logical
+};
+
+/// The cards the data unit depends on, plus where the header ends.
+struct HeaderScan {
+  CardValue simple, bitpix, naxis, naxis1, naxis2, bscale, bzero;
+  std::size_t data_at = 0;  ///< first byte of the data unit
+};
+
+CardValue* structural_slot(HeaderScan& scan, std::string_view keyword) {
+  if (keyword == "SIMPLE") return &scan.simple;
+  if (keyword == "BITPIX") return &scan.bitpix;
+  if (keyword == "NAXIS") return &scan.naxis;
+  if (keyword == "NAXIS1") return &scan.naxis1;
+  if (keyword == "NAXIS2") return &scan.naxis2;
+  if (keyword == "BSCALE") return &scan.bscale;
+  if (keyword == "BZERO") return &scan.bzero;
+  return nullptr;
+}
+
+/// The body of a quoted value with '' unescaped and trailing blanks dropped
+/// (FITS strings have significant leading, insignificant trailing blanks).
+std::string unquote(std::string_view body) {
+  std::string s;
+  s.reserve(body.size());
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    s += body[i];
+    if (body[i] == '\'') ++i;  // the scan only lets doubled quotes through
+  }
+  while (!s.empty() && s.back() == ' ') s.pop_back();
+  return s;
+}
+
+/// std::isspace in the "C" locale, inline: the scan trims ~1000 bytes per
+/// cutout.
+bool is_blank(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+std::string_view trim_front(std::string_view s) {
+  std::size_t b = 0;
+  while (b < s.size() && is_blank(s[b])) ++b;
+  return s.substr(b);
+}
+
+std::string_view trim_blanks(std::string_view s) {
+  s = trim_front(s);
+  std::size_t e = s.size();
+  while (e > 0 && is_blank(s[e - 1])) --e;
+  return s.substr(0, e);
+}
+
+/// Walks the header at fixed 80-byte offsets up to END, recording the
+/// structural cards in `scan`. With a `header`, every keyed card is also
+/// stored there as the trimmed text of its value. Fails when END is missing
+/// or a quoted value is unterminated.
+Status scan_header(std::string_view bytes, HeaderScan& scan, FitsHeader* header) {
+  for (std::size_t pos = 0; pos + kCard <= bytes.size(); pos += kCard) {
+    const std::string_view card = bytes.substr(pos, kCard);
+    const std::string_view keyword = trim_blanks(card.substr(0, 8));
+    if (keyword == "END") {
+      scan.data_at = round_to_record(pos + kCard);
+      return Status::Ok();
+    }
+    if (keyword.empty() || keyword == "COMMENT" || keyword == "HISTORY" || card[8] != '=') {
+      continue;
+    }
+    CardValue* slot = structural_slot(scan, keyword);
+    const std::string_view field = card.substr(10);
+    const std::string_view value = trim_front(field);
+    CardValue v;
+    std::string_view comment;
+    if (!value.empty() && value.front() == '\'') {
+      // Every quoted value is checked, whether or not anyone reads it.
+      std::size_t close = 1;
+      while (close < value.size() &&
+             (value[close] != '\'' ||
+              (close + 1 < value.size() && value[close + 1] == '\''))) {
+        close += value[close] == '\'' ? 2 : 1;
+      }
+      if (close >= value.size()) {
+        return Error(ErrorCode::kParseError,
+                     "unterminated string in card " + std::string(keyword));
+      }
+      v.text = value.substr(1, close - 1);
+      v.is_string = true;
+    } else if (slot != nullptr || header != nullptr) {
+      const std::size_t slash = field.find('/');
+      v.text = trim_blanks(field.substr(0, slash));
+      if (slash != std::string_view::npos) comment = trim_blanks(field.substr(slash + 1));
+    }
+    if (slot != nullptr) *slot = v;
+    if (header != nullptr) {
+      header->set_card(FitsCard{std::string(keyword),
+                                v.is_string ? unquote(v.text) : std::string(v.text),
+                                std::string(comment), v.is_string});
+    }
+  }
+  return Error(ErrorCode::kParseError, "no END card in FITS header");
+}
+
+/// Drops the leading '+' that strtoll/strtod accept and from_chars does not;
+/// a sign after it makes the text unparsable.
+std::string_view unsigned_plus(std::string_view s) {
+  if (s.empty() || s.front() != '+') return s;
+  s.remove_prefix(1);
+  return !s.empty() && s.front() == '-' ? std::string_view{} : s;
+}
+
+/// The value as a T spanning the whole text: a plain decimal integer for
+/// long long, a real at full precision for double.
+template <typename T>
+std::optional<T> number_value(const CardValue& v) {
+  if (v.is_string) return std::nullopt;
+  const std::string_view s = unsigned_plus(v.text);
+  T out{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  if (s.empty() || ec != std::errc() || end != s.data() + s.size()) return std::nullopt;
+  return out;
+}
+
+/// What the data unit holds and where, once every structural check passed.
+struct Layout {
+  int width = 0;
+  int height = 0;
+  int bitpix = 0;
+  double bscale = 1.0;
+  double bzero = 0.0;
+  std::size_t data_at = 0;
+};
+
+Expected<Layout> check_structure(const HeaderScan& scan, std::size_t size) {
+  if (scan.simple.is_string || scan.simple.text != "T") {
+    return Error(ErrorCode::kParseError, "SIMPLE != T");
+  }
+  const auto bitpix = number_value<long long>(scan.bitpix);
+  const auto naxis = number_value<long long>(scan.naxis);
+  if (!bitpix || !naxis) return Error(ErrorCode::kParseError, "missing BITPIX/NAXIS");
+  if (*naxis != 2) {
+    return Error(ErrorCode::kParseError, format("NAXIS=%lld unsupported (need 2)", *naxis));
+  }
+  const auto naxis1 = number_value<long long>(scan.naxis1);
+  const auto naxis2 = number_value<long long>(scan.naxis2);
+  // Image dimensions are ints: anything outside [1, INT_MAX] is hostile,
+  // not a large image.
+  if (!naxis1 || !naxis2 || *naxis1 < 1 || *naxis2 < 1 || *naxis1 > INT_MAX ||
+      *naxis2 > INT_MAX) {
+    return Error(ErrorCode::kParseError, "bad NAXIS1/NAXIS2");
+  }
+  if (*bitpix != -32 && *bitpix != 32 && *bitpix != 16 && *bitpix != 8) {
+    return Error(ErrorCode::kParseError, format("unsupported BITPIX %lld", *bitpix));
+  }
+  Layout out;
+  out.width = static_cast<int>(*naxis1);
+  out.height = static_cast<int>(*naxis2);
+  out.bitpix = static_cast<int>(*bitpix);
+  // An unreadable BSCALE/BZERO leaves the default, as a missing one does.
+  out.bscale = number_value<double>(scan.bscale).value_or(1.0);
+  out.bzero = number_value<double>(scan.bzero).value_or(0.0);
+  out.data_at = scan.data_at;
+  // w * h < 2^62 cannot wrap, and comparing the pixel count with what the
+  // remaining bytes hold keeps the check itself overflow-free, so the image
+  // is never sized larger than the input can fill.
+  const std::size_t n =
+      static_cast<std::size_t>(out.width) * static_cast<std::size_t>(out.height);
+  const std::size_t bytes_per = static_cast<std::size_t>(std::abs(out.bitpix) / 8);
+  const std::size_t remaining = out.data_at < size ? size - out.data_at : 0;
+  if (n > remaining / bytes_per) {
+    return Error(ErrorCode::kParseError, "FITS data unit truncated");
+  }
+  return out;
+}
+
+/// out[i] = float(bscale * sample(p + i * stride) + bzero): one loop per
+/// BITPIX, with the sample's byte width known at compile time.
+template <std::size_t kStride, typename Sample>
+void scale_pixels(const std::uint8_t* p, std::size_t n, double bscale, double bzero,
+                  float* out, Sample sample) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<float>(bscale * sample(p + kStride * i) + bzero);
+  }
+}
+
+void decode_pixels(const std::uint8_t* p, const Layout& l, Image& frame) {
+  frame.reshape(l.width, l.height);
+  const std::size_t n = frame.size();
+  float* out = frame.data();
+  switch (l.bitpix) {
+    case -32:
+      scale_pixels<4>(p, n, l.bscale, l.bzero, out, [](const std::uint8_t* q) {
+        return static_cast<double>(std::bit_cast<float>(load_be32(q)));
+      });
+      break;
+    case 32:
+      scale_pixels<4>(p, n, l.bscale, l.bzero, out, [](const std::uint8_t* q) {
+        return static_cast<double>(static_cast<std::int32_t>(load_be32(q)));
+      });
+      break;
+    case 16:
+      scale_pixels<2>(p, n, l.bscale, l.bzero, out, [](const std::uint8_t* q) {
+        return static_cast<double>(static_cast<std::int16_t>(load_be16(q)));
+      });
+      break;
+    default:  // 8: check_structure admits nothing else
+      scale_pixels<1>(p, n, l.bscale, l.bzero, out,
+                      [](const std::uint8_t* q) { return static_cast<double>(*q); });
+      break;
+  }
+}
+
+/// The one decoder behind read_fits and decode_fits_pixels: structural scan,
+/// checks, then the pixel loop. `frame` is only written once every check
+/// passed.
+Expected<Layout> decode(const std::vector<std::uint8_t>& bytes, Image& frame,
+                        FitsHeader* header) {
+  if (bytes.size() < kRecord || bytes.size() % kCard != 0) {
+    return Error(ErrorCode::kParseError, "FITS stream shorter than one record");
+  }
+  const std::string_view text(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  HeaderScan scan;
+  if (const Status s = scan_header(text, scan, header); !s.ok()) return s.error();
+  Expected<Layout> layout = check_structure(scan, bytes.size());
+  if (layout.ok()) decode_pixels(bytes.data() + layout->data_at, *layout, frame);
+  return layout;
 }
 
 }  // namespace
 
-void FitsHeader::upsert(FitsCard card) {
+void FitsHeader::set_card(FitsCard card) {
   for (auto& existing : cards_) {
     if (existing.keyword == card.keyword) {
       existing = std::move(card);
@@ -116,22 +356,22 @@ const FitsCard* FitsHeader::find(const std::string& keyword) const {
 
 void FitsHeader::set_logical(const std::string& keyword, bool value,
                              const std::string& comment) {
-  upsert(FitsCard{keyword, value ? "T" : "F", comment, false});
+  set_card(FitsCard{keyword, value ? "T" : "F", comment, false});
 }
 
 void FitsHeader::set_int(const std::string& keyword, long long value,
                          const std::string& comment) {
-  upsert(FitsCard{keyword, format("%lld", value), comment, false});
+  set_card(FitsCard{keyword, format("%lld", value), comment, false});
 }
 
 void FitsHeader::set_real(const std::string& keyword, double value,
                           const std::string& comment) {
-  upsert(FitsCard{keyword, format("%.14G", value), comment, false});
+  set_card(FitsCard{keyword, format("%.14G", value), comment, false});
 }
 
 void FitsHeader::set_string(const std::string& keyword, const std::string& value,
                             const std::string& comment) {
-  upsert(FitsCard{keyword, value, comment, true});
+  set_card(FitsCard{keyword, value, comment, true});
 }
 
 std::optional<bool> FitsHeader::get_logical(const std::string& keyword) const {
@@ -217,141 +457,17 @@ std::vector<std::uint8_t> write_fits(const FitsFile& file) {
 }
 
 Expected<FitsFile> read_fits(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < kRecord || bytes.size() % kCard != 0) {
-    return Error(ErrorCode::kParseError, "FITS stream shorter than one record");
-  }
   FitsFile out;
-  std::size_t pos = 0;
-  bool saw_end = false;
-  // --- parse header cards ---
-  while (pos + kCard <= bytes.size()) {
-    std::string card(reinterpret_cast<const char*>(&bytes[pos]), kCard);
-    pos += kCard;
-    const std::string keyword{trim(card.substr(0, 8))};
-    if (keyword == "END") {
-      saw_end = true;
-      break;
-    }
-    if (keyword.empty() || keyword == "COMMENT" || keyword == "HISTORY") continue;
-    if (card.size() < 10 || card[8] != '=') continue;
-    std::string value_field = card.substr(10);
-    FitsCard parsed;
-    parsed.keyword = keyword;
-    const std::string_view vtrim = trim(value_field);
-    if (!vtrim.empty() && vtrim.front() == '\'') {
-      // String value: scan for the closing quote, honoring '' escapes.
-      std::string s;
-      bool closed = false;
-      for (std::size_t i = 1; i < vtrim.size(); ++i) {
-        if (vtrim[i] == '\'') {
-          if (i + 1 < vtrim.size() && vtrim[i + 1] == '\'') {
-            s += '\'';
-            ++i;
-          } else {
-            closed = true;
-            break;
-          }
-        } else {
-          s += vtrim[i];
-        }
-      }
-      if (!closed) {
-        return Error(ErrorCode::kParseError, "unterminated string in card " + keyword);
-      }
-      // FITS strings have significant leading, insignificant trailing blanks.
-      while (!s.empty() && s.back() == ' ') s.pop_back();
-      parsed.value = s;
-      parsed.is_string = true;
-    } else {
-      // Value ends at the comment slash (if any).
-      const std::size_t slash = value_field.find('/');
-      parsed.value = std::string(trim(value_field.substr(0, slash)));
-      if (slash != std::string::npos) {
-        parsed.comment = std::string(trim(value_field.substr(slash + 1)));
-      }
-    }
-    if (parsed.is_string) {
-      out.header.set_string(parsed.keyword, parsed.value, parsed.comment);
-    } else {
-      // Re-enter the card through the typed setters, dispatching on content.
-      if (auto iv = parse_int(parsed.value)) {
-        out.header.set_int(parsed.keyword, *iv, parsed.comment);
-      } else if (auto dv = parse_double(parsed.value)) {
-        out.header.set_real(parsed.keyword, *dv, parsed.comment);
-      } else if (parsed.value == "T" || parsed.value == "F") {
-        out.header.set_logical(parsed.keyword, parsed.value == "T", parsed.comment);
-      } else {
-        out.header.set_string(parsed.keyword, parsed.value, parsed.comment);
-      }
-    }
-  }
-  if (!saw_end) return Error(ErrorCode::kParseError, "no END card in FITS header");
-
-  // --- structural keywords ---
-  const auto simple = out.header.get_logical("SIMPLE");
-  if (!simple || !*simple) return Error(ErrorCode::kParseError, "SIMPLE != T");
-  const auto bitpix = out.header.get_int("BITPIX");
-  const auto naxis = out.header.get_int("NAXIS");
-  if (!bitpix || !naxis) return Error(ErrorCode::kParseError, "missing BITPIX/NAXIS");
-  if (*naxis != 2) {
-    return Error(ErrorCode::kParseError, format("NAXIS=%lld unsupported (need 2)",
-                                                static_cast<long long>(*naxis)));
-  }
-  const auto naxis1 = out.header.get_int("NAXIS1");
-  const auto naxis2 = out.header.get_int("NAXIS2");
-  // Image dimensions are ints: anything outside [1, INT_MAX] is hostile,
-  // not a large image.
-  if (!naxis1 || !naxis2 || *naxis1 < 1 || *naxis2 < 1 || *naxis1 > INT_MAX ||
-      *naxis2 > INT_MAX) {
-    return Error(ErrorCode::kParseError, "bad NAXIS1/NAXIS2");
-  }
-  if (*bitpix != -32 && *bitpix != 32 && *bitpix != 16 && *bitpix != 8) {
-    return Error(ErrorCode::kParseError,
-                 format("unsupported BITPIX %lld", static_cast<long long>(*bitpix)));
-  }
-  out.bitpix = static_cast<int>(*bitpix);
-  const double bscale = out.header.get_real("BSCALE").value_or(1.0);
-  const double bzero = out.header.get_real("BZERO").value_or(0.0);
-
-  // Data unit starts at the next record boundary after END.
-  pos = round_to_record(pos);
-
-  const int w = static_cast<int>(*naxis1);
-  const int h = static_cast<int>(*naxis2);
-  // w * h < 2^62 cannot wrap, and comparing the pixel count with what the
-  // remaining bytes hold keeps the check itself overflow-free, so the Image
-  // below is never larger than the input can fill.
-  const std::size_t n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
-  const std::size_t bytes_per = static_cast<std::size_t>(std::abs(out.bitpix) / 8);
-  const std::size_t remaining = pos < bytes.size() ? bytes.size() - pos : 0;
-  if (n > remaining / bytes_per) {
-    return Error(ErrorCode::kParseError, "FITS data unit truncated");
-  }
-  out.data = Image(w, h);
-  const std::uint8_t* p = &bytes[pos];
-  for (std::size_t i = 0; i < n; ++i, p += bytes_per) {
-    double v = 0.0;
-    switch (out.bitpix) {
-      case -32: {
-        const std::uint32_t u = read_be(p, 4);
-        float f;
-        std::memcpy(&f, &u, 4);
-        v = f;
-        break;
-      }
-      case 32:
-        v = static_cast<std::int32_t>(read_be(p, 4));
-        break;
-      case 16:
-        v = static_cast<std::int16_t>(static_cast<std::uint16_t>(read_be(p, 2)));
-        break;
-      case 8:
-        v = p[0];
-        break;
-    }
-    out.data.pixels()[i] = static_cast<float>(bscale * v + bzero);
-  }
+  const Expected<Layout> layout = decode(bytes, out.data, &out.header);
+  if (!layout.ok()) return layout.error();
+  out.bitpix = layout->bitpix;
   return out;
+}
+
+Status decode_fits_pixels(const std::vector<std::uint8_t>& bytes, Image& frame) {
+  const Expected<Layout> layout = decode(bytes, frame, nullptr);
+  if (!layout.ok()) return layout.error();
+  return Status::Ok();
 }
 
 Status write_fits_file(const std::string& path, const FitsFile& file) {

@@ -43,11 +43,14 @@ class FitsHeader {
   std::optional<std::string> get_string(const std::string& keyword) const;
   bool has(const std::string& keyword) const;
 
+  /// Stores `card` as given, replacing any card with the same keyword in
+  /// place (the last card written wins, at the first one's position).
+  void set_card(FitsCard card);
+
   const std::vector<FitsCard>& cards() const { return cards_; }
 
  private:
   const FitsCard* find(const std::string& keyword) const;
-  void upsert(FitsCard card);
 
   std::vector<FitsCard> cards_;
 };
@@ -66,7 +69,16 @@ std::vector<std::uint8_t> write_fits(const FitsFile& file);
 
 /// Parses FITS bytes produced by write_fits (or any conforming single-HDU
 /// 2-D image). Integer data are scaled by BSCALE/BZERO into the float image.
+/// Structural values (BITPIX, NAXIS, NAXISn) must be plain decimal integers;
+/// every other card is kept as the trimmed text of its value field, so the
+/// typed getters parse what the file says.
 Expected<FitsFile> read_fits(const std::vector<std::uint8_t>& bytes);
+
+/// The data unit of `bytes` only: the same checks and the same pixels as
+/// read_fits, written into `frame` (resized, capacity reused) without
+/// building a header. A job that decodes many same-sized cutouts into one
+/// frame allocates nothing after the first. On failure `frame` is untouched.
+Status decode_fits_pixels(const std::vector<std::uint8_t>& bytes, Image& frame);
 
 /// File-system convenience wrappers.
 Status write_fits_file(const std::string& path, const FitsFile& file);

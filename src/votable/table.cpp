@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "common/strings.hpp"
 
@@ -80,15 +79,16 @@ void Value::append_text_to(std::string& out) const {
   if (!payload_) return;
   if (const double* v = std::get_if<double>(&*payload_)) {
     if (std::isnan(*v)) return;
+    // The characters printf's "%.10g" writes, without the format parsing.
     char buf[32];
-    const int n = std::snprintf(buf, sizeof(buf), "%.10g", *v);
-    if (n > 0) out.append(buf, static_cast<std::size_t>(n));
+    const auto r = std::to_chars(buf, buf + sizeof buf, *v, std::chars_format::general, 10);
+    out.append(buf, r.ptr);
     return;
   }
   if (const long long* v = std::get_if<long long>(&*payload_)) {
     char buf[24];
-    const int n = std::snprintf(buf, sizeof(buf), "%lld", *v);
-    if (n > 0) out.append(buf, static_cast<std::size_t>(n));
+    const auto r = std::to_chars(buf, buf + sizeof buf, *v);
+    out.append(buf, r.ptr);
     return;
   }
   if (const std::string* v = std::get_if<std::string>(&*payload_)) {

@@ -2,17 +2,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "image/fits.hpp"
 #include "image/image.hpp"
 #include "image/render.hpp"
 #include "image/wcs.hpp"
+#include "sim/cluster.hpp"
+#include "sim/survey.hpp"
+#include "sim/universe.hpp"
 
 namespace nvo::image {
 namespace {
@@ -289,24 +297,23 @@ TEST(Fits, BulkEncoderIsByteIdenticalToPerByteEncoder) {
   }
 }
 
+/// An 80-column card "KEYWORD = <value right-justified to column 30>".
+std::string value_card(const std::string& keyword, const std::string& value) {
+  std::string c = keyword;
+  c.resize(8, ' ');
+  c += "= ";
+  c += std::string(value.size() < 20 ? 20 - value.size() : 0, ' ') + value;
+  c.resize(80, ' ');
+  return c;
+}
+
 // A minimal primary header: SIMPLE, BITPIX, NAXIS=2, the given axes, END,
 // padded to one record, followed by `data_records` zero records.
 std::vector<std::uint8_t> raw_fits(const std::string& bitpix, const std::string& naxis1,
                                    const std::string& naxis2, std::size_t data_records) {
-  std::string header;
-  const auto card = [&](const std::string& key, const std::string& value) {
-    std::string c = key;
-    c.resize(8, ' ');
-    c += "= ";
-    c += std::string(value.size() < 20 ? 20 - value.size() : 0, ' ') + value;
-    c.resize(80, ' ');
-    header += c;
-  };
-  card("SIMPLE", "T");
-  card("BITPIX", bitpix);
-  card("NAXIS", "2");
-  card("NAXIS1", naxis1);
-  card("NAXIS2", naxis2);
+  std::string header = value_card("SIMPLE", "T") + value_card("BITPIX", bitpix) +
+                       value_card("NAXIS", "2") + value_card("NAXIS1", naxis1) +
+                       value_card("NAXIS2", naxis2);
   std::string end = "END";
   end.resize(80, ' ');
   header += end;
@@ -347,6 +354,432 @@ TEST(Fits, HugeAxesAreRejectedBeforeAllocating) {
     const auto parsed = read_fits(raw_fits(bitpix, "2147483647", "2147483647", 1));
     ASSERT_FALSE(parsed.ok()) << "BITPIX " << bitpix;
     EXPECT_EQ(parsed.error().code, ErrorCode::kParseError) << "BITPIX " << bitpix;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential FITS decoding against the card-by-card oracle
+// ---------------------------------------------------------------------------
+
+std::uint32_t oracle_read_be(const std::uint8_t* p, int n) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < n; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+// The reader read_fits used before the fixed-offset structural scan: every
+// card is copied into a std::string, every non-quoted value is re-entered
+// through the typed setters (so numbers make a strtod -> "%.14G" -> strtod
+// round trip), the structural keywords are then looked up in that header,
+// and every pixel goes through a switch on BITPIX. Kept, with shorter error
+// messages, as the oracle of the differential tests below.
+Expected<FitsFile> oracle_read_fits(const std::vector<std::uint8_t>& bytes) {
+  constexpr std::size_t kRecord = 2880;
+  constexpr std::size_t kCard = 80;
+  if (bytes.size() < kRecord || bytes.size() % kCard != 0) {
+    return Error(ErrorCode::kParseError, "FITS stream shorter than one record");
+  }
+  FitsFile out;
+  std::size_t pos = 0;
+  bool saw_end = false;
+  while (pos + kCard <= bytes.size()) {
+    std::string card(reinterpret_cast<const char*>(&bytes[pos]), kCard);
+    pos += kCard;
+    const std::string keyword{trim(card.substr(0, 8))};
+    if (keyword == "END") {
+      saw_end = true;
+      break;
+    }
+    if (keyword.empty() || keyword == "COMMENT" || keyword == "HISTORY") continue;
+    if (card.size() < 10 || card[8] != '=') continue;
+    std::string value_field = card.substr(10);
+    FitsCard parsed;
+    parsed.keyword = keyword;
+    const std::string_view vtrim = trim(value_field);
+    if (!vtrim.empty() && vtrim.front() == '\'') {
+      std::string s;
+      bool closed = false;
+      for (std::size_t i = 1; i < vtrim.size(); ++i) {
+        if (vtrim[i] == '\'') {
+          if (i + 1 < vtrim.size() && vtrim[i + 1] == '\'') {
+            s += '\'';
+            ++i;
+          } else {
+            closed = true;
+            break;
+          }
+        } else {
+          s += vtrim[i];
+        }
+      }
+      if (!closed) {
+        return Error(ErrorCode::kParseError, "unterminated string in card " + keyword);
+      }
+      while (!s.empty() && s.back() == ' ') s.pop_back();
+      parsed.value = s;
+      parsed.is_string = true;
+    } else {
+      const std::size_t slash = value_field.find('/');
+      parsed.value = std::string(trim(value_field.substr(0, slash)));
+      if (slash != std::string::npos) {
+        parsed.comment = std::string(trim(value_field.substr(slash + 1)));
+      }
+    }
+    if (parsed.is_string) {
+      out.header.set_string(parsed.keyword, parsed.value, parsed.comment);
+    } else if (auto iv = parse_int(parsed.value)) {
+      out.header.set_int(parsed.keyword, *iv, parsed.comment);
+    } else if (auto dv = parse_double(parsed.value)) {
+      out.header.set_real(parsed.keyword, *dv, parsed.comment);
+    } else if (parsed.value == "T" || parsed.value == "F") {
+      out.header.set_logical(parsed.keyword, parsed.value == "T", parsed.comment);
+    } else {
+      out.header.set_string(parsed.keyword, parsed.value, parsed.comment);
+    }
+  }
+  if (!saw_end) return Error(ErrorCode::kParseError, "no END card in FITS header");
+
+  const auto simple = out.header.get_logical("SIMPLE");
+  if (!simple || !*simple) return Error(ErrorCode::kParseError, "SIMPLE != T");
+  const auto bitpix = out.header.get_int("BITPIX");
+  const auto naxis = out.header.get_int("NAXIS");
+  if (!bitpix || !naxis) return Error(ErrorCode::kParseError, "missing BITPIX/NAXIS");
+  if (*naxis != 2) return Error(ErrorCode::kParseError, "NAXIS unsupported (need 2)");
+  const auto naxis1 = out.header.get_int("NAXIS1");
+  const auto naxis2 = out.header.get_int("NAXIS2");
+  if (!naxis1 || !naxis2 || *naxis1 < 1 || *naxis2 < 1 || *naxis1 > INT_MAX ||
+      *naxis2 > INT_MAX) {
+    return Error(ErrorCode::kParseError, "bad NAXIS1/NAXIS2");
+  }
+  if (*bitpix != -32 && *bitpix != 32 && *bitpix != 16 && *bitpix != 8) {
+    return Error(ErrorCode::kParseError, "unsupported BITPIX");
+  }
+  out.bitpix = static_cast<int>(*bitpix);
+  const double bscale = out.header.get_real("BSCALE").value_or(1.0);
+  const double bzero = out.header.get_real("BZERO").value_or(0.0);
+  pos = (pos + kRecord - 1) / kRecord * kRecord;
+  const int w = static_cast<int>(*naxis1);
+  const int h = static_cast<int>(*naxis2);
+  const std::size_t n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
+  const std::size_t bytes_per = static_cast<std::size_t>(std::abs(out.bitpix) / 8);
+  const std::size_t remaining = pos < bytes.size() ? bytes.size() - pos : 0;
+  if (n > remaining / bytes_per) {
+    return Error(ErrorCode::kParseError, "FITS data unit truncated");
+  }
+  out.data = Image(w, h);
+  const std::uint8_t* p = &bytes[pos];
+  for (std::size_t i = 0; i < n; ++i, p += bytes_per) {
+    double v = 0.0;
+    switch (out.bitpix) {
+      case -32: {
+        const std::uint32_t u = oracle_read_be(p, 4);
+        float f;
+        std::memcpy(&f, &u, 4);
+        v = f;
+        break;
+      }
+      case 32:
+        v = static_cast<std::int32_t>(oracle_read_be(p, 4));
+        break;
+      case 16:
+        v = static_cast<std::int16_t>(static_cast<std::uint16_t>(oracle_read_be(p, 2)));
+        break;
+      case 8:
+        v = p[0];
+        break;
+    }
+    out.data.pixels()[i] = static_cast<float>(bscale * v + bzero);
+  }
+  return out;
+}
+
+bool same_pixel_bytes(const Image& a, const Image& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Survey-shaped cutouts (WCS, OBJECT, REDSHIFT, MAG cards) written at every
+/// supported BITPIX, each with and without BSCALE/BZERO. The first float
+/// frame also carries -0.0, NaN, infinities and a denormal.
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>> fits_corpus(int size) {
+  const auto specs = sim::survey_cluster_specs({1, 2000});
+  const sim::Cluster cluster = sim::generate_cluster(specs.front(), sky::Cosmology{});
+  sim::RenderOptions render;
+  render.supersample = 1;
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> corpus;
+  for (const int bitpix : {-32, 32, 16, 8}) {
+    for (const bool scaled : {false, true}) {
+      const std::size_t g = corpus.size() % cluster.galaxies.size();
+      FitsFile f = sim::synthesize_galaxy_cutout(cluster, cluster.galaxies[g], size, render,
+                                                 1, 0.04);
+      f.bitpix = bitpix;
+      if (scaled) {
+        f.header.set_real("BSCALE", 0.37, "physical = BSCALE * stored + BZERO");
+        f.header.set_real("BZERO", -12.5);
+      }
+      if (corpus.empty()) {
+        float* px = f.data.data();
+        px[0] = -0.0f;
+        px[1] = std::numeric_limits<float>::quiet_NaN();
+        px[2] = std::numeric_limits<float>::infinity();
+        px[3] = -std::numeric_limits<float>::infinity();
+        px[4] = std::numeric_limits<float>::denorm_min();
+      }
+      corpus.emplace_back("BITPIX " + std::to_string(bitpix) + (scaled ? " scaled" : ""),
+                          write_fits(f));
+    }
+  }
+  return corpus;
+}
+
+/// Byte offset of the header card with `keyword`, or npos.
+std::size_t card_offset(const std::vector<std::uint8_t>& bytes, const std::string& keyword) {
+  for (std::size_t at = 0; at + 80 <= bytes.size(); at += 80) {
+    const std::string key{trim(std::string_view(
+        reinterpret_cast<const char*>(bytes.data() + at), 8))};
+    if (key == keyword) return at;
+    if (key == "END") break;
+  }
+  return std::string::npos;
+}
+
+void put_card(std::vector<std::uint8_t>& bytes, std::size_t at, const std::string& card) {
+  std::memcpy(bytes.data() + at, card.data(), 80);
+}
+
+/// Inserts `card` in front of END (the header record has room to spare).
+std::vector<std::uint8_t> with_card_before_end(std::vector<std::uint8_t> bytes,
+                                               const std::string& card) {
+  const std::size_t end = card_offset(bytes, "END");
+  EXPECT_LT(end + 80, 2880u);
+  std::memmove(bytes.data() + end + 80, bytes.data() + end, 80);
+  put_card(bytes, end, card);
+  return bytes;
+}
+
+/// Decodes `bytes` with the oracle, read_fits and decode_fits_pixels (into a
+/// frame already holding another image) and checks they agree on ok(), the
+/// error code and every pixel byte. Returns "" or a description.
+std::string disagreement(const std::vector<std::uint8_t>& bytes) {
+  const auto want = oracle_read_fits(bytes);
+  const auto got = read_fits(bytes);
+  Image frame(3, 5, 7.0f);
+  const Image before = frame;
+  const Status pixels = decode_fits_pixels(bytes, frame);
+  if (want.ok() != got.ok() || want.ok() != pixels.ok()) {
+    return std::string("ok() differs: oracle ") + (want.ok() ? "accepts" : "rejects") +
+           ", read_fits " + (got.ok() ? "accepts" : "rejects: " + got.error().message) +
+           ", decode_fits_pixels " + (pixels.ok() ? "accepts" : "rejects");
+  }
+  if (!want.ok()) {
+    if (got.error().code != want.error().code || pixels.error().code != want.error().code) {
+      return "error codes differ";
+    }
+    if (!same_pixel_bytes(frame, before)) return "failed decode wrote the frame";
+    return "";
+  }
+  if (got->bitpix != want->bitpix) return "bitpix differs";
+  if (!same_pixel_bytes(got->data, want->data)) return "read_fits pixels differ";
+  if (!same_pixel_bytes(frame, want->data)) return "decode_fits_pixels pixels differ";
+  return "";
+}
+
+void expect_agreement(const std::string& name, const std::vector<std::uint8_t>& bytes) {
+  const std::string why = disagreement(bytes);
+  EXPECT_TRUE(why.empty()) << name << ": " << why;
+}
+
+std::optional<std::uint64_t> real_bits(const std::optional<double>& v) {
+  if (!v) return std::nullopt;
+  return std::bit_cast<std::uint64_t>(*v);
+}
+
+TEST(FitsDifferential, WriterOutputDecodesLikeTheOracle) {
+  for (const int size : {16, 64}) {
+    for (const auto& [name, bytes] : fits_corpus(size)) {
+      expect_agreement(name, bytes);
+      const auto want = oracle_read_fits(bytes);
+      const auto got = read_fits(bytes);
+      ASSERT_TRUE(want.ok() && got.ok()) << name;
+      // Every header accessor answers as the oracle's re-entered header does.
+      ASSERT_EQ(got->header.cards().size(), want->header.cards().size()) << name;
+      for (const FitsCard& card : want->header.cards()) {
+        const std::string& k = card.keyword;
+        EXPECT_TRUE(got->header.has(k)) << name << " " << k;
+        EXPECT_EQ(got->header.get_logical(k), want->header.get_logical(k)) << name << " " << k;
+        EXPECT_EQ(got->header.get_int(k), want->header.get_int(k)) << name << " " << k;
+        EXPECT_EQ(real_bits(got->header.get_real(k)), real_bits(want->header.get_real(k)))
+            << name << " " << k;
+        EXPECT_EQ(got->header.get_string(k), want->header.get_string(k)) << name << " " << k;
+      }
+    }
+  }
+}
+
+TEST(FitsDifferential, FloatPixelsKeepTheScaledDecodeBits) {
+  // float(1.0 * v + 0.0): -0.0 reads back as +0.0, as it always has.
+  const auto corpus = fits_corpus(16);
+  const auto got = read_fits(corpus.front().second);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(got->data.data()[0]), 0u);
+  EXPECT_TRUE(std::isnan(got->data.data()[1]));
+  EXPECT_EQ(got->data.data()[4], std::numeric_limits<float>::denorm_min());
+}
+
+TEST(FitsDifferential, OneByteFlipsInEveryValueField) {
+  for (const auto& [name, base] : fits_corpus(16)) {
+    for (std::size_t at = 0; at < card_offset(base, "END"); at += 80) {
+      for (std::size_t col = 10; col < 80; ++col) {
+        for (const int op : {0x01, 0x20, -1}) {
+          std::vector<std::uint8_t> bytes = base;
+          std::uint8_t& b = bytes[at + col];
+          b = op < 0 ? static_cast<std::uint8_t>('\'') : static_cast<std::uint8_t>(b ^ op);
+          expect_agreement(name + " card " + std::to_string(at / 80) + " col " +
+                               std::to_string(col + 1) + " op " + std::to_string(op),
+                           bytes);
+        }
+      }
+    }
+  }
+}
+
+TEST(FitsDifferential, TruncationAtEveryRecordBoundary) {
+  for (const auto& [name, base] : fits_corpus(64)) {
+    for (std::size_t records = 0; records * 2880 <= base.size(); ++records) {
+      expect_agreement(name + " cut to " + std::to_string(records) + " records",
+                       std::vector<std::uint8_t>(base.begin(), base.begin() + records * 2880));
+    }
+    // Not a whole number of cards.
+    expect_agreement(name + " cut mid-card",
+                     std::vector<std::uint8_t>(base.begin(), base.end() - 40));
+  }
+}
+
+TEST(FitsDifferential, NumericExtremesInStructuralCards) {
+  for (const auto& [name, base] : fits_corpus(16)) {
+    for (const char* keyword : {"BITPIX", "NAXIS", "NAXIS1", "NAXIS2"}) {
+      for (const char* value : {"0", "-1", "2147483648", "4294967297", "+16", "-0",
+                                "99999999999999999999"}) {
+        std::vector<std::uint8_t> bytes = base;
+        put_card(bytes, card_offset(bytes, keyword), value_card(keyword, value));
+        expect_agreement(name + " " + keyword + " = " + value, bytes);
+      }
+      // The oracle reads 6.4E1 as 64 and accepts it when the data unit is
+      // large enough; it is now always rejected (see the next test).
+      std::vector<std::uint8_t> bytes = base;
+      put_card(bytes, card_offset(bytes, keyword), value_card(keyword, "6.4E1"));
+      const auto got = read_fits(bytes);
+      ASSERT_FALSE(got.ok()) << name << " " << keyword << " = 6.4E1";
+      EXPECT_EQ(got.error().code, ErrorCode::kParseError);
+      Image frame;
+      EXPECT_FALSE(decode_fits_pixels(bytes, frame).ok()) << name << " " << keyword;
+    }
+  }
+}
+
+TEST(FitsDifferential, StructuralValuesSpelledAsRealsAreRejected) {
+  // Deliberate tightening: the oracle re-enters 1.6E1 through "%.14G" as 16
+  // and accepts it; structural values must now be plain decimal integers.
+  const std::vector<std::uint8_t> base = fits_corpus(16).front().second;
+  for (const auto& [keyword, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"NAXIS1", "1.6E1"}, {"NAXIS2", "16.0"}, {"NAXIS1", "0x10"},
+           {"NAXIS", "2."}, {"BITPIX", "-3.2E1"}}) {
+    std::vector<std::uint8_t> bytes = base;
+    put_card(bytes, card_offset(bytes, keyword), value_card(keyword, value));
+    EXPECT_TRUE(oracle_read_fits(bytes).ok()) << keyword << " = " << value;
+    const auto got = read_fits(bytes);
+    ASSERT_FALSE(got.ok()) << keyword << " = " << value;
+    EXPECT_EQ(got.error().code, ErrorCode::kParseError);
+  }
+}
+
+TEST(FitsDifferential, HeaderCardsKeepTheFilesSpelling) {
+  // Deliberate changes: a card's value is the file's text, not the old
+  // reader's strtod -> "%.14G" re-entry of it.
+  std::vector<std::uint8_t> bytes = raw_fits("-32", "4", "2", 1);
+  for (const auto& [keyword, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"NEGZERO", "-0"}, {"PADDED", "007"}, {"REALINT", "64.0"}, {"BARE", "bar"}}) {
+    bytes = with_card_before_end(bytes, value_card(keyword, value));
+  }
+  const auto want = oracle_read_fits(bytes);
+  const auto got = read_fits(bytes);
+  ASSERT_TRUE(want.ok() && got.ok());
+  EXPECT_EQ(want->header.get_string("NEGZERO"), "0");
+  EXPECT_EQ(got->header.get_string("NEGZERO"), "-0");
+  EXPECT_TRUE(std::signbit(got->header.get_real("NEGZERO").value()));
+  EXPECT_EQ(want->header.get_string("PADDED"), "7");
+  EXPECT_EQ(got->header.get_string("PADDED"), "007");
+  EXPECT_EQ(got->header.get_int("PADDED"), 7);
+  EXPECT_EQ(want->header.get_int("REALINT"), 64);
+  EXPECT_FALSE(got->header.get_int("REALINT").has_value());
+  EXPECT_EQ(got->header.get_real("REALINT"), 64.0);
+  // An unquoted word was re-entered as a string card; now it stays bare.
+  EXPECT_TRUE(want->header.cards().back().is_string);
+  EXPECT_FALSE(got->header.cards().back().is_string);
+  EXPECT_EQ(got->header.get_string("BARE"), want->header.get_string("BARE"));
+  EXPECT_EQ(got->header.get_int("BARE"), want->header.get_int("BARE"));
+}
+
+TEST(FitsDifferential, UnreadableScaleFallsBackToTheDefault) {
+  // Deliberate change: strtod read hex and clamped overflow to infinity;
+  // from_chars rejects both, and an unreadable BSCALE means 1, as it
+  // always has for text strtod could not read.
+  FitsFile f;
+  f.data = Image(4, 4, 10.0f);
+  f.bitpix = 16;
+  f.header.set_real("BSCALE", 2.0);
+  const std::vector<std::uint8_t> base = write_fits(f);
+  for (const char* value : {"0x2", "1E999"}) {
+    std::vector<std::uint8_t> bytes = base;
+    put_card(bytes, card_offset(bytes, "BSCALE"), value_card("BSCALE", value));
+    const auto want = oracle_read_fits(bytes);
+    const auto got = read_fits(bytes);
+    ASSERT_TRUE(want.ok() && got.ok()) << value;
+    EXPECT_NE(want->data.at(0, 0), 10.0f) << value;
+    EXPECT_EQ(got->data.at(0, 0), 10.0f) << value;
+  }
+}
+
+TEST(FitsDifferential, DuplicateStructuralCardsLastOneWins) {
+  for (const auto& [name, base] : fits_corpus(16)) {
+    for (const auto& [keyword, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"SIMPLE", "T"}, {"SIMPLE", "F"}, {"BITPIX", "16"}, {"BITPIX", "8"},
+             {"BITPIX", "junk"}, {"NAXIS", "2"}, {"NAXIS", "3"}, {"NAXIS1", "8"},
+             {"NAXIS1", "17"}, {"NAXIS2", "4"}, {"NAXIS2", "'16'"}, {"BSCALE", "2.5"},
+             {"BSCALE", "junk"}, {"BZERO", "-3"}, {"BZERO", "1E-300"}}) {
+      expect_agreement(name + " then " + keyword + " = " + value,
+                       with_card_before_end(base, value_card(keyword, value)));
+    }
+  }
+}
+
+TEST(FitsDifferential, UnterminatedStringAndShiftedKeywords) {
+  for (const auto& [name, base] : fits_corpus(16)) {
+    std::vector<std::uint8_t> bytes = base;
+    put_card(bytes, card_offset(bytes, "OBJECT"), value_card("OBJECT", "'no closing quote"));
+    expect_agreement(name + " unterminated OBJECT", bytes);
+    // Each keyword shifted one column right: a leading space.
+    for (std::size_t at = 0; at <= card_offset(base, "END"); at += 80) {
+      std::vector<std::uint8_t> shifted = base;
+      std::memmove(shifted.data() + at + 1, shifted.data() + at, 7);
+      shifted[at] = ' ';
+      expect_agreement(name + " card " + std::to_string(at / 80) + " leading space",
+                       shifted);
+    }
+  }
+}
+
+TEST(FitsDifferential, PixelDecodeReusesTheFrame) {
+  const auto corpus = fits_corpus(64);
+  Image frame;
+  ASSERT_TRUE(decode_fits_pixels(corpus.front().second, frame).ok());
+  const float* buffer = frame.data();
+  for (const auto& [name, bytes] : corpus) {
+    ASSERT_TRUE(decode_fits_pixels(bytes, frame).ok()) << name;
+    EXPECT_EQ(frame.data(), buffer) << name << ": same-sized frame reallocated";
   }
 }
 

@@ -9,11 +9,15 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/galmorph.hpp"
 #include "core/morphology.hpp"
 #include "grid/threadpool.hpp"
+#include "image/fits.hpp"
 #include "image/image.hpp"
 #include "sim/galaxy.hpp"
 
@@ -215,6 +219,46 @@ TEST(SoaKernel, TiledMorphologyMatchesSerialBitForBit) {
         tiled.tile_executor = exec;
         expect_params_identical(measure_morphology(img, tiled), want);
       }
+    }
+  }
+}
+
+TEST(SoaKernel, JobsOnFitsBytesMatchSerialDecodeAtEveryPoolSize) {
+  // run_gal_morph_bytes decodes into a frame its thread keeps across jobs.
+  // Jobs of mixed sizes run as pool tasks whose 128 px kernels tile back
+  // into the same pool, as the compute service wires them; every result
+  // must equal the serial measurement of read_fits' image, at every pool
+  // size.
+  std::vector<std::vector<std::uint8_t>> cutouts;
+  for (int i = 0; i < 12; ++i) {
+    image::FitsFile f;
+    f.data = render_test_galaxy(i % 2 ? sim::MorphType::kSpiral : sim::MorphType::kElliptical,
+                                i % 3 == 0 ? 128 : 64, 0xF00D + i);
+    cutouts.push_back(image::write_fits(f));
+  }
+  GalMorphArgs args;
+  args.redshift = 0.1;
+  std::vector<GalMorphResult> want;
+  for (const auto& bytes : cutouts) {
+    const auto fits = image::read_fits(bytes);
+    ASSERT_TRUE(fits.ok());
+    want.push_back(run_gal_morph("g", fits.value(), args));
+    ASSERT_TRUE(want.back().params.valid) << "test galaxy should measure cleanly";
+  }
+  for (const std::size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    const ParallelFor shared = [&pool](std::size_t n,
+                                       const std::function<void(std::size_t)>& fn) {
+      grid::parallel_for_shared(pool, n, fn);
+    };
+    std::vector<GalMorphResult> got(cutouts.size());
+    grid::parallel_for(pool, cutouts.size(), [&](std::size_t i) {
+      got[i] = run_gal_morph_bytes("g", cutouts[i], args, &shared);
+    });
+    for (std::size_t i = 0; i < cutouts.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, cutout " << i);
+      expect_params_identical(got[i].params, want[i].params);
+      EXPECT_EQ(got[i].petrosian_r_kpc, want[i].petrosian_r_kpc);
     }
   }
 }

@@ -111,6 +111,24 @@ TEST(Survey, ThreadedComputeMatchesSerial) {
   EXPECT_EQ(got->catalog_xml, want->catalog_xml);
 }
 
+TEST(Survey, InMemoryCatalogIsByteIdenticalAcrossThreadCounts) {
+  // Each kernel thread keeps its own workspace across galaxies; none of it
+  // may leak from one galaxy into the next, whatever thread measures it.
+  SurveyConfig cfg = small_config();
+  std::string want;
+  for (const std::size_t threads : {1, 2, 4}) {
+    cfg.compute_threads = threads;
+    const auto got = Survey(cfg).run_in_memory();
+    ASSERT_TRUE(got.ok()) << got.error().to_string();
+    if (threads == 1) {
+      want = got->catalog_xml;
+      ASSERT_FALSE(want.empty());
+    } else {
+      EXPECT_EQ(got->catalog_xml, want) << threads << " threads";
+    }
+  }
+}
+
 TEST(Survey, StreamingByteIdentityAtSurveyScale) {
   SurveyConfig cfg;
   cfg.target_galaxies = big_target();

@@ -2,6 +2,14 @@
 // and the generic table operations (join/vstack/select).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "votable/table.hpp"
 #include "votable/table_ops.hpp"
 #include "votable/votable_io.hpp"
@@ -107,6 +115,53 @@ TEST(Value, ParseByType) {
   EXPECT_TRUE(Value::parse("", DataType::kDouble)->is_null());
   EXPECT_FALSE(Value::parse("xyz", DataType::kDouble).ok());
   EXPECT_FALSE(Value::parse("maybe", DataType::kBool).ok());
+}
+
+TEST(Value, NumericTextMatchesPrintf) {
+  // Numeric cells are written with std::to_chars; the catalog bytes must be
+  // exactly what snprintf "%.10g" / "%lld" wrote, on a fixed sample of bit
+  // patterns plus the edge values.
+  const auto printf_text = [](const char* fmt, auto v) {
+    char buf[64];
+    const int n = std::snprintf(buf, sizeof buf, fmt, v);
+    return std::string(buf, static_cast<std::size_t>(n));
+  };
+  std::vector<double> doubles = {0.0,
+                                 -0.0,
+                                 1.0,
+                                 -1.5,
+                                 0.1,
+                                 1e300,
+                                 -1e300,
+                                 1e-300,
+                                 -1e-300,
+                                 123456789012.0,
+                                 9999999999.5,
+                                 1e-5,
+                                 1e10,
+                                 std::numeric_limits<double>::denorm_min(),
+                                 -std::numeric_limits<double>::denorm_min(),
+                                 std::numeric_limits<double>::min() / 3,
+                                 std::numeric_limits<double>::min(),
+                                 std::numeric_limits<double>::max(),
+                                 std::numeric_limits<double>::lowest(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+  Rng rng(20031115);
+  for (int i = 0; i < 20000; ++i) {
+    doubles.push_back(std::bit_cast<double>(rng.next_u64()));
+    doubles.push_back(rng.uniform(-1e6, 1e6));
+  }
+  for (const double v : doubles) {
+    const std::string want = std::isnan(v) ? "" : printf_text("%.10g", v);
+    EXPECT_EQ(Value::of_double(v).to_text(), want) << printf_text("%a", v);
+  }
+  std::vector<long long> longs = {0, 1, -1, std::numeric_limits<long long>::max(),
+                                  std::numeric_limits<long long>::min()};
+  for (int i = 0; i < 2000; ++i) longs.push_back(static_cast<long long>(rng.next_u64()));
+  for (const long long v : longs) {
+    EXPECT_EQ(Value::of_long(v).to_text(), printf_text("%lld", v));
+  }
 }
 
 TEST(Table, AppendRowArityChecked) {
