@@ -279,7 +279,8 @@ struct RadialFixture {
     const image::Image raw = sim::render_galaxy(g, size, {});
     const auto bg = core::estimate_background(raw);
     img = core::subtract_background(raw, bg);
-    core::mask_companions_inplace(img, bg.sigma);
+    core::SegmentationScratch segmentation;
+    core::mask_companions_inplace(img, bg.sigma, segmentation);
     limit = std::min(img.width(), img.height()) / 2.0 - 1.0;
     const auto c = core::find_centroid(img, limit);
     cx = c.x;
@@ -419,6 +420,67 @@ void BM_FitsDecodePixels(benchmark::State& state) {
   nvo::bench::report_allocs(state, before);
 }
 BENCHMARK(BM_FitsDecodePixels)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+/// Background-subtracted survey cutouts with their background sigma: the
+/// frames the kernel masks and centroids, in the survey's mix of crowded and
+/// isolated fields.
+struct SurveyFrames {
+  std::vector<image::Image> frames;
+  std::vector<double> sigmas;
+  explicit SurveyFrames(int size) {
+    const auto specs = sim::survey_cluster_specs({1, 2000});
+    const sim::Cluster cluster =
+        sim::generate_cluster(specs.front(), core::GalMorphArgs{}.cosmology());
+    sim::RenderOptions render;
+    render.supersample = 1;
+    for (const sim::GalaxyTruth& g : cluster.galaxies) {
+      if (frames.size() == 32) break;
+      const image::Image raw =
+          sim::synthesize_galaxy_cutout(cluster, g, size, render, 1, 0.0).data;
+      const auto bg = core::estimate_background(raw);
+      frames.push_back(core::subtract_background(raw, bg));
+      sigmas.push_back(bg.sigma);
+    }
+  }
+};
+
+void BM_StageMaskCompanions(benchmark::State& state) {
+  // Companion masking over 32 survey cutouts in turn, on a reused work frame
+  // and segmentation scratch (the per-iteration frame copy is included).
+  const SurveyFrames fx(static_cast<int>(state.range(0)));
+  image::Image work;
+  core::SegmentationScratch scratch;
+  for (std::size_t i = 0; i < fx.frames.size(); ++i) {  // sizes every buffer
+    work.assign_from(fx.frames[i]);
+    core::mask_companions_inplace(work, fx.sigmas[i], scratch);
+  }
+  const std::uint64_t allocs = bench::heap_allocs();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    work.assign_from(fx.frames[i]);
+    core::mask_companions_inplace(work, fx.sigmas[i], scratch);
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+    i = (i + 1) % fx.frames.size();
+  }
+  bench::report_allocs(state, allocs);
+}
+BENCHMARK(BM_StageMaskCompanions)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+void BM_StageCentroid(benchmark::State& state) {
+  // The iterative flux-weighted centroid over the same 32 survey frames.
+  const SurveyFrames fx(static_cast<int>(state.range(0)));
+  const double limit = state.range(0) / 2.0 - 1.0;
+  const std::uint64_t allocs = bench::heap_allocs();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const core::Centroid c = core::find_centroid(fx.frames[i], limit);
+    benchmark::DoNotOptimize(c);
+    i = (i + 1) % fx.frames.size();
+  }
+  bench::report_allocs(state, allocs);
+}
+BENCHMARK(BM_StageCentroid)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 void BM_GalMorphFromBytes(benchmark::State& state) {
   // The full job body: decode FITS + measure + physical scale.

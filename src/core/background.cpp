@@ -4,6 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "core/lanes.hpp"
+
 namespace nvo::core {
 
 BackgroundEstimate estimate_background(const image::Image& img, int border,
@@ -35,23 +37,32 @@ BackgroundEstimate estimate_background(const image::Image& img, int border,
   if (scratch.empty()) return out;
 
   // Iterative sigma clipping, in place: survivors of each round are packed
-  // to the front of the buffer in their original order. The moment loops
-  // run four accumulator lanes to break the FP-add latency chain; the lane
-  // merge reassociates the addition order, so level/sigma match a strictly
-  // sequential reduction to summation-order precision (~1e-15 relative).
+  // to the front of the buffer in their original order. The two moment sums
+  // run four lanes in vector registers (core/lanes.hpp: lane j sums the
+  // samples i with i mod 4 == j, then the lanes fold), whole blocks of four
+  // from index 0 and the remainder scalar.
+  using lanes::f64x4;
   double mean = 0.0;
   double sigma = 0.0;
   std::size_t count = scratch.size();
+  const float* samples = scratch.data();
   for (int it = 0; it < iterations; ++it) {
-    double sum_l[4] = {0.0, 0.0, 0.0, 0.0};
-    for (std::size_t i = 0; i < count; ++i) sum_l[i & 3] += scratch[i];
-    const double sum = (sum_l[0] + sum_l[1]) + (sum_l[2] + sum_l[3]);
-    mean = sum / static_cast<double>(count);
-    double var_l[4] = {0.0, 0.0, 0.0, 0.0};
-    for (std::size_t i = 0; i < count; ++i) {
-      var_l[i & 3] += (scratch[i] - mean) * (scratch[i] - mean);
+    const std::size_t blocked = count & ~std::size_t{3};
+    f64x4 sum_l = {};
+    for (std::size_t i = 0; i < blocked; i += 4) {
+      sum_l += __builtin_convertvector(lanes::load4(samples + i), f64x4);
     }
-    const double var = (var_l[0] + var_l[1]) + (var_l[2] + var_l[3]);
+    for (std::size_t i = blocked; i < count; ++i) lanes::add_to_lane(sum_l, i, samples[i]);
+    mean = lanes::fold(sum_l) / static_cast<double>(count);
+    f64x4 var_l = {};
+    for (std::size_t i = 0; i < blocked; i += 4) {
+      const f64x4 d = __builtin_convertvector(lanes::load4(samples + i), f64x4) - mean;
+      var_l += d * d;
+    }
+    for (std::size_t i = blocked; i < count; ++i) {
+      lanes::add_to_lane(var_l, i, (samples[i] - mean) * (samples[i] - mean));
+    }
+    const double var = lanes::fold(var_l);
     sigma = count > 1 ? std::sqrt(var / static_cast<double>(count - 1)) : 0.0;
     if (sigma <= 0.0) break;
     const double cut = clip_sigma * sigma;

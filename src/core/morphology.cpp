@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/strings.hpp"
+#include "core/lanes.hpp"
 #include "core/photometry.hpp"
 #include "core/segmentation.hpp"
 
@@ -12,6 +13,9 @@ namespace nvo::core {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+
+using lanes::f32x4;
+using lanes::f64x4;
 
 /// Fused validity scan: one pass over the frame detects both corruption
 /// modes the kernel rejects — non-finite pixels, and the saturated-band
@@ -75,8 +79,9 @@ double asymmetry_statistic(const image::Image& img, double cx, double cy,
   // error-free two-sum probe at both interval ends — so the bilinear
   // x-weights are constants and the four source taps slide one element per
   // step. The middle segment where all four taps are in bounds runs as a
-  // branchless index-reversed sweep with four accumulator lanes; the few
-  // head/tail pixels (and whole rows that fail the certification, e.g. a
+  // branchless index-reversed sweep, four columns per step in vector
+  // registers (one accumulator lane per column mod 4); the few head/tail
+  // pixels (and whole rows that fail the certification, e.g. a
   // center pathologically close to the frame edge) fall back to the
   // reference per-pixel path.
   double num = 0.0;
@@ -162,14 +167,17 @@ double asymmetry_statistic(const image::Image& img, double cx, double cy,
 
     for (int x = xlo; x < xa && x <= xhi; ++x) slow_pixel(x);
     if (xa <= xb) {
+      // Four lanes in vector registers (core/lanes.hpp): lane j sums the
+      // columns x with x mod 4 == j. In a block of four columns the mirror
+      // taps run backwards, so each tap vector is a reversed load.
       const double fx = sx_lo - ix0_lo;
       const double wx0 = 1.0 - fx;
       const double wy0 = 1.0 - fy;
       const float* vrow = img.data() + static_cast<std::size_t>(y) * width;
-      double lane_num[4] = {0.0, 0.0, 0.0, 0.0};
-      double lane_den[4] = {0.0, 0.0, 0.0, 0.0};
+      f64x4 lane_num = {};
+      f64x4 lane_den = {};
       int ix = ix0_lo - (xa - xlo);
-      for (int x = xa; x <= xb; ++x, --ix) {
+      const auto pixel = [&](int x) {
         const double v00 = row0[ix];
         const double v10 = row0[ix + 1];
         const double v01 = row1[ix];
@@ -178,11 +186,27 @@ double asymmetry_statistic(const image::Image& img, double cx, double cy,
         const double bot = v00 * wx0 + v10 * fx;
         const float rotated = static_cast<float>(bot * wy0 + top * fy);
         const float v = vrow[x];
-        lane_num[x & 3] += std::fabs(v - rotated);
-        lane_den[x & 3] += std::fabs(v);
+        lanes::add_to_lane(lane_num, x, std::fabs(v - rotated));
+        lanes::add_to_lane(lane_den, x, std::fabs(v));
+      };
+      int x = xa;
+      for (; x <= xb && (x & 3) != 0; ++x, --ix) pixel(x);
+      for (; x + 3 <= xb; x += 4, ix -= 4) {
+        // Columns x..x+3 read taps ix..ix-3 (and ix+1..ix-2 to their right).
+        const f64x4 v00 = __builtin_convertvector(lanes::reverse(lanes::load4(row0 + ix - 3)), f64x4);
+        const f64x4 v10 = __builtin_convertvector(lanes::reverse(lanes::load4(row0 + ix - 2)), f64x4);
+        const f64x4 v01 = __builtin_convertvector(lanes::reverse(lanes::load4(row1 + ix - 3)), f64x4);
+        const f64x4 v11 = __builtin_convertvector(lanes::reverse(lanes::load4(row1 + ix - 2)), f64x4);
+        const f64x4 top = v01 * wx0 + v11 * fx;
+        const f64x4 bot = v00 * wx0 + v10 * fx;
+        const f32x4 rotated = __builtin_convertvector(bot * wy0 + top * fy, f32x4);
+        const f32x4 v = lanes::load4(vrow + x);
+        lane_num += __builtin_convertvector(lanes::abs(v - rotated), f64x4);
+        lane_den += __builtin_convertvector(lanes::abs(v), f64x4);
       }
-      num += (lane_num[0] + lane_num[1]) + (lane_num[2] + lane_num[3]);
-      den += (lane_den[0] + lane_den[1]) + (lane_den[2] + lane_den[3]);
+      for (; x <= xb; ++x, --ix) pixel(x);
+      num += lanes::fold(lane_num);
+      den += lanes::fold(lane_den);
     }
     for (int x = xb + 1; x <= xhi; ++x) slow_pixel(x);
   }

@@ -2,10 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+
+#include "core/lanes.hpp"
 
 namespace nvo::core {
 
 namespace {
+
+using lanes::f32x4;
+using lanes::f64x4;
+using lanes::mask64x4;
 
 // Half-diagonal margin (in pixels) around an aperture radius inside which a
 // pixel can straddle the boundary. The 4x4 sub-sample grid spans at most
@@ -16,19 +23,20 @@ constexpr double kBoundaryBand = 0.71;
 
 /// Covered fraction (in sixteenths) of the pixel centered at (x, y) for a
 /// circular aperture of squared radius r2 about (cx, cy): the 4x4
-/// sub-sample count used by every flux query, boundary pixels only.
+/// sub-sample count used by every flux query, boundary pixels only. Sample
+/// (sx, sy) sits at (x - 0.5 + (sx + 0.5) / 4, y - 0.5 + (sy + 0.5) / 4);
+/// the four column offsets are squared once in one vector, and each sample
+/// row compares all four against r2 at once.
 inline int subsampled_coverage(int x, int y, double cx, double cy, double r2) {
-  int covered = 0;
-  for (int sy = 0; sy < 4; ++sy) {
-    for (int sx = 0; sx < 4; ++sx) {
-      const double px = x - 0.5 + (sx + 0.5) / 4.0;
-      const double py = y - 0.5 + (sy + 0.5) / 4.0;
-      const double ddx = px - cx;
-      const double ddy = py - cy;
-      covered += (ddx * ddx + ddy * ddy <= r2) ? 1 : 0;
-    }
-  }
-  return covered;
+  constexpr f64x4 kSubOffset = {0.125, 0.375, 0.625, 0.875};
+  const f64x4 ddx = ((x - 0.5) + kSubOffset) - cx;
+  const f64x4 ddy = ((y - 0.5) + kSubOffset) - cy;
+  const f64x4 dx2 = ddx * ddx;
+  const f64x4 dy2 = ddy * ddy;
+  mask64x4 inside = {};
+  for (int sy = 0; sy < 4; ++sy) inside += dx2 + dy2[sy] <= r2;
+  // Each covered sample added -1 (all bits set) to its column's element.
+  return static_cast<int>(-(inside[0] + inside[1] + inside[2] + inside[3]));
 }
 
 // Row-band height for the tiled CurveOfGrowth build. Banding engages only
@@ -45,15 +53,12 @@ Centroid find_centroid(const image::Image& img, double radius, int max_iteration
   c.x = (img.width() - 1) / 2.0;
   c.y = (img.height() - 1) / 2.0;
   for (int it = 0; it < max_iterations; ++it) {
-    // Four independent accumulator lanes per moment break the serial
-    // FP-add latency chain that otherwise bounds this loop. The lane sums
-    // reassociate the addition order, so the centroid matches the strictly
-    // sequential scan to summation-order precision (~1e-15 relative per
-    // iteration), not bit-for-bit — within the kernel's documented
-    // tolerance policy.
-    double sum_l[4] = {0.0, 0.0, 0.0, 0.0};
-    double sx_l[4] = {0.0, 0.0, 0.0, 0.0};
-    double sy_l[4] = {0.0, 0.0, 0.0, 0.0};
+    // Each moment runs four lanes in one vector register (core/lanes.hpp):
+    // lane j sums the pixels of columns x with x mod 4 == j, row by row, and
+    // the lanes fold at the end.
+    f64x4 sum_l = {};
+    f64x4 sx_l = {};
+    f64x4 sy_l = {};
     const int x0 = std::max(0, static_cast<int>(c.x - radius));
     const int x1 = std::min(img.width() - 1, static_cast<int>(c.x + radius));
     const int y0 = std::max(0, static_cast<int>(c.y - radius));
@@ -80,16 +85,27 @@ Centroid find_centroid(const image::Image& img, double radius, int max_iteration
         --xhi;
       }
       const float* row = img.data() + static_cast<std::size_t>(y) * img.width();
-      for (int x = xlo; x <= xhi; ++x) {
+      const auto pixel = [&](int x) {
         const double w = std::max(0.0f, row[x]);
-        sum_l[x & 3] += w;
-        sx_l[x & 3] += w * x;
-        sy_l[x & 3] += w * y;
+        lanes::add_to_lane(sum_l, x, w);
+        lanes::add_to_lane(sx_l, x, w * x);
+        lanes::add_to_lane(sy_l, x, w * y);
+      };
+      int x = xlo;
+      for (; x <= xhi && (x & 3) != 0; ++x) pixel(x);
+      for (; x + 3 <= xhi; x += 4) {
+        // std::max(0.0f, v) keeps 0 unless 0 < v.
+        const f32x4 v = lanes::load4(row + x);
+        const f64x4 w = __builtin_convertvector(v > 0.0f ? v : f32x4{}, f64x4);
+        sum_l += w;
+        sx_l += w * (static_cast<double>(x) + lanes::kLaneIndex);
+        sy_l += w * static_cast<double>(y);
       }
+      for (; x <= xhi; ++x) pixel(x);
     }
-    const double sum = (sum_l[0] + sum_l[1]) + (sum_l[2] + sum_l[3]);
-    const double sx = (sx_l[0] + sx_l[1]) + (sx_l[2] + sx_l[3]);
-    const double sy = (sy_l[0] + sy_l[1]) + (sy_l[2] + sy_l[3]);
+    const double sum = lanes::fold(sum_l);
+    const double sx = lanes::fold(sx_l);
+    const double sy = lanes::fold(sy_l);
     if (sum <= 0.0) return c;  // not converged
     const double nx = sx / sum;
     const double ny = sy / sum;
@@ -320,18 +336,33 @@ void CurveOfGrowth::scan_shells(int shell_lo, int shell_hi, double in2, double o
   shell_hi = std::clamp(shell_hi, shell_lo, num_shells_);
   const double* d2 = d2_.data();
   const float* val = value_.data();
-  // Branchless interval test over the contiguous d2/value streams, with
-  // four accumulator lanes to break the FP-add latency chain. Excluded
-  // entries contribute a masked-in 0.0; the lane merge reassociates the
-  // addition order (summation-order precision vs. the sequential scan).
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  // Branchless interval test over the contiguous d2/value streams, four
+  // lanes in vector registers (core/lanes.hpp). An entry outside the
+  // interval adds 0.0 to its lane, as the one-entry-at-a-time loop does.
+  f64x4 acc = {};
   int cnt = 0;
-  for (std::uint32_t i = shell_start_[shell_lo]; i < shell_start_[shell_hi]; ++i) {
+  const auto entry = [&](std::uint32_t i) {
     const bool in = !(d2[i] < in2 || d2[i] >= out2);
-    acc[i & 3] += in ? static_cast<double>(val[i]) : 0.0;
+    lanes::add_to_lane(acc, i, in ? static_cast<double>(val[i]) : 0.0);
     cnt += in ? 1 : 0;
+  };
+  std::uint32_t i = shell_start_[shell_lo];
+  const std::uint32_t end = shell_start_[shell_hi];
+  for (; i < end && (i & 3) != 0; ++i) entry(i);
+  mask64x4 outside_count = {};
+  std::uint32_t blocks = 0;
+  for (; i + 4 <= end; i += 4, ++blocks) {
+    f64x4 d = {};
+    std::memcpy(&d, d2 + i, sizeof d);
+    const mask64x4 outside = (d < in2) | (d >= out2);
+    acc += outside ? f64x4{} : __builtin_convertvector(lanes::load4(val + i), f64x4);
+    outside_count += outside;
   }
-  sum += (acc[0] + acc[1]) + (acc[2] + acc[3]);
+  // Each outside entry added -1 (all bits set) to its element.
+  cnt += static_cast<int>(4 * blocks + (outside_count[0] + outside_count[1]) +
+                          (outside_count[2] + outside_count[3]));
+  for (; i < end; ++i) entry(i);
+  sum += lanes::fold(acc);
   count += cnt;
 }
 
@@ -349,23 +380,42 @@ double CurveOfGrowth::aperture_flux(double radius) const {
   const int last = std::clamp(static_cast<int>(outer) + 2, full, num_shells_);
   double flux = shell_flux_prefix_[full];
   // Straddling shells: the same squared-distance cuts and sub-pixel
-  // boundary weighting as the direct scan, applied per entry. Interior and
-  // exterior entries resolve branchlessly through four masked accumulator
-  // lanes; only genuine boundary pixels take the coverage branch. The lane
-  // merge reassociates the addition order (summation-order precision).
+  // boundary weighting as the direct scan, applied per entry. Interior
+  // entries sum into four lanes in vector registers (core/lanes.hpp), the
+  // others adding 0.0 to their lane as the one-entry-at-a-time loop does;
+  // genuine boundary pixels add their weighted value to `flux` in index
+  // order.
   const double* d2s = d2_.data();
   const float* vals = value_.data();
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::uint32_t i = shell_start_[full]; i < shell_start_[last]; ++i) {
+  f64x4 acc = {};
+  const auto entry = [&](std::uint32_t i) {
     const double d2 = d2s[i];
     const bool interior = d2 <= inner2;
     const bool outside = d2 >= outer2;
-    acc[i & 3] += interior ? static_cast<double>(vals[i]) : 0.0;
+    lanes::add_to_lane(acc, i, interior ? static_cast<double>(vals[i]) : 0.0);
     if (!interior && !outside) {
       flux += vals[i] * subsampled_coverage(x_[i], y_[i], cx_, cy_, r2) / 16.0;
     }
+  };
+  std::uint32_t i = shell_start_[full];
+  const std::uint32_t end = shell_start_[last];
+  for (; i < end && (i & 3) != 0; ++i) entry(i);
+  for (; i + 4 <= end; i += 4) {
+    f64x4 d = {};
+    std::memcpy(&d, d2s + i, sizeof d);
+    const mask64x4 interior = d <= inner2;
+    acc += interior ? __builtin_convertvector(lanes::load4(vals + i), f64x4) : f64x4{};
+    const mask64x4 boundary = ~interior & ~(d >= outer2);
+    if (!lanes::any(boundary)) continue;
+    for (std::uint32_t j = 0; j < 4; ++j) {
+      if (boundary[j] != 0) {
+        flux += vals[i + j] *
+                subsampled_coverage(x_[i + j], y_[i + j], cx_, cy_, r2) / 16.0;
+      }
+    }
   }
-  return flux + ((acc[0] + acc[1]) + (acc[2] + acc[3]));
+  for (; i < end; ++i) entry(i);
+  return flux + lanes::fold(acc);
 }
 
 double CurveOfGrowth::annulus_mean(double r_in, double r_out) const {

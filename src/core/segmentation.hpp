@@ -13,68 +13,49 @@
 
 namespace nvo::core {
 
-/// Connected-component labeling of pixels above a threshold (4-neighbor
-/// connectivity). Label 0 = below threshold; components are 1..count.
-struct Segmentation {
-  std::vector<int> labels;  ///< row-major, size = width*height
-  int width = 0;
-  int height = 0;
-  int count = 0;            ///< number of components
-  int central = 0;          ///< label of the central source (0 = none found)
-
-  int label_at(int x, int y) const {
-    return labels[static_cast<std::size_t>(y) * width + x];
-  }
+/// One horizontal run of member pixels: columns [x0, x1) of row y.
+struct PixelRun {
+  std::int32_t y = 0;
+  std::int32_t x0 = 0;
+  std::int32_t x1 = 0;
 };
 
-/// Segments a background-subtracted image at `threshold` (counts). The
-/// central source is the component with the brightest pixel inside the
-/// centered box covering the middle `central_box_fraction` of each axis.
-Segmentation segment(const image::Image& background_subtracted, double threshold,
-                     double central_box_fraction = 0.3);
-
-/// Reusable buffers for mask_companions_inplace: the two label maps, BFS
-/// frontier, mask planes, and deblend peak tables. Holding one across a
-/// batch of same-sized cutouts makes companion masking allocation-free in
-/// the steady state — it was the single largest per-galaxy heap consumer
-/// in the kernel before being hoisted here.
+/// Reusable buffers for mask_companions_inplace: one row's membership
+/// bytes, the detection and deblend runs with their component labels,
+/// the central-membership and mask planes, and the deblend peak tables. All
+/// are sized by the frame, not its content (a row holds at most ceil(w/2)
+/// runs, so a frame at most h * ceil(w/2)), so scratch that has masked one
+/// frame never allocates for another of the same size.
 struct SegmentationScratch {
-  Segmentation seg;
-  Segmentation cores;
-  std::vector<std::uint32_t> frontier;  ///< flat pixel indices (BFS + dilation)
-  std::vector<std::uint32_t> rim;       ///< dilation wavefront, flat indices
-  std::vector<std::uint8_t> above;      ///< threshold-membership bitmap
-  std::vector<std::uint8_t> mask;
+  std::vector<std::uint8_t> row_bytes;   ///< one row's membership, padded to 64 px words
+  std::vector<PixelRun> runs;            ///< detection-threshold runs, raster order
+  std::vector<std::uint32_t> labels;     ///< component of each run, 1..count
+  std::vector<PixelRun> core_runs;       ///< central runs above the deblend threshold
+  std::vector<std::uint32_t> core_labels;
+  std::vector<std::uint8_t> central;     ///< 1 on central-component pixels
+  std::vector<std::uint8_t> mask;        ///< masked pixels, one zero row above and below
+  std::vector<std::uint8_t> grown;       ///< next dilation pass, same layout as mask
   std::vector<double> peak_x;
   std::vector<double> peak_y;
   std::vector<float> peak_v;
 };
 
-/// Returns a copy of the background-subtracted image with every pixel of
-/// every non-central component (dilated by `dilate_pixels`) set to zero.
-/// If no central source is detected, the input is returned unchanged.
+/// Zeroes, in `background_subtracted`, every pixel of every non-central
+/// source (dilated by `dilate_pixels`). Sources are the 4-connected
+/// components of the pixels at or above `threshold_sigma` background sigmas;
+/// the central one holds the brightest such pixel of the centered box
+/// covering the middle 30% of each axis. If there is none, the frame is left
+/// unchanged.
 ///
 /// Blends are deblended SExtractor-style with a second, higher threshold
-/// (`deblend_sigma`): when the central low-threshold component contains
-/// several high-threshold cores, each of its pixels is assigned to the
-/// nearest core and pixels belonging to non-central cores are masked too.
-image::Image mask_companions(const image::Image& background_subtracted,
-                             double background_sigma,
-                             double threshold_sigma = 2.0, int dilate_pixels = 2,
-                             double deblend_sigma = 10.0);
-
-/// In-place form of mask_companions: zeroes the masked pixels directly in
-/// `background_subtracted` instead of returning a modified copy. The batch
-/// kernel runs it on its reusable scratch frame so companion masking adds
-/// no per-galaxy image allocation.
-void mask_companions_inplace(image::Image& background_subtracted,
-                             double background_sigma,
-                             double threshold_sigma = 2.0, int dilate_pixels = 2,
-                             double deblend_sigma = 10.0);
-
-/// Scratch-buffer form: identical masking decisions (the deblend pass runs
-/// over the same pixel predicate the materialized central-only frame would
-/// produce), with all intermediate state drawn from `scratch`.
+/// (`deblend_sigma`): when the central component contains several
+/// high-threshold cores, each of its pixels is assigned to the nearest core
+/// peak and pixels belonging to non-central cores are masked too.
+///
+/// Components are labeled on row runs with union-find and numbered in
+/// raster order of their first pixel, so every tie (equal brightest pixels,
+/// equidistant core peaks) resolves toward the component, core or pixel
+/// that comes first in raster order.
 void mask_companions_inplace(image::Image& background_subtracted,
                              double background_sigma,
                              SegmentationScratch& scratch,

@@ -2,8 +2,10 @@
 // decodes into a frame its thread keeps and measures in the thread's kernel
 // workspace, so once the first cutout has sized both, a job on a same-sized
 // cutout allocates only what its result owns: the galaxy id, when it is too
-// long for the small-string buffer. Counted with the benches' replaceable
-// global operator new (bench/alloc_counter.cpp), linked into this test only.
+// long for the small-string buffer. Companion masking, the stage whose
+// buffers depend most on content, is also checked on its worst case frame.
+// Counted with the benches' replaceable global operator new
+// (bench/alloc_counter.cpp), linked into this test only.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +14,7 @@
 
 #include "bench_common.hpp"
 #include "core/galmorph.hpp"
+#include "core/segmentation.hpp"
 #include "image/fits.hpp"
 #include "sim/cluster.hpp"
 #include "sim/survey.hpp"
@@ -73,6 +76,37 @@ TEST(KernelAllocations, SteadyStateJobAllocatesOnlyItsId) {
       EXPECT_LE(long_id_allocs, 1u) << size << " px " << c.id;
     }
     EXPECT_GT(valid, batch.size() * 9 / 10) << size << " px";
+  }
+}
+
+/// A full-frame checkerboard above the detection threshold: h * ceil(w/2)
+/// single-pixel components, the most runs a frame of this size can hold.
+image::Image checkerboard(int size) {
+  image::Image img(size, size, 0.0f);
+  for (int y = 0; y < size; ++y) {
+    for (int x = 0; x < size; ++x) {
+      if ((x + y) % 2 == 0) img.at(x, y) = 5.0f + 0.25f * static_cast<float>((x * 3 + y) % 7);
+    }
+  }
+  return img;
+}
+
+TEST(KernelAllocations, CompanionMaskingIsSizedByTheFrameNotItsContent) {
+  // The segmentation scratch reserves its runs, labels and peak tables for
+  // the frame size on first use, so a frame with no sources sizes it for the
+  // worst case: the checkerboard must then mask without allocating.
+  for (const int size : {64, 128}) {
+    SegmentationScratch scratch;
+    image::Image blank(size, size, 0.0f);
+    mask_companions_inplace(blank, 1.0, scratch);
+    for (int round = 0; round < 2; ++round) {
+      image::Image frame = checkerboard(size);
+      const std::uint64_t before = bench::heap_allocs();
+      mask_companions_inplace(frame, 1.0, scratch);
+      EXPECT_EQ(bench::heap_allocs() - before, 0u) << size << " px, round " << round;
+      EXPECT_EQ(scratch.runs.size(), static_cast<std::size_t>(size) * (size / 2));
+      EXPECT_EQ(frame.at(0, 0), 0.0f) << "companions must be masked";
+    }
   }
 }
 

@@ -3,13 +3,14 @@
 # resilience-facing test lane (retry/breaker/failover unit tests, fabric
 # metrics, the chaos campaign suite, the digest/quarantine integrity tests,
 # the checkpoint-journal tests in grid_test, the replica-cache/data-plane
-# tests, and the FITS codec and render-key tests in image_test/sim_test)
-# under the instrumented binaries, then repeats the concurrency-facing
+# tests, the FITS codec and render-key tests in image_test/sim_test, and the
+# morphology kernel's equivalence, unit and allocation tests) under the
+# instrumented binaries, then repeats the concurrency-facing
 # lane (sharded cache + pipelined staging + concurrent journal appends) under
 # ThreadSanitizer in build-tsan/.
 #
 # Usage: tools/run_sanitize_tests.sh [ctest -R regex]
-#   default regex: resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test
+#   default regex: resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test
 #   BUILD_DIR=<dir>       ASan build tree (default: <repo>/build-asan)
 #   TSAN_BUILD_DIR=<dir>  TSan build tree (default: <repo>/build-tsan)
 #   NVO_SKIP_TSAN=1       run only the ASan phase
@@ -18,7 +19,7 @@ set -e
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-asan}"
 TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
-REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test}"
+REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test}"
 # obs_test/observability_test drive the traced portal pipeline through the
 # kernel thread pool, and grid_test appends to the checkpoint journal from a
 # thread pool, so they belong in the TSan lane too. soa_kernel_test exercises
@@ -55,6 +56,14 @@ REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_pla
 # out-of-bounds stores, integer overflow and bad casts there are UBSan and
 # ASan territory. sim_test also covers the render key's precomputed
 # population hash. Neither test starts threads.
+# kernel_equivalence_test, core_test and kernel_alloc_test join the ASan lane
+# only: companion masking labels row runs with union-find index arithmetic
+# into reserved buffers, and the kernel's vector-lane loops load four
+# elements at a time with scalar heads and tails, so an index one past a
+# run, a row or an interval is exactly what ASan and UBSan catch. The
+# sanitized build also compiles the kernel at different optimization
+# settings, so kernel_equivalence_test's pinned output digest re-checks that
+# code generation moves no bit. None of the three starts threads.
 TSAN_REGEX="${TSAN_REGEX:-replica_cache_test|data_plane_test|obs_test|observability_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test}"
 
 cmake -B "$BUILD" -S "$ROOT" -DNVO_SANITIZE="address;undefined" \
@@ -63,7 +72,7 @@ cmake --build "$BUILD" -j --target \
       resilience_test chaos_test services_test replica_cache_test data_plane_test \
       obs_test observability_test integrity_test grid_test soa_kernel_test \
       survey_test async_portal_test dataflow_test multipool_test lifecycle_test \
-      portal_test image_test sim_test
+      portal_test image_test sim_test kernel_equivalence_test core_test kernel_alloc_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
