@@ -351,8 +351,8 @@ BENCHMARK(BM_RadialQueriesLegacyExtended)->Arg(96)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_RadialQueriesCogExtended(benchmark::State& state) {
-  // Same extended source: the curve of growth's cost is one fixed two-pass
-  // build regardless of how deep the sweep runs.
+  // Same extended source: the curve of growth sorts each pixel the sweep
+  // reaches once, however many 0.5-px steps it takes.
   const RadialFixture fx(static_cast<int>(state.range(0)), /*extended=*/true);
   core::CurveOfGrowth cog;
   for (auto _ : state) {
@@ -372,18 +372,24 @@ void BM_RadialQueriesCogExtended(benchmark::State& state) {
 BENCHMARK(BM_RadialQueriesCogExtended)->Arg(96)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_CogBuild(benchmark::State& state) {
-  // The counting-sort build alone: two linear passes over the frame.
+void BM_CogFullExtent(benchmark::State& state) {
+  // The whole curve: a build plus one query at the far corner's radius,
+  // which sorts every pixel of the frame into its shell.
   const int size = static_cast<int>(state.range(0));
   const image::Image img =
       sim::render_galaxy(make_truth(sim::MorphType::kElliptical, size), size, {});
+  const double c = size / 2.0 - 0.5;
+  const double corner = std::hypot(c, c);
   core::CurveOfGrowth cog;
+  cog.build(img, c, c);  // warm-up sizes the internal buffers
+  const std::uint64_t allocs = bench::heap_allocs();
   for (auto _ : state) {
-    cog.build(img, size / 2.0 - 0.5, size / 2.0 - 0.5);
-    benchmark::DoNotOptimize(cog);
+    cog.build(img, c, c);
+    benchmark::DoNotOptimize(cog.aperture_flux(corner));
   }
+  bench::report_allocs(state, allocs);
 }
-BENCHMARK(BM_CogBuild)->Arg(64)->Arg(128)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CogFullExtent)->Arg(64)->Arg(128)->Unit(benchmark::kMicrosecond);
 
 /// A survey cutout as the archives serve it: WCS, OBJECT, REDSHIFT and MAG
 /// cards over a float data unit of `size` px on a side.

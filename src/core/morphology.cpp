@@ -251,7 +251,7 @@ MorphologyParams measure_morphology(const image::Image& cutout,
   // aperture, and the r20/r80 bisections — is answered from one precomputed
   // curve of growth instead of a fresh aperture scan per query.
   CurveOfGrowth& cog = workspace.cog;
-  cog.build(img, centroid.x, centroid.y, options.tile_executor);
+  cog.build(img, centroid.x, centroid.y);
 
   const auto r_p = cog.petrosian_radius(options.petrosian_eta, frame_limit);
   if (!r_p) return invalid("no Petrosian radius (source too faint or absent)");
@@ -294,22 +294,22 @@ MorphologyParams measure_morphology(const image::Image& cutout,
     // The nine candidate centers are independent; with an executor they are
     // evaluated concurrently and the minimum is then taken in the same
     // row-major grid order (strict <) as the serial loop, so the selected
-    // center — and therefore the refinement base — is identical.
+    // center -- and therefore the refinement base -- is identical. The
+    // refinement grid's center is the coarse winner itself, already
+    // evaluated with the same arguments: it reuses `best`.
     double a[9];
+    const auto evaluate = [&](std::size_t i) {
+      const int dx = static_cast<int>(i % 3) - 1;
+      const int dy = static_cast<int>(i / 3) - 1;
+      a[i] = (step == 0.25 && i == 4)
+                 ? best
+                 : asymmetry_statistic(img, base_x + dx * step, base_y + dy * step,
+                                       aperture);
+    };
     if (options.tile_executor != nullptr) {
-      (*options.tile_executor)(9, [&](std::size_t i) {
-        const int dx = static_cast<int>(i % 3) - 1;
-        const int dy = static_cast<int>(i / 3) - 1;
-        a[i] = asymmetry_statistic(img, base_x + dx * step, base_y + dy * step,
-                                   aperture);
-      });
+      (*options.tile_executor)(9, evaluate);
     } else {
-      for (std::size_t i = 0; i < 9; ++i) {
-        const int dx = static_cast<int>(i % 3) - 1;
-        const int dy = static_cast<int>(i / 3) - 1;
-        a[i] = asymmetry_statistic(img, base_x + dx * step, base_y + dy * step,
-                                   aperture);
-      }
+      for (std::size_t i = 0; i < 9; ++i) evaluate(i);
     }
     for (std::size_t i = 0; i < 9; ++i) {
       if (a[i] < best) {

@@ -21,14 +21,17 @@ using lanes::mask64x4;
 // side of those cuts cannot change its contribution.
 constexpr double kBoundaryBand = 0.71;
 
+// The four sub-sample offsets along each axis, from the pixel's low edge.
+constexpr f64x4 kSubOffset = {0.125, 0.375, 0.625, 0.875};
+
 /// Covered fraction (in sixteenths) of the pixel centered at (x, y) for a
 /// circular aperture of squared radius r2 about (cx, cy): the 4x4
-/// sub-sample count used by every flux query, boundary pixels only. Sample
+/// sub-sample count of the direct scan's boundary pixels (CurveOfGrowth
+/// reads the same squares off tables it fills once per build). Sample
 /// (sx, sy) sits at (x - 0.5 + (sx + 0.5) / 4, y - 0.5 + (sy + 0.5) / 4);
 /// the four column offsets are squared once in one vector, and each sample
 /// row compares all four against r2 at once.
 inline int subsampled_coverage(int x, int y, double cx, double cy, double r2) {
-  constexpr f64x4 kSubOffset = {0.125, 0.375, 0.625, 0.875};
   const f64x4 ddx = ((x - 0.5) + kSubOffset) - cx;
   const f64x4 ddy = ((y - 0.5) + kSubOffset) - cy;
   const f64x4 dx2 = ddx * ddx;
@@ -39,12 +42,11 @@ inline int subsampled_coverage(int x, int y, double cx, double cy, double r2) {
   return static_cast<int>(-(inside[0] + inside[1] + inside[2] + inside[3]));
 }
 
-// Row-band height for the tiled CurveOfGrowth build. Banding engages only
-// when an executor is supplied and the frame has at least two bands' worth
-// of rows; per-band shell sub-histograms keep the scattered entry order
-// bit-identical to the serial build regardless of execution order.
-constexpr int kBandRows = 32;
-constexpr int kMaxBands = 64;
+// Margin, in pixels, of the ring of pixels an extension of the curve visits
+// (see CurveOfGrowth::ensure). It dwarfs the rounding of the ring's row
+// intervals, and a pixel at distance exactly k from the center is in shell
+// k, so the inner edge needs it too.
+constexpr double kExtentMargin = 1.0;
 
 }  // namespace
 
@@ -188,27 +190,21 @@ std::optional<double> petrosian_radius(const image::Image& img, double cx, doubl
   return cog.petrosian_radius(eta, max_radius);
 }
 
-int CurveOfGrowth::shell_of(double d2) const {
-  return std::min(static_cast<int>(std::sqrt(d2)), num_shells_ - 1);
-}
-
 void CurveOfGrowth::build(const image::Image& img, double cx, double cy,
-                          const ParallelFor* par) {
+                          const ParallelFor* /*par*/) {
+  img_ = &img;
   cx_ = cx;
   cy_ = cy;
   width_ = img.width();
   height_ = img.height();
+  built_ = 0;
   const std::size_t n = img.size();
   if (n == 0) {
-    d2_.clear();
-    value_.clear();
-    x_.clear();
-    y_.clear();
     num_shells_ = 0;
     return;
   }
-  // Shell count from the farthest frame corner; per-entry clamping below
-  // makes the exact value uncritical.
+  // Shell count from the farthest frame corner; per-entry clamping in
+  // ensure() makes the exact value uncritical.
   double d2max = 0.0;
   for (int corner = 0; corner < 4; ++corner) {
     const double dx = (corner & 1 ? width_ - 1 : 0) - cx;
@@ -216,118 +212,150 @@ void CurveOfGrowth::build(const image::Image& img, double cx, double cy,
     d2max = std::max(d2max, dx * dx + dy * dy);
   }
   num_shells_ = static_cast<int>(std::sqrt(d2max)) + 2;
-  const int last_shell = num_shells_ - 1;
-  // The per-shell arrays are reserved for any center inside the frame (no
-  // corner is farther than the diagonal), so a workspace that has measured
-  // one frame of this size never grows for another.
-  const std::size_t max_shells =
-      static_cast<std::size_t>(std::hypot(width_ - 1.0, height_ - 1.0)) + 3;
-  shell_start_.reserve(max_shells + 1);
-  shell_flux_prefix_.reserve(max_shells + 1);
+  // Every buffer is sized for the whole frame and any center inside it (no
+  // corner is farther than the diagonal) and never shrinks, so a workspace
+  // that has measured one frame of this size never grows for another,
+  // however far its queries reach.
+  const std::size_t shells = std::max(
+      static_cast<std::size_t>(std::hypot(width_ - 1.0, height_ - 1.0)) + 3,
+      static_cast<std::size_t>(num_shells_));
+  const auto grow = [](auto& v, std::size_t size) {
+    if (v.size() < size) v.resize(size);
+  };
+  grow(shell_start_, shells + 1);
+  grow(shell_flux_prefix_, shells + 1);
+  grow(cursor_, shells);
+  grow(d2_, n);
+  grow(value_, n);
+  grow(x_, n);
+  grow(y_, n);
+  grow(shell_scratch_, n);
+  shell_start_[0] = 0;
+  shell_flux_prefix_[0] = 0.0;
 
-  // Column squared offsets, computed once: d2 for pixel (x, y) is
-  // col_dx2_[x] + dy2, which — with contraction disabled — is bit-identical
-  // to the direct (dx*dx + dy*dy) the scan-based references evaluate.
+  // Column squared offsets: d2 for pixel (x, y) is col_dx2_[x] + dy2, which
+  // — with contraction disabled — is bit-identical to the direct
+  // (dx*dx + dy*dy) the scan-based references evaluate. The sub-sample
+  // tables square subsampled_coverage's offsets once per column and row, by
+  // the same expression.
   col_dx2_.resize(static_cast<std::size_t>(width_));
+  col_sub_dx2_.resize(4 * static_cast<std::size_t>(width_));
+  row_sub_dy2_.resize(4 * static_cast<std::size_t>(height_));
   for (int x = 0; x < width_; ++x) {
     const double dx = x - cx;
     col_dx2_[x] = dx * dx;
+    const f64x4 ddx = ((x - 0.5) + kSubOffset) - cx;
+    const f64x4 dx2 = ddx * ddx;
+    std::memcpy(col_sub_dx2_.data() + 4 * x, &dx2, sizeof dx2);
   }
+  for (int y = 0; y < height_; ++y) {
+    const f64x4 ddy = ((y - 0.5) + kSubOffset) - cy;
+    const f64x4 dy2 = ddy * ddy;
+    std::memcpy(row_sub_dy2_.data() + 4 * y, &dy2, sizeof dy2);
+  }
+}
 
-  int bands = 1;
-  if (par != nullptr && height_ >= 2 * kBandRows) {
-    bands = std::min((height_ + kBandRows - 1) / kBandRows, kMaxBands);
-  }
-  const int rows_per_band = (height_ + bands - 1) / bands;
-  // Only the tiled path wraps a pass in a std::function (which allocates);
-  // the serial path calls it directly.
-  const auto run_bands = [&](const auto& fn) {
-    if (bands > 1) {
-      (*par)(static_cast<std::size_t>(bands), std::function<void(std::size_t)>(fn));
-    } else {
-      fn(std::size_t{0});
+void CurveOfGrowth::ensure(int shell_hi) {
+  if (shell_hi <= built_) return;
+  // Growth rule: at least 1.5x the built extent plus two shells, so a query
+  // sequence that creeps outward (the Petrosian sweep) extends O(log R)
+  // times.
+  const int lo = built_;
+  const int hi = std::min(std::max(shell_hi, lo + lo / 2 + 2), num_shells_);
+  const int last_shell = num_shells_ - 1;
+  // Pixels to visit, row by row: those within `outer` of the center, less
+  // those within `inner`. Every pixel of a shell below hi lies closer than
+  // hi, and every pixel closer than lo - 1 is in a shell below lo; the
+  // margins keep the rounding of the row intervals on the safe side.
+  const double outer = hi + kExtentMargin;
+  const double outer2 = outer * outer;
+  const double inner = lo - kExtentMargin;
+  const double inner2 = inner > 0.0 ? inner * inner : 0.0;
+  const int y0 = static_cast<int>(std::max(0.0, std::ceil(cy_ - outer)));
+  const int y1 = static_cast<int>(std::min(height_ - 1.0, std::floor(cy_ + outer)));
+  const auto for_each_segment = [&](const auto& fn) {
+    for (int y = y0; y <= y1; ++y) {
+      const double dy = y - cy_;
+      const double dy2 = dy * dy;
+      if (dy2 >= outer2) continue;
+      const double half = std::sqrt(outer2 - dy2);
+      const int xa = static_cast<int>(std::max(0.0, std::floor(cx_ - half)));
+      const int xb = static_cast<int>(std::min(width_ - 1.0, std::ceil(cx_ + half)));
+      if (dy2 < inner2) {
+        const double skip = std::sqrt(inner2 - dy2);
+        const int sa = static_cast<int>(std::max(-1.0, std::ceil(cx_ - skip)));
+        const int sb =
+            static_cast<int>(std::min(static_cast<double>(width_), std::floor(cx_ + skip)));
+        fn(y, dy2, xa, std::min(xb, sa - 1));
+        fn(y, dy2, std::max(xa, sb + 1), xb);
+      } else {
+        fn(y, dy2, xa, xb);
+      }
     }
   };
 
-  // Counting sort into radial shells. Pass 1: per-pixel shell index (a
-  // vectorizable sqrt sweep over the column offsets) plus a per-band shell
-  // histogram.
-  shell_scratch_.resize(n);
-  band_cursor_.reserve(static_cast<std::size_t>(bands) * max_shells);
-  band_cursor_.assign(static_cast<std::size_t>(bands) * num_shells_, 0);
-  run_bands([&](std::size_t b) {
-    const int y_lo = static_cast<int>(b) * rows_per_band;
-    const int y_hi = std::min(height_, y_lo + rows_per_band);
-    std::uint32_t* hist = band_cursor_.data() + b * num_shells_;
-    for (int y = y_lo; y < y_hi; ++y) {
-      const double dy = y - cy;
-      const double dy2 = dy * dy;
-      std::uint16_t* srow = shell_scratch_.data() + static_cast<std::size_t>(y) * width_;
-      for (int x = 0; x < width_; ++x) {
-        const int s = std::min(static_cast<int>(std::sqrt(col_dx2_[x] + dy2)),
-                               last_shell);
-        srow[x] = static_cast<std::uint16_t>(s);
-      }
-      for (int x = 0; x < width_; ++x) ++hist[srow[x]];
+  // Pass 1: the shell of every visited pixel (a vectorizable sqrt sweep over
+  // the column offsets), in visiting order, and the counts of shells
+  // [lo, hi), kept in shell_start_[s + 1]. A pixel outside [lo, hi) adds 0
+  // to its slot, which is either already final (s < lo) or not yet valid
+  // (s >= hi).
+  std::uint32_t* start = shell_start_.data();
+  std::fill(start + lo + 1, start + hi + 1, 0u);
+  std::uint16_t* shells = shell_scratch_.data();
+  std::size_t visited = 0;
+  for_each_segment([&](int, double dy2, int xa, int xb) {
+    std::uint16_t* seg = shells + visited;
+    for (int x = xa; x <= xb; ++x) {
+      const int s = std::min(static_cast<int>(std::sqrt(col_dx2_[x] + dy2)), last_shell);
+      seg[x - xa] = static_cast<std::uint16_t>(s);
     }
+    for (int x = xa; x <= xb; ++x) {
+      const int s = seg[x - xa];
+      start[s + 1] += (s >= lo && s < hi) ? 1u : 0u;
+    }
+    visited += static_cast<std::size_t>(std::max(0, xb - xa + 1));
   });
-
-  // Global shell prefix, and an exclusive cursor per (band, shell): band b
-  // scatters shell s entries into its own sub-range after bands < b. Band
-  // ranges ascend with y, so the concatenated order is exactly the
-  // row-major order the serial build produces.
-  shell_start_.assign(static_cast<std::size_t>(num_shells_) + 1, 0);
-  for (int s = 0; s < num_shells_; ++s) {
-    std::uint32_t running = shell_start_[s];
-    for (int b = 0; b < bands; ++b) {
-      std::uint32_t* cur = band_cursor_.data() + static_cast<std::size_t>(b) * num_shells_ + s;
-      const std::uint32_t cnt = *cur;
-      *cur = running;
-      running += cnt;
-    }
-    shell_start_[static_cast<std::size_t>(s) + 1] = running;
+  for (int s = lo; s < hi; ++s) {
+    start[s + 1] += start[s];
+    cursor_[s] = start[s];
   }
 
-  // Pass 2: scatter into the structure-of-arrays layout. Entries are
-  // unordered within a shell as far as queries care; the fixed scatter
-  // order only matters for making the flux prefixes reproducible.
-  d2_.resize(n);
-  value_.resize(n);
-  x_.resize(n);
-  y_.resize(n);
-  run_bands([&](std::size_t b) {
-    const int y_lo = static_cast<int>(b) * rows_per_band;
-    const int y_hi = std::min(height_, y_lo + rows_per_band);
-    std::uint32_t* cursor = band_cursor_.data() + b * num_shells_;
-    for (int y = y_lo; y < y_hi; ++y) {
-      const double dy = y - cy;
-      const double dy2 = dy * dy;
-      const std::uint16_t* srow =
-          shell_scratch_.data() + static_cast<std::size_t>(y) * width_;
-      for (int x = 0; x < width_; ++x) {
-        const std::uint32_t idx = cursor[srow[x]]++;
-        d2_[idx] = col_dx2_[x] + dy2;
-        value_[idx] = img.at(x, y);
-        x_[idx] = static_cast<std::uint16_t>(x);
-        y_[idx] = static_cast<std::uint16_t>(y);
-      }
+  // Pass 2: scatter shells [lo, hi) in row-major order. Every pixel of those
+  // shells is visited, so each lands at the index, and in the order within
+  // its shell, that a scatter of the whole frame gives it.
+  visited = 0;
+  for_each_segment([&](int y, double dy2, int xa, int xb) {
+    const std::uint16_t* seg = shells + visited;
+    const float* row = img_->data() + static_cast<std::size_t>(y) * width_;
+    for (int x = xa; x <= xb; ++x) {
+      const int s = seg[x - xa];
+      if (s < lo || s >= hi) continue;
+      const std::uint32_t idx = cursor_[s]++;
+      d2_[idx] = col_dx2_[x] + dy2;
+      value_[idx] = row[x];
+      x_[idx] = static_cast<std::uint16_t>(x);
+      y_[idx] = static_cast<std::uint16_t>(y);
     }
+    visited += static_cast<std::size_t>(std::max(0, xb - xa + 1));
   });
 
   // Per-shell flux sums (each summed in scatter order), then the prefix.
-  shell_flux_prefix_.resize(static_cast<std::size_t>(num_shells_) + 1);
-  for (int s = 0; s < num_shells_; ++s) {
+  for (int s = lo; s < hi; ++s) {
     double sum = 0.0;
-    for (std::uint32_t e = shell_start_[s]; e < shell_start_[s + 1]; ++e) {
-      sum += value_[e];
-    }
-    shell_flux_prefix_[static_cast<std::size_t>(s) + 1] = sum;
+    for (std::uint32_t e = start[s]; e < start[s + 1]; ++e) sum += value_[e];
+    shell_flux_prefix_[static_cast<std::size_t>(s) + 1] =
+        shell_flux_prefix_[static_cast<std::size_t>(s)] + sum;
   }
-  shell_flux_prefix_[0] = 0.0;
-  for (int s = 0; s < num_shells_; ++s) {
-    shell_flux_prefix_[static_cast<std::size_t>(s) + 1] +=
-        shell_flux_prefix_[static_cast<std::size_t>(s)];
-  }
+  built_ = hi;
+}
+
+int CurveOfGrowth::coverage(std::uint32_t i, double r2) const {
+  f64x4 dx2 = {};
+  std::memcpy(&dx2, col_sub_dx2_.data() + 4 * x_[i], sizeof dx2);
+  const double* dy2 = row_sub_dy2_.data() + 4 * y_[i];
+  mask64x4 inside = {};
+  for (int sy = 0; sy < 4; ++sy) inside += dx2 + dy2[sy] <= r2;
+  return static_cast<int>(-(inside[0] + inside[1] + inside[2] + inside[3]));
 }
 
 void CurveOfGrowth::scan_shells(int shell_lo, int shell_hi, double in2, double out2,
@@ -366,8 +394,8 @@ void CurveOfGrowth::scan_shells(int shell_lo, int shell_hi, double in2, double o
   count += cnt;
 }
 
-double CurveOfGrowth::aperture_flux(double radius) const {
-  if (radius <= 0.0 || value_.empty()) return 0.0;
+double CurveOfGrowth::aperture_flux(double radius) {
+  if (radius <= 0.0 || num_shells_ == 0) return 0.0;
   const double r2 = radius * radius;
   const double inner = radius - kBoundaryBand;
   const double inner2 = inner > 0.0 ? inner * inner : -1.0;
@@ -378,6 +406,7 @@ double CurveOfGrowth::aperture_flux(double radius) const {
   const int full =
       std::clamp(inner > 1.0 ? static_cast<int>(inner) - 1 : 0, 0, num_shells_);
   const int last = std::clamp(static_cast<int>(outer) + 2, full, num_shells_);
+  ensure(last);
   double flux = shell_flux_prefix_[full];
   // Straddling shells: the same squared-distance cuts and sub-pixel
   // boundary weighting as the direct scan, applied per entry. Interior
@@ -394,7 +423,7 @@ double CurveOfGrowth::aperture_flux(double radius) const {
     const bool outside = d2 >= outer2;
     lanes::add_to_lane(acc, i, interior ? static_cast<double>(vals[i]) : 0.0);
     if (!interior && !outside) {
-      flux += vals[i] * subsampled_coverage(x_[i], y_[i], cx_, cy_, r2) / 16.0;
+      flux += vals[i] * coverage(i, r2) / 16.0;
     }
   };
   std::uint32_t i = shell_start_[full];
@@ -408,18 +437,15 @@ double CurveOfGrowth::aperture_flux(double radius) const {
     const mask64x4 boundary = ~interior & ~(d >= outer2);
     if (!lanes::any(boundary)) continue;
     for (std::uint32_t j = 0; j < 4; ++j) {
-      if (boundary[j] != 0) {
-        flux += vals[i + j] *
-                subsampled_coverage(x_[i + j], y_[i + j], cx_, cy_, r2) / 16.0;
-      }
+      if (boundary[j] != 0) flux += vals[i + j] * coverage(i + j, r2) / 16.0;
     }
   }
   for (; i < end; ++i) entry(i);
   return flux + lanes::fold(acc);
 }
 
-double CurveOfGrowth::annulus_mean(double r_in, double r_out) const {
-  if (value_.empty() || r_out <= 0.0) return 0.0;
+double CurveOfGrowth::annulus_mean(double r_in, double r_out) {
+  if (num_shells_ == 0 || r_out <= 0.0) return 0.0;
   const double in2 = r_in * r_in;
   const double out2 = r_out * r_out;
   // Whole shells strictly inside [r_in, r_out) resolve by prefix lookup;
@@ -429,6 +455,7 @@ double CurveOfGrowth::annulus_mean(double r_in, double r_out) const {
       std::clamp(r_out > 1.0 ? static_cast<int>(r_out) - 1 : 0, full_lo, num_shells_);
   const int scan_lo = r_in > 1.0 ? static_cast<int>(r_in) - 1 : 0;
   const int scan_hi = static_cast<int>(r_out) + 2;
+  ensure(std::max(full_hi, std::min(scan_hi, num_shells_)));
   double sum = shell_flux_prefix_[full_hi] - shell_flux_prefix_[full_lo];
   int count = static_cast<int>(shell_start_[full_hi] - shell_start_[full_lo]);
   scan_shells(scan_lo, full_lo, in2, out2, sum, count);
@@ -438,7 +465,7 @@ double CurveOfGrowth::annulus_mean(double r_in, double r_out) const {
 
 std::optional<double> CurveOfGrowth::radius_enclosing(double fraction,
                                                       double total_flux,
-                                                      double max_radius) const {
+                                                      double max_radius) {
   if (total_flux <= 0.0 || fraction <= 0.0 || fraction >= 1.0) return std::nullopt;
   const double target = fraction * total_flux;
   double lo = 0.0;
@@ -456,7 +483,7 @@ std::optional<double> CurveOfGrowth::radius_enclosing(double fraction,
 }
 
 std::optional<double> CurveOfGrowth::petrosian_radius(double eta,
-                                                      double max_radius) const {
+                                                      double max_radius) {
   const double limit =
       std::min({max_radius, static_cast<double>(width_),
                 static_cast<double>(height_)});

@@ -2,18 +2,21 @@
 // decodes into a frame its thread keeps and measures in the thread's kernel
 // workspace, so once the first cutout has sized both, a job on a same-sized
 // cutout allocates only what its result owns: the galaxy id, when it is too
-// long for the small-string buffer. Companion masking, the stage whose
-// buffers depend most on content, is also checked on its worst case frame.
+// long for the small-string buffer. Companion masking and the curve of
+// growth, the stages whose buffers depend most on content, are also checked
+// on their worst case frames.
 // Counted with the benches' replaceable global operator new
 // (bench/alloc_counter.cpp), linked into this test only.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/galmorph.hpp"
+#include "core/photometry.hpp"
 #include "core/segmentation.hpp"
 #include "image/fits.hpp"
 #include "sim/cluster.hpp"
@@ -107,6 +110,42 @@ TEST(KernelAllocations, CompanionMaskingIsSizedByTheFrameNotItsContent) {
       EXPECT_EQ(scratch.runs.size(), static_cast<std::size_t>(size) * (size / 2));
       EXPECT_EQ(frame.at(0, 0), 0.0f) << "companions must be masked";
     }
+  }
+}
+
+TEST(KernelAllocations, CurveOfGrowthIsSizedByTheFrameNotItsExtent) {
+  // The curve sorts only the shells its queries reach, but build() sizes
+  // every buffer for the whole frame: after a compact galaxy that reaches a
+  // few shells, a frame whose queries reach past the far corner must not
+  // allocate.
+  for (const int size : {64, 128}) {
+    const std::vector<Cutout> batch = survey_cutouts(size);
+    auto decoded = image::read_fits(batch.front().fits);
+    ASSERT_TRUE(decoded.ok());
+    const image::Image& compact = decoded.value().data;
+    const double c = (size - 1) / 2.0;
+    CurveOfGrowth cog;
+    cog.build(compact, c, c);
+    (void)cog.petrosian_radius(0.2, 4.0);
+    (void)cog.aperture_flux(3.0);
+
+    // A flat frame has no Petrosian radius, so the sweep runs out; measured
+    // about a center near one corner, the far corner is a diagonal away.
+    image::Image flat(size, size, 1.0f);
+    const double cx = 0.7;
+    const double cy = size - 1.3;
+    const double corner = std::hypot(size - 1 - cx, cy);
+    const std::uint64_t before = bench::heap_allocs();
+    cog.build(flat, cx, cy);
+    const auto rp = cog.petrosian_radius(0.2, corner);
+    const double total = cog.aperture_flux(corner + 2.0);
+    const double ring = cog.annulus_mean(corner - 0.8, corner + 0.8);
+    const auto r80 = cog.radius_enclosing(0.8, total, corner + 2.0);
+    EXPECT_EQ(bench::heap_allocs() - before, 0u) << size << " px";
+    EXPECT_FALSE(rp.has_value()) << size << " px";
+    EXPECT_EQ(total, static_cast<double>(size) * size) << "every pixel counted, " << size << " px";
+    EXPECT_EQ(ring, 1.0) << size << " px";
+    EXPECT_TRUE(r80.has_value()) << size << " px";
   }
 }
 

@@ -11,7 +11,9 @@
 // breadth-first oracle (segmentation_oracle.hpp), byte for byte; and
 // property tests pinning the CurveOfGrowth object to the direct scan-based
 // photometry it replaced — exact flux/annulus agreement, monotone
-// enclosed-radius behaviour, and bisection agreement.
+// enclosed-radius behaviour, and bisection agreement; and the lazily
+// extended curve against the eager build it replaced (cog_oracle.hpp),
+// bit for bit, whatever the order of the queries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,12 +22,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <initializer_list>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analysis/survey.hpp"
+#include "cog_oracle.hpp"
 #include "common/rng.hpp"
 #include "core/galmorph.hpp"
 #include "core/morphology.hpp"
@@ -783,6 +789,184 @@ TEST(CurveOfGrowthProperty, RadiusEnclosingAgreesWithDirectBisection) {
     }
   }
   EXPECT_GE(checked, 100);  // the continue above must stay the exception
+}
+
+// ---------------------------------------------------------------------------
+// Lazy CurveOfGrowth vs the eager build (cog_oracle.hpp)
+// ---------------------------------------------------------------------------
+
+/// One radial query, asked of both curves.
+struct CogQuery {
+  enum Kind { kFlux, kAnnulus, kEnclosing, kPetrosian } kind;
+  double a = 0.0;  ///< radius, r_in, fraction or eta
+  double b = 0.0;  ///< r_out, total flux or max radius
+  double c = 0.0;  ///< max radius of kEnclosing
+};
+
+std::string answer_bits(const std::optional<double>& v) {
+  return v ? hex_bits(*v) : "none";
+}
+
+/// The answer's bits: equal strings are memcmp-equal results.
+template <typename Curve>
+std::string ask(Curve& cog, const CogQuery& q) {
+  switch (q.kind) {
+    case CogQuery::kFlux:
+      return hex_bits(cog.aperture_flux(q.a));
+    case CogQuery::kAnnulus:
+      return hex_bits(cog.annulus_mean(q.a, q.b));
+    case CogQuery::kEnclosing:
+      return answer_bits(cog.radius_enclosing(q.a, q.b, q.c));
+    case CogQuery::kPetrosian:
+      return answer_bits(cog.petrosian_radius(q.a, q.b));
+  }
+  return "";
+}
+
+/// Distance from (cx, cy) to the farthest pixel center of the frame.
+double far_corner(const image::Image& img, double cx, double cy) {
+  return std::hypot(std::max(cx, img.width() - 1 - cx), std::max(cy, img.height() - 1 - cy));
+}
+
+/// Queries from radius 0 (and a negative one) out past the far corner: a
+/// flux and an annulus at each radius, the enclosing-radius bisections and
+/// the Petrosian sweep at some.
+std::vector<CogQuery> outward_queries(const oracle::EagerCurveOfGrowth& eager,
+                                      double corner) {
+  const double beyond = corner + 3.0;
+  const double total = eager.aperture_flux(beyond);
+  std::vector<double> radii = {-1.5, 0.0};
+  const double step = std::max(0.3, corner / 40.0);
+  for (double r = 0.3; r < beyond; r += step) radii.push_back(r);
+  radii.push_back(corner);
+  radii.push_back(beyond);
+  std::vector<CogQuery> out;
+  for (std::size_t i = 0; i < radii.size(); ++i) {
+    const double r = radii[i];
+    out.push_back({CogQuery::kFlux, r});
+    out.push_back({CogQuery::kAnnulus, std::max(r - 0.8, 0.0), r + 0.8});
+    if (i % 5 == 0) {
+      out.push_back({CogQuery::kEnclosing, 0.2, total, r});
+      out.push_back({CogQuery::kEnclosing, 0.8, std::fabs(total), r});
+    }
+    if (i % 10 == 0) out.push_back({CogQuery::kPetrosian, 0.2, r});
+  }
+  out.push_back({CogQuery::kPetrosian, 0.2, 1e9});
+  return out;
+}
+
+/// Asks every query of `order` of the lazy curve, built afresh, and
+/// compares each answer with the eager curve's.
+void expect_lazy_matches_eager(CurveOfGrowth& lazy, const image::Image& img, double cx,
+                               double cy, const ParallelFor* exec,
+                               const std::vector<CogQuery>& queries,
+                               const std::vector<std::string>& want,
+                               const std::vector<std::size_t>& order,
+                               const std::string& what) {
+  lazy.build(img, cx, cy, exec);
+  for (const std::size_t q : order) {
+    ASSERT_EQ(ask(lazy, queries[q]), want[q])
+        << what << ", query " << q << " (kind " << queries[q].kind << ", " << queries[q].a
+        << ", " << queries[q].b << ", " << queries[q].c << ")";
+  }
+}
+
+/// Every query, in every order, at every center of `img`.
+void check_frame_against_eager(const image::Image& img, const ParallelFor* exec,
+                               const std::string& what) {
+  CurveOfGrowth reused;  // one instance across centers and orders, as a workspace
+  const double w = img.width();
+  const double h = img.height();
+  const double centers[][2] = {
+      {(w - 1) / 2, (h - 1) / 2},            // frame center
+      {0.37 * w + 0.13, 0.61 * h - 0.29},    // off-center
+      {1.2, 0.7},                            // near a corner
+      {w - 1.6, h - 2.3},                    // near the opposite corner
+      {0.0, (h - 1) / 2 + 0.25},             // on the left edge
+      {(w - 1) / 2 - 0.5, h - 1.0},          // on the bottom edge
+  };
+  Rng rng(static_cast<std::uint64_t>(w * 131 + h));
+  for (const auto& c : centers) {
+    const double cx = c[0];
+    const double cy = c[1];
+    const oracle::EagerCurveOfGrowth eager(img, cx, cy);
+    const std::vector<CogQuery> queries = outward_queries(eager, far_corner(img, cx, cy));
+    std::vector<std::string> want;
+    for (const CogQuery& q : queries) want.push_back(ask(eager, q));
+
+    std::vector<std::size_t> outward(queries.size());
+    for (std::size_t i = 0; i < outward.size(); ++i) outward[i] = i;
+    const std::vector<std::size_t> inward(outward.rbegin(), outward.rend());
+    std::vector<std::size_t> shuffled = outward;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.uniform_index(i)]);
+    }
+    // Each query twice in a row, then the whole sequence again.
+    std::vector<std::size_t> repeated;
+    for (const std::size_t q : shuffled) repeated.insert(repeated.end(), {q, q});
+    repeated.insert(repeated.end(), outward.begin(), outward.end());
+
+    const std::string at = what + " at (" + std::to_string(cx) + ", " + std::to_string(cy) + ")";
+    const std::pair<const char*, const std::vector<std::size_t>*> orders[] = {
+        {"outward", &outward}, {"inward", &inward}, {"random", &shuffled},
+        {"repeated", &repeated}};
+    for (const auto& [name, order] : orders) {
+      CurveOfGrowth fresh;
+      expect_lazy_matches_eager(fresh, img, cx, cy, exec, queries, want, *order,
+                                at + ", fresh, " + name);
+      expect_lazy_matches_eager(reused, img, cx, cy, exec, queries, want, *order,
+                                at + ", reused, " + name);
+    }
+  }
+}
+
+/// Runs the tiles in reverse order, as an executor may.
+const ParallelFor kReverseExecutor = [](std::size_t n,
+                                        const std::function<void(std::size_t)>& fn) {
+  for (std::size_t i = n; i > 0; --i) fn(i - 1);
+};
+
+TEST(CurveOfGrowthDifferential, SmallAndOddFramesMatchEagerBuild) {
+  Rng rng(41);
+  check_frame_against_eager(wide_range_field(rng, 16, 16), nullptr, "16x16 wide");
+  check_frame_against_eager(wide_range_field(rng, 17, 33), nullptr, "17x33 wide");
+  check_frame_against_eager(wide_range_field(rng, 33, 17), nullptr, "33x17 wide");
+  check_frame_against_eager(random_field(rng, 17, 33), nullptr, "17x33 blobs");
+}
+
+TEST(CurveOfGrowthDifferential, SurveySizedFramesMatchEagerBuild) {
+  Rng rng(43);
+  for (const int size : {64, 128}) {
+    const std::string px = std::to_string(size) + " px";
+    check_frame_against_eager(wide_range_field(rng, size, size), nullptr, px + " wide");
+    check_frame_against_eager(random_cutout(7, size), nullptr, px + " galaxy");
+    check_frame_against_eager(random_cutout(8, size), &kReverseExecutor,
+                              px + " galaxy, executor");
+  }
+}
+
+TEST(CurveOfGrowthDifferential, RebuildOnAnotherFrameForgetsTheFirst) {
+  // A workspace measures frames of different sizes in turn: the second
+  // frame's curve must not read the first frame's shells.
+  Rng rng(47);
+  const image::Image big = wide_range_field(rng, 128, 128);
+  const image::Image small = wide_range_field(rng, 40, 24);
+  CurveOfGrowth cog;
+  cog.build(big, 70.3, 50.8);
+  (void)cog.aperture_flux(200.0);  // the whole frame sorted
+  for (const auto& [img, cx, cy] : {std::tuple{&small, 19.5, 11.5},
+                                    std::tuple{&big, 20.25, 100.5},
+                                    std::tuple{&small, 3.0, 20.0}}) {
+    const oracle::EagerCurveOfGrowth eager(*img, cx, cy);
+    cog.build(*img, cx, cy);
+    for (const double r : {2.5, 9.0, 30.0, 0.7, 150.0}) {
+      EXPECT_EQ(hex_bits(cog.aperture_flux(r)), hex_bits(eager.aperture_flux(r)))
+          << img->width() << " px at (" << cx << ", " << cy << "), r " << r;
+      EXPECT_EQ(hex_bits(cog.annulus_mean(r - 0.8, r + 0.8)),
+                hex_bits(eager.annulus_mean(r - 0.8, r + 0.8)))
+          << img->width() << " px at (" << cx << ", " << cy << "), r " << r;
+    }
+  }
 }
 
 }  // namespace
