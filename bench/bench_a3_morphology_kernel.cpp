@@ -417,6 +417,8 @@ void BM_FitsDecodePixels(benchmark::State& state) {
   // decode_fits_pixels into a reused frame: what the galMorph job decodes.
   const std::vector<std::uint8_t> bytes = survey_cutout_bytes(static_cast<int>(state.range(0)));
   image::Image frame;
+  // The first decode sizes the frame; count only the steady state.
+  benchmark::DoNotOptimize(image::decode_fits_pixels(bytes, frame));
   const std::uint64_t before = nvo::bench::heap_allocs();
   for (auto _ : state) {
     benchmark::DoNotOptimize(image::decode_fits_pixels(bytes, frame));

@@ -19,7 +19,7 @@ namespace {
 
 /// The job body on a decoded frame: measure, then the physical scale.
 GalMorphResult measure_frame(const std::string& galaxy_id, const image::Image& frame,
-                             const GalMorphArgs& args, const ParallelFor* tile_executor) {
+                             const GalMorphArgs& args) {
   GalMorphResult out;
   out.galaxy_id = galaxy_id;
   out.redshift = args.redshift;
@@ -27,9 +27,6 @@ GalMorphResult measure_frame(const std::string& galaxy_id, const image::Image& f
   MorphologyOptions options;
   options.pixel_scale_arcsec = args.pix_scale_deg * sky::kArcsecPerDeg;
   options.zero_point = args.zero_point;
-  if (frame.width() >= kTileMinDim || frame.height() >= kTileMinDim) {
-    options.tile_executor = tile_executor;
-  }
   out.params = measure_morphology(frame, options);
 
   const sky::Cosmology cosmology = args.cosmology();
@@ -45,21 +42,18 @@ GalMorphResult measure_frame(const std::string& galaxy_id, const image::Image& f
 }  // namespace
 
 GalMorphResult run_gal_morph(const std::string& galaxy_id, const image::FitsFile& fits,
-                             const GalMorphArgs& args,
-                             const ParallelFor* tile_executor) {
-  return measure_frame(galaxy_id, fits.data, args, tile_executor);
+                             const GalMorphArgs& args) {
+  return measure_frame(galaxy_id, fits.data, args);
 }
 
 GalMorphResult run_gal_morph_bytes(const std::string& galaxy_id,
                                    const std::vector<std::uint8_t>& fits_bytes,
-                                   const GalMorphArgs& args,
-                                   const ParallelFor* tile_executor) {
+                                   const GalMorphArgs& args) {
   // The job never reads the header, so it decodes only the pixels, into a
   // frame this thread keeps across jobs (same-sized cutouts reuse its
-  // buffer). No other job can decode into the frame while it is measured,
-  // also on the kernel pool: a tiled kernel fans out through
-  // grid::parallel_for_shared, whose calling thread drains only its own
-  // loop and never starts another job.
+  // buffer). No other job can decode into the frame while it is measured:
+  // the kernel runs serially on this thread, and a pool job never yields
+  // its thread to another job mid-measurement.
   thread_local image::Image frame;
   if (const Status decoded = image::decode_fits_pixels(fits_bytes, frame); !decoded.ok()) {
     GalMorphResult out;
@@ -69,7 +63,7 @@ GalMorphResult run_gal_morph_bytes(const std::string& galaxy_id,
     out.params.failure_reason = "undecodable FITS: " + decoded.error().message;
     return out;
   }
-  return measure_frame(galaxy_id, frame, args, tile_executor);
+  return measure_frame(galaxy_id, frame, args);
 }
 
 votable::Table morphology_schema(const std::string& table_name) {

@@ -42,28 +42,17 @@ struct GalMorphResult {
   double petrosian_r_kpc = 0.0;  ///< physical size of the aperture radius
 };
 
-/// Cutouts at or above this edge length fan the kernel's tiled stages out
-/// across the supplied executor; smaller frames always run serially (the
-/// fan-out bookkeeping costs more than it buys on survey-typical 64px
-/// cutouts). Either way the results are identical to the serial path.
-inline constexpr int kTileMinDim = 128;
-
-/// Runs the transformation on an in-memory FITS cutout. `tile_executor`
-/// (optional) parallelizes the kernel's tiled stages for cutouts of at
-/// least kTileMinDim pixels on a side; it must be safe to invoke from the
-/// calling thread (see grid::parallel_for_shared for the pool-reentrant
-/// form).
+/// Runs the transformation on an in-memory FITS cutout, serially on the
+/// calling thread: parallelism is across galaxies, one job each.
 GalMorphResult run_gal_morph(const std::string& galaxy_id, const image::FitsFile& fits,
-                             const GalMorphArgs& args,
-                             const ParallelFor* tile_executor = nullptr);
+                             const GalMorphArgs& args);
 
 /// Same, from serialized FITS bytes (the form jobs receive from storage);
 /// undecodable images produce an invalid result, not an error — the paper's
 /// fault-tolerance choice.
 GalMorphResult run_gal_morph_bytes(const std::string& galaxy_id,
                                    const std::vector<std::uint8_t>& fits_bytes,
-                                   const GalMorphArgs& args,
-                                   const ParallelFor* tile_executor = nullptr);
+                                   const GalMorphArgs& args);
 
 /// The morphology catalog's schema (fields, name, description) with no
 /// rows: the prologue a streaming serializer needs before any galaxy has

@@ -291,31 +291,20 @@ MorphologyParams measure_morphology(const image::Image& cutout,
   for (double step : {0.5, 0.25}) {
     const double base_x = best_x;
     const double base_y = best_y;
-    // The nine candidate centers are independent; with an executor they are
-    // evaluated concurrently and the minimum is then taken in the same
-    // row-major grid order (strict <) as the serial loop, so the selected
-    // center -- and therefore the refinement base -- is identical. The
+    // Row-major grid order, strict <: the first minimum wins. The
     // refinement grid's center is the coarse winner itself, already
-    // evaluated with the same arguments: it reuses `best`.
-    double a[9];
-    const auto evaluate = [&](std::size_t i) {
-      const int dx = static_cast<int>(i % 3) - 1;
-      const int dy = static_cast<int>(i / 3) - 1;
-      a[i] = (step == 0.25 && i == 4)
-                 ? best
-                 : asymmetry_statistic(img, base_x + dx * step, base_y + dy * step,
-                                       aperture);
-    };
-    if (options.tile_executor != nullptr) {
-      (*options.tile_executor)(9, evaluate);
-    } else {
-      for (std::size_t i = 0; i < 9; ++i) evaluate(i);
-    }
-    for (std::size_t i = 0; i < 9; ++i) {
-      if (a[i] < best) {
-        best = a[i];
-        best_x = base_x + (static_cast<int>(i % 3) - 1) * step;
-        best_y = base_y + (static_cast<int>(i / 3) - 1) * step;
+    // evaluated with the same arguments, so it is skipped.
+    for (int dy = -1; dy <= 1; ++dy) {
+      for (int dx = -1; dx <= 1; ++dx) {
+        if (step == 0.25 && dx == 0 && dy == 0) continue;
+        const double x = base_x + dx * step;
+        const double y = base_y + dy * step;
+        const double a = asymmetry_statistic(img, x, y, aperture);
+        if (a < best) {
+          best = a;
+          best_x = x;
+          best_y = y;
+        }
       }
     }
   }

@@ -35,11 +35,6 @@ struct MorphologyOptions {
   double aperture_petrosian_factor = 1.5;  ///< measurement aperture = k * r_p
   double min_snr = 3.0;  ///< minimum total S/N for a valid measurement
   int background_border = 6;
-  /// Optional intra-kernel executor: when set, the 3x3 asymmetry
-  /// recentering grid is evaluated concurrently through it. Results are
-  /// identical to the serial path (the minimum is taken in grid order);
-  /// callers decide the size threshold at which fan-out pays for itself.
-  const ParallelFor* tile_executor = nullptr;
 };
 
 /// One galaxy's measured parameters.

@@ -191,7 +191,7 @@ std::optional<double> petrosian_radius(const image::Image& img, double cx, doubl
 }
 
 void CurveOfGrowth::build(const image::Image& img, double cx, double cy,
-                          const ParallelFor* /*par*/) {
+                          std::nullptr_t) {
   img_ = &img;
   cx_ = cx;
   cy_ = cy;

@@ -14,11 +14,11 @@
 // scan-based functions to float-summation-order precision.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "image/image.hpp"
 
 namespace nvo::core {
@@ -91,10 +91,11 @@ class CurveOfGrowth {
   CurveOfGrowth() = default;
 
   /// Starts a new curve for `img` about (cx, cy), retaining a pointer to
-  /// `img` (see the lifetime contract above). The executor is not used: a
-  /// query extends the curve by a few hundred pixels, too little to tile.
+  /// `img` (see the lifetime contract above). The trailing argument is
+  /// ignored; it exists only because perfbench's kernel replay still passes
+  /// `nullptr` there, and goes when the replay stops passing it.
   void build(const image::Image& img, double cx, double cy,
-             const ParallelFor* par = nullptr);
+             std::nullptr_t = nullptr);
 
   bool empty() const { return num_shells_ == 0; }
   double cx() const { return cx_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <memory>
 
 namespace nvo::grid {
 
@@ -118,58 +117,6 @@ void parallel_for(ThreadPool& pool, std::size_t n,
   (void)submitted;
   std::unique_lock lock(done_mutex);
   done_cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
-}
-
-namespace {
-
-/// Shared state of one parallel_for_shared invocation. Heap-held via
-/// shared_ptr because helper tasks may run (and find nothing to do) after
-/// the caller has already returned.
-struct SharedLoopState {
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  std::size_t chunks = 0;
-  std::size_t chunk_size = 0;
-  std::size_t n = 0;
-  const std::function<void(std::size_t)>* fn = nullptr;
-  std::mutex m;
-  std::condition_variable cv;
-};
-
-void drain_shared_loop(SharedLoopState& s) {
-  for (;;) {
-    const std::size_t c = s.next.fetch_add(1, std::memory_order_relaxed);
-    if (c >= s.chunks) return;
-    const std::size_t begin = c * s.chunk_size;
-    const std::size_t end = std::min(s.n, begin + s.chunk_size);
-    for (std::size_t i = begin; i < end; ++i) (*s.fn)(i);
-    if (s.done.fetch_add(1, std::memory_order_acq_rel) + 1 == s.chunks) {
-      std::lock_guard lock(s.m);
-      s.cv.notify_all();
-    }
-  }
-}
-
-}  // namespace
-
-void parallel_for_shared(ThreadPool& pool, std::size_t n,
-                         const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t chunks = std::min(n, 4 * (pool.num_threads() + 1));
-  auto st = std::make_shared<SharedLoopState>();
-  st->chunks = chunks;
-  st->chunk_size = (n + chunks - 1) / chunks;
-  st->n = n;
-  st->fn = &fn;  // outlives the call: we block until done == chunks
-  const std::size_t helpers = std::min(pool.num_threads(), chunks - 1);
-  for (std::size_t i = 0; i < helpers; ++i) {
-    pool.submit([st] { drain_shared_loop(*st); });
-  }
-  drain_shared_loop(*st);
-  std::unique_lock lock(st->m);
-  st->cv.wait(lock, [&] {
-    return st->done.load(std::memory_order_acquire) == st->chunks;
-  });
 }
 
 }  // namespace nvo::grid

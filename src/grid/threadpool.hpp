@@ -92,13 +92,4 @@ class ThreadPool {
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 
-/// Like parallel_for, but the calling thread participates: chunks are
-/// claimed from a shared atomic cursor by the caller and by helper tasks
-/// submitted to the pool. Safe to call from inside a pool worker — if every
-/// worker is busy (including the single-worker pool calling into itself),
-/// the caller simply drains all chunks and the stale helper tasks find the
-/// cursor exhausted when they eventually run.
-void parallel_for_shared(ThreadPool& pool, std::size_t n,
-                         const std::function<void(std::size_t)>& fn);
-
 }  // namespace nvo::grid

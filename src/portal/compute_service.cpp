@@ -224,10 +224,6 @@ MorphologyService::MorphologyService(services::HttpFabric& fabric, grid::Grid& g
       client_(fabric, config_.retry, config_.breaker, "compute"),
       ids_("req"),
       pool_(config_.compute_threads),
-      tile_executor_([this](std::size_t n,
-                            const std::function<void(std::size_t)>& fn) {
-        grid::parallel_for_shared(pool_, n, fn);
-      }),
       cache_(config_.replica_cache),
       state_(std::make_shared<State>()) {
   for (const auto& [host, mirror] : config_.mirrors) client_.add_mirror(host, mirror);
@@ -718,8 +714,7 @@ void MorphologyService::submit_kernel(Request& rq, std::size_t i,
           result.params.valid = false;
           result.params.failure_reason = "image unavailable";
         } else {
-          result = core::run_gal_morph_bytes(rq.galaxy_ids[i], *payload, args,
-                                             &tile_executor_);
+          result = core::run_gal_morph_bytes(rq.galaxy_ids[i], *payload, args);
         }
         kernel.count(result.params.valid ? "valid" : "invalid", 1.0);
         if (rq.journal) {

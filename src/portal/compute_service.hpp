@@ -293,13 +293,9 @@ class MorphologyService {
   vds::ProvenanceCatalog provenance_;
   // Service-lifetime compute pool: worker threads persist across requests
   // (and with them the kernel's thread-local workspaces), instead of being
-  // spawned and joined inside every request.
+  // spawned and joined inside every request. Each galaxy is one job whose
+  // kernel runs serially on the worker that picked it up.
   grid::ThreadPool pool_;
-  // Intra-kernel executor handed to run_gal_morph for large (>= 128px)
-  // cutouts: tiled kernel stages fan back out over the same pool via
-  // parallel_for_shared, which is safe to enter from a pool worker (the
-  // worker itself drains chunks, so a fully-busy pool cannot deadlock).
-  core::ParallelFor tile_executor_;
   // Sharded byte-budgeted LRU image store replacing the old unbounded map.
   // Entries are registered in the RLS/grid on insert and deregistered on
   // eviction, so Pegasus reduction sees exactly what is resident.

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <initializer_list>
 #include <optional>
 #include <string>
@@ -858,12 +857,11 @@ std::vector<CogQuery> outward_queries(const oracle::EagerCurveOfGrowth& eager,
 /// Asks every query of `order` of the lazy curve, built afresh, and
 /// compares each answer with the eager curve's.
 void expect_lazy_matches_eager(CurveOfGrowth& lazy, const image::Image& img, double cx,
-                               double cy, const ParallelFor* exec,
-                               const std::vector<CogQuery>& queries,
+                               double cy, const std::vector<CogQuery>& queries,
                                const std::vector<std::string>& want,
                                const std::vector<std::size_t>& order,
                                const std::string& what) {
-  lazy.build(img, cx, cy, exec);
+  lazy.build(img, cx, cy);
   for (const std::size_t q : order) {
     ASSERT_EQ(ask(lazy, queries[q]), want[q])
         << what << ", query " << q << " (kind " << queries[q].kind << ", " << queries[q].a
@@ -872,8 +870,7 @@ void expect_lazy_matches_eager(CurveOfGrowth& lazy, const image::Image& img, dou
 }
 
 /// Every query, in every order, at every center of `img`.
-void check_frame_against_eager(const image::Image& img, const ParallelFor* exec,
-                               const std::string& what) {
+void check_frame_against_eager(const image::Image& img, const std::string& what) {
   CurveOfGrowth reused;  // one instance across centers and orders, as a workspace
   const double w = img.width();
   const double h = img.height();
@@ -912,36 +909,29 @@ void check_frame_against_eager(const image::Image& img, const ParallelFor* exec,
         {"repeated", &repeated}};
     for (const auto& [name, order] : orders) {
       CurveOfGrowth fresh;
-      expect_lazy_matches_eager(fresh, img, cx, cy, exec, queries, want, *order,
+      expect_lazy_matches_eager(fresh, img, cx, cy, queries, want, *order,
                                 at + ", fresh, " + name);
-      expect_lazy_matches_eager(reused, img, cx, cy, exec, queries, want, *order,
+      expect_lazy_matches_eager(reused, img, cx, cy, queries, want, *order,
                                 at + ", reused, " + name);
     }
   }
 }
 
-/// Runs the tiles in reverse order, as an executor may.
-const ParallelFor kReverseExecutor = [](std::size_t n,
-                                        const std::function<void(std::size_t)>& fn) {
-  for (std::size_t i = n; i > 0; --i) fn(i - 1);
-};
-
 TEST(CurveOfGrowthDifferential, SmallAndOddFramesMatchEagerBuild) {
   Rng rng(41);
-  check_frame_against_eager(wide_range_field(rng, 16, 16), nullptr, "16x16 wide");
-  check_frame_against_eager(wide_range_field(rng, 17, 33), nullptr, "17x33 wide");
-  check_frame_against_eager(wide_range_field(rng, 33, 17), nullptr, "33x17 wide");
-  check_frame_against_eager(random_field(rng, 17, 33), nullptr, "17x33 blobs");
+  check_frame_against_eager(wide_range_field(rng, 16, 16), "16x16 wide");
+  check_frame_against_eager(wide_range_field(rng, 17, 33), "17x33 wide");
+  check_frame_against_eager(wide_range_field(rng, 33, 17), "33x17 wide");
+  check_frame_against_eager(random_field(rng, 17, 33), "17x33 blobs");
 }
 
 TEST(CurveOfGrowthDifferential, SurveySizedFramesMatchEagerBuild) {
   Rng rng(43);
   for (const int size : {64, 128}) {
     const std::string px = std::to_string(size) + " px";
-    check_frame_against_eager(wide_range_field(rng, size, size), nullptr, px + " wide");
-    check_frame_against_eager(random_cutout(7, size), nullptr, px + " galaxy");
-    check_frame_against_eager(random_cutout(8, size), &kReverseExecutor,
-                              px + " galaxy, executor");
+    check_frame_against_eager(wide_range_field(rng, size, size), px + " wide");
+    check_frame_against_eager(random_cutout(7, size), px + " galaxy");
+    check_frame_against_eager(random_cutout(8, size), px + " second galaxy");
   }
 }
 

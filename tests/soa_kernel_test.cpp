@@ -1,16 +1,13 @@
 // Equivalence guards for the survey-scale kernel rework: the swept
 // (index-reversed, interval-based) asymmetry statistic against the scalar
-// reference it replaced, the tiled measure_morphology path against the
-// serial one, and the caller-participating parallel_for_shared loop the
-// tile executor rides on.
+// reference it replaced, and galMorph jobs on FITS bytes, run as pool tasks
+// that decode into per-thread frames, against the serial decode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -109,7 +106,7 @@ void expect_asymmetry_equivalent(const Image& img, double cx, double cy,
 }
 
 // ---------------------------------------------------------------------------
-// Swept asymmetry vs the scalar reference, across the tiling size range.
+// Swept asymmetry vs the scalar reference, across cutout sizes.
 // ---------------------------------------------------------------------------
 
 TEST(SoaKernel, SweptAsymmetryMatchesReferenceAcrossSizes) {
@@ -178,7 +175,7 @@ TEST(SoaKernel, SweptAsymmetryMaskedAndEdgeCases) {
 }
 
 // ---------------------------------------------------------------------------
-// Tiled measure_morphology == serial measure_morphology, bit for bit.
+// galMorph jobs on a pool == serial measurement, bit for bit.
 // ---------------------------------------------------------------------------
 
 void expect_params_identical(const MorphologyParams& a,
@@ -198,37 +195,11 @@ void expect_params_identical(const MorphologyParams& a,
   EXPECT_EQ(a.snr, b.snr);
 }
 
-TEST(SoaKernel, TiledMorphologyMatchesSerialBitForBit) {
-  ThreadPool pool(3);
-  const ParallelFor plain = [&pool](std::size_t n,
-                                    const std::function<void(std::size_t)>& fn) {
-    grid::parallel_for(pool, n, fn);
-  };
-  const ParallelFor shared = [&pool](std::size_t n,
-                                     const std::function<void(std::size_t)>& fn) {
-    grid::parallel_for_shared(pool, n, fn);
-  };
-  for (const int size : {128, 256}) {
-    for (const auto type : {sim::MorphType::kElliptical, sim::MorphType::kSpiral}) {
-      const Image img = render_test_galaxy(type, size, 0xBEEF + size);
-      MorphologyOptions serial;
-      const MorphologyParams want = measure_morphology(img, serial);
-      ASSERT_TRUE(want.valid) << "test galaxy should measure cleanly";
-      for (const ParallelFor* exec : {&plain, &shared}) {
-        MorphologyOptions tiled = serial;
-        tiled.tile_executor = exec;
-        expect_params_identical(measure_morphology(img, tiled), want);
-      }
-    }
-  }
-}
-
 TEST(SoaKernel, JobsOnFitsBytesMatchSerialDecodeAtEveryPoolSize) {
   // run_gal_morph_bytes decodes into a frame its thread keeps across jobs.
-  // Jobs of mixed sizes run as pool tasks whose 128 px kernels tile back
-  // into the same pool, as the compute service wires them; every result
-  // must equal the serial measurement of read_fits' image, at every pool
-  // size.
+  // Jobs of mixed sizes run as pool tasks, each kernel serial on its worker;
+  // every result must equal the serial measurement of read_fits' image, at
+  // every pool size.
   std::vector<std::vector<std::uint8_t>> cutouts;
   for (int i = 0; i < 12; ++i) {
     image::FitsFile f;
@@ -247,64 +218,15 @@ TEST(SoaKernel, JobsOnFitsBytesMatchSerialDecodeAtEveryPoolSize) {
   }
   for (const std::size_t threads : {1, 2, 4}) {
     ThreadPool pool(threads);
-    const ParallelFor shared = [&pool](std::size_t n,
-                                       const std::function<void(std::size_t)>& fn) {
-      grid::parallel_for_shared(pool, n, fn);
-    };
     std::vector<GalMorphResult> got(cutouts.size());
     grid::parallel_for(pool, cutouts.size(), [&](std::size_t i) {
-      got[i] = run_gal_morph_bytes("g", cutouts[i], args, &shared);
+      got[i] = run_gal_morph_bytes("g", cutouts[i], args);
     });
     for (std::size_t i = 0; i < cutouts.size(); ++i) {
       SCOPED_TRACE(testing::Message() << threads << " threads, cutout " << i);
       expect_params_identical(got[i].params, want[i].params);
       EXPECT_EQ(got[i].petrosian_r_kpc, want[i].petrosian_r_kpc);
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// parallel_for_shared: coverage, small-n, and pool-reentrant safety.
-// ---------------------------------------------------------------------------
-
-TEST(SoaKernel, ParallelForSharedCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                              std::size_t{1000}}) {
-    std::vector<std::atomic<int>> hits(n);
-    grid::parallel_for_shared(pool, n,
-                              [&hits](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " of " << n;
-    }
-  }
-}
-
-TEST(SoaKernel, ParallelForSharedIsSafeFromInsideThePool) {
-  // The ComputeService wiring: outer kernel tasks run on pool workers and
-  // fan their tile loops back into the same pool. A blocking parallel_for
-  // here would deadlock a fully-busy pool; the shared loop must not.
-  ThreadPool pool(2);
-  constexpr std::size_t kOuter = 4;
-  constexpr std::size_t kInner = 64;
-  std::vector<std::atomic<int>> hits(kOuter * kInner);
-  grid::parallel_for(pool, kOuter, [&](std::size_t outer) {
-    grid::parallel_for_shared(pool, kInner, [&, outer](std::size_t inner) {
-      hits[outer * kInner + inner].fetch_add(1);
-    });
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "slot " << i;
-  }
-}
-
-TEST(SoaKernel, ParallelForSharedSingleWorkerPool) {
-  ThreadPool pool(1);
-  std::vector<int> out(257, 0);
-  grid::parallel_for_shared(pool, out.size(),
-                            [&out](std::size_t i) { out[i] = static_cast<int>(i) + 1; });
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i) + 1);
   }
 }
 

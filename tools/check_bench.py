@@ -9,7 +9,8 @@ checker verifies, and prints every value it checks:
 
   * provenance: no duplicate JSON keys, every file built as `release`, and
     all files share one git sha (not "unknown") and one num_cpus;
-  * the host-independent invariants of each lane, with fixed bounds;
+  * the host-independent invariants of each lane, with fixed bounds (the
+    A3 lane from the median of its repetitions);
   * the deterministic sim-clock and byte-accounting counters, compared
     against PINNED below (exactly, apart from WALL_LEAK).
 
@@ -90,10 +91,21 @@ def load(path):
 
 
 def by_name(doc):
-    # Drop run-option suffixes ("/iterations:1") so names stay stable if
-    # iteration pinning changes.
-    return {"/".join(p for p in b["name"].split("/") if ":" not in p): b
-            for b in doc.get("benchmarks", [])}
+    """Each benchmark's run, keyed by name: the median aggregate of a
+    repeated benchmark, else its single iteration run. Other aggregates
+    (mean, stddev, cv, complexity fits) are dropped."""
+    runs = {}
+    for b in doc.get("benchmarks", []):
+        if b.get("run_type") == "aggregate":
+            if b.get("aggregate_name") != "median":
+                continue
+            name = b["run_name"]
+        else:
+            name = b["name"]
+        # Drop run-option suffixes ("/iterations:1") so names stay stable if
+        # iteration pinning changes.
+        runs["/".join(p for p in name.split("/") if ":" not in p)] = b
+    return runs
 
 
 def need(runs, *names):
@@ -101,6 +113,26 @@ def need(runs, *names):
     for n in missing:
         fail(f"{n}: missing from the run")
     return not missing
+
+
+# The legacy rotate-and-copy asymmetry path allocates its rotated frame on
+# every call; it is kept only as the baseline BM_StageAsymmetry is read
+# against.
+A3_ALLOCATING = {"BM_StageAsymmetryRotateCopy"}
+
+
+def check_a3(runs):
+    if not need(runs, "BM_FitsDecodePixels/64"):
+        return
+    for name, r in runs.items():
+        if r.get("aggregate_name") != "median":
+            fail(f"{name}: no median aggregate (run A3 with repetitions)")
+        allocs = r.get("heap_allocs_per_iter")
+        if allocs is None or name in A3_ALLOCATING:
+            continue
+        print(f"{name}: heap_allocs_per_iter = {allocs:g} (need 0)")
+        if allocs != 0:
+            fail(f"{name}: heap_allocs_per_iter = {allocs:g}, expected 0")
 
 
 def check_s5(runs):
@@ -245,7 +277,7 @@ def check_pinned(runs):
                 fail(f"{name}: {counter} = {got!r}, pinned {want!r}{bound}")
 
 
-CHECKS = {"s5": check_s5, "survey": check_survey, "portal": check_portal,
+CHECKS = {"a3": check_a3, "s5": check_s5, "survey": check_survey, "portal": check_portal,
           "multipool": check_multipool}
 
 

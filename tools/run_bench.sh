@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Writes the benchmark ledger: builds the five ledger benches in Release,
-# runs each once, writes its google-benchmark JSON to BENCH_<lane>.json at
+# runs each once (A3 with five repetitions), writes its google-benchmark JSON to BENCH_<lane>.json at
 # the repository root (a3, s5, survey, portal, multipool), and checks the
 # result with tools/check_bench.py, which prints every host-independent
 # invariant and every pinned sim-clock counter. Each bench stamps its own
@@ -35,7 +35,11 @@ run() {  # run <lane> <binary> [flags...]: one run -> BENCH_<lane>.json
     --benchmark_out="$ROOT/BENCH_$lane.json" --benchmark_out_format=json
 }
 
-run a3 bench_a3_morphology_kernel
+# The A3 micro-benchmarks compare same-run pairs a few microseconds apart,
+# so they record five repetitions and keep only the aggregates; the checker
+# reads the median.
+run a3 bench_a3_morphology_kernel --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true
 NVO_S5_SCALE=0.1 NVO_S5_METRICS_OUT="$METRICS_TMP" \
   run s5 bench_s5_campaign --benchmark_min_time=0.5
 run survey bench_survey

@@ -22,8 +22,9 @@ TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
 REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test}"
 # obs_test/observability_test drive the traced portal pipeline through the
 # kernel thread pool, and grid_test appends to the checkpoint journal from a
-# thread pool, so they belong in the TSan lane too. soa_kernel_test exercises
-# parallel_for_shared and the tiled kernel on a shared pool, and survey_test
+# thread pool, so they belong in the TSan lane too. soa_kernel_test runs
+# galMorph jobs that decode into a per-thread frame on shared pools of 1, 2
+# and 4 workers, and survey_test
 # fans the survey compute phase across a pool, so both join the TSan lane
 # (with the survey's big byte-identity case dialed down — TSan is ~10x).
 # async_portal_test joins both lanes: the portal itself is single-threaded,
