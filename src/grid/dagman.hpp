@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -154,7 +155,9 @@ class DagManSim {
   /// Executes the concrete DAG. Compute nodes must carry a site that exists
   /// in the grid. Transfer nodes consume no slot (GridFTP streams run
   /// beside the pool); compute nodes hold one slot at their site for their
-  /// duration.
+  /// duration. The run works on node and site indices; names appear only in
+  /// the report, the callbacks and the state kept across runs (ready times,
+  /// failure draws, dead pools), since a rescue DAG numbers its nodes anew.
   Expected<RunReport> run(const vds::Dag& dag);
 
  private:
@@ -168,7 +171,7 @@ class DagManSim {
   /// outcomes are event-order invariant — a pipelined schedule reaches the
   /// same verdicts as a barriered one — while a rescue-DAG round re-running
   /// a failed node still gets a fresh draw rather than its old one.
-  std::map<std::string, int> draw_count_;
+  std::unordered_map<std::string, int> draw_count_;
   NodeCallback on_node_;
   double deadline_s_ = 0.0;
   CancellationToken cancel_;

@@ -1,6 +1,7 @@
 #include "grid/rescue.hpp"
 
 #include <map>
+#include <vector>
 
 namespace nvo::grid {
 
@@ -19,33 +20,29 @@ Expected<vds::Dag> make_rescue_dag(const vds::Dag& concrete,
   // All-succeeded (or empty) report: nothing to rescue. Return the empty
   // DAG straight away rather than building a degenerate one node-by-node.
   if (all_succeeded(report)) return vds::Dag{};
-  vds::Dag rescue;
+  std::vector<std::size_t> unfinished;
+  std::vector<char> picked(concrete.num_nodes(), 0);
   for (const NodeResult& r : report.nodes) {
     if (r.outcome == NodeOutcome::kSucceeded) continue;
-    const vds::DagNode* n = concrete.node(r.id);
-    if (!n) {
+    const std::size_t i = concrete.index_of(r.id);
+    if (i == vds::Dag::npos) {
       return Error(ErrorCode::kInvalidArgument,
                    "report names unknown node " + r.id);
     }
-    if (const Status s = rescue.add_node(*n); !s.ok()) return s.error();
+    if (picked[i]) return Error(ErrorCode::kAlreadyExists, "node " + r.id);
+    picked[i] = 1;
+    unfinished.push_back(i);
   }
-  for (const std::string& id : rescue.node_ids()) {
-    for (const std::string& child : concrete.children(id)) {
-      if (rescue.has_node(child)) {
-        if (const Status s = rescue.add_edge(id, child); !s.ok()) return s.error();
-      }
-    }
-  }
-  return rescue;
+  return concrete.subgraph(unfinished);
 }
 
 RunReport merge_node_outcomes(const vds::Dag& concrete,
                               const std::map<std::string, NodeResult>& latest) {
   RunReport merged;
   merged.jobs_total = concrete.num_nodes();
-  for (const std::string& id : concrete.node_ids()) {
-    const vds::DagNode* n = concrete.node(id);
-    switch (n->type) {
+  for (const vds::DagNode& n : concrete.nodes()) {
+    const std::string& id = n.id;
+    switch (n.type) {
       case vds::JobType::kCompute:
         ++merged.compute_jobs;
         break;
@@ -86,9 +83,12 @@ Expected<RescueOutcome> run_with_rescue(DagManSim& dagman, const vds::Dag& concr
   RescueOutcome outcome;
   std::map<std::string, NodeResult> latest;
 
-  vds::Dag current = concrete;
-  for (int round = 0; round < max_rounds && !current.empty(); ++round) {
-    auto report = dagman.run(current);
+  // Each round runs the previous round's rescue DAG; the first runs
+  // `concrete` itself, uncopied.
+  const vds::Dag* current = &concrete;
+  vds::Dag rescue_dag;
+  for (int round = 0; round < max_rounds && !current->empty(); ++round) {
+    auto report = dagman.run(*current);
     if (!report.ok()) return report.error();
     ++outcome.rounds;
     for (const NodeResult& r : report->nodes) latest[r.id] = r;
@@ -96,9 +96,10 @@ Expected<RescueOutcome> run_with_rescue(DagManSim& dagman, const vds::Dag& concr
     // terminal: building and running a rescue DAG over zero unfinished
     // nodes would burn a round on an empty execution.
     if (report->workflow_succeeded || all_succeeded(report.value())) break;
-    auto rescue = make_rescue_dag(current, report.value());
+    auto rescue = make_rescue_dag(*current, report.value());
     if (!rescue.ok()) return rescue.error();
-    current = std::move(rescue.value());
+    rescue_dag = std::move(rescue.value());
+    current = &rescue_dag;
   }
 
   // Merge the final per-node outcomes into a report shaped like a single

@@ -93,8 +93,10 @@ class Planner {
     mds_now_s_ = now_s;
   }
 
-  /// Full pipeline: reduce -> feasibility -> concretize.
-  Expected<PlanResult> plan(const vds::Dag& abstract);
+  /// Full pipeline: reduce -> feasibility -> concretize. The abstract
+  /// workflow's nodes move into the concrete one; pass an rvalue to skip
+  /// the copy.
+  Expected<PlanResult> plan(vds::Dag abstract);
 
   /// Stage 1: prune jobs whose needed outputs all have replicas. Exposed
   /// for the Fig. 3 reduction benchmark.
@@ -107,11 +109,25 @@ class Planner {
   const PlannerConfig& config() const { return config_; }
 
  private:
+  /// A site where a transformation can run, with its installed executable.
+  struct SiteChoice {
+    std::string site;
+    std::string executable;
+  };
+
+  /// Stage 1's verdict: indices of the jobs reduction keeps, ascending.
+  /// `topo` is a topological order of `abstract`.
+  std::vector<std::size_t> needed_jobs(const vds::Dag& abstract,
+                                       const std::vector<std::size_t>& topo) const;
   Expected<PlanResult> concretize(vds::Dag reduced, std::size_t abstract_jobs,
                                   std::size_t pruned,
                                   std::vector<std::string> reused_outputs);
-  Expected<std::string> select_site(const vds::DagNode& node,
-                                    const std::map<std::string, int>& load);
+  /// The TC sites of `transformation` that the grid knows, in TC order.
+  Expected<std::vector<SiteChoice>> site_choices(const std::string& transformation) const;
+  /// Index into `candidates` of the site `node` runs at.
+  std::size_t select_site(const vds::DagNode& node,
+                          const std::vector<SiteChoice>& candidates,
+                          const std::map<std::string, int>& load);
   Expected<Replica> select_replica(const std::string& lfn,
                                    const std::string& exec_site);
 

@@ -11,6 +11,8 @@
 #include <mutex>
 #include <optional>
 #include <queue>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "common/log.hpp"
@@ -23,7 +25,6 @@
 #include "portal/streaming_merge.hpp"
 #include "portal/transforms.hpp"
 #include "services/sia.hpp"
-#include "vds/vdl_parser.hpp"
 #include "votable/votable_io.hpp"
 
 namespace nvo::portal {
@@ -72,6 +73,9 @@ std::string escape_field(const std::string& s) {
   }
   return out;
 }
+
+/// Request::node_row's entry for a DAG node that is not a galaxy's job.
+constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 
 /// Concurrent stage-in channels on the sim clock: fetch latencies overlap
 /// each other up to this bound (and all of them overlap kernel time),
@@ -314,7 +318,8 @@ std::map<std::string, double> stage_in_ready_times(const FetchTimeline& fetches,
                                                    const std::string& cache_site) {
   std::priority_queue<double, std::vector<double>, std::greater<>> channels;
   for (std::size_t c = 0; c < kStageInWindow; ++c) channels.push(0.0);
-  std::map<std::string, double> arrival_ms;
+  std::unordered_map<std::string_view, double> arrival_ms;
+  arrival_ms.reserve(fetches.size());
   for (const auto& [lfn, dur_ms] : fetches) {
     const double done = channels.top() + dur_ms;
     channels.pop();
@@ -322,6 +327,7 @@ std::map<std::string, double> stage_in_ready_times(const FetchTimeline& fetches,
     arrival_ms[lfn] = done;
   }
   std::map<std::string, double> ready;
+  if (arrival_ms.empty()) return ready;
   for (const auto& [node_id, inputs] : plan.data_inputs) {
     double node_ready_ms = 0.0;
     for (const std::string& lfn : inputs) {
@@ -329,18 +335,18 @@ std::map<std::string, double> stage_in_ready_times(const FetchTimeline& fetches,
         node_ready_ms = std::max(node_ready_ms, it->second);
       }
     }
-    if (node_ready_ms > 0.0) ready[node_id] = node_ready_ms / 1000.0;
+    // data_inputs iterates in id order, so each entry lands at the end.
+    if (node_ready_ms > 0.0) {
+      ready.emplace_hint(ready.end(), node_id, node_ready_ms / 1000.0);
+    }
   }
   // Multi-pool plans insert stage-in transfers sourced at the cache site
   // for cutouts that are themselves still arriving from the archive: the
   // inter-site stream cannot start before its file lands in the cache.
-  for (const std::string& tid : plan.concrete.node_ids()) {
-    const vds::DagNode* tn = plan.concrete.node(tid);
-    if (tn->type != vds::JobType::kTransfer || tn->source_site != cache_site) {
-      continue;
-    }
-    if (const auto it = arrival_ms.find(tn->file); it != arrival_ms.end()) {
-      double& slot = ready[tid];
+  for (const vds::DagNode& tn : plan.concrete.nodes()) {
+    if (tn.type != vds::JobType::kTransfer || tn.source_site != cache_site) continue;
+    if (const auto it = arrival_ms.find(tn.file); it != arrival_ms.end()) {
+      double& slot = ready[tn.id];
       slot = std::max(slot, it->second / 1000.0);
     }
   }
@@ -369,7 +375,8 @@ struct MorphologyService::Request {
   /// node final), while other galaxies are still staging or computing.
   StreamingCatalogWriter writer{out_lfn, results};
   FetchTimeline fetch_timeline{};
-  std::map<std::string, std::size_t> node_row{};  ///< compute node -> row
+  /// Concrete-DAG node index -> its galaxy's row (kNoRow for other nodes).
+  std::vector<std::size_t> node_row{};
   /// Serializes the kPrefetchDepth blocking protocol around the live count
   /// in staging_inflight_ (a member, so the gauge can read it).
   std::mutex inflight_mu{};
@@ -447,7 +454,7 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
   if (Status s = stage_and_compute(rq); !s.ok()) return s;
   auto abstract = compose_workflow(rq);
   if (!abstract.ok()) return abstract.error();
-  if (Status s = plan_workflow(rq, abstract.value()); !s.ok()) return s;
+  if (Status s = plan_workflow(rq, std::move(abstract.value())); !s.ok()) return s;
   if (Status s = execute_workflow(rq); !s.ok()) return s;
   // (4e) Barrier for the kernels, which ran concurrently with planning and
   // the simulated execution: kernel_wall_ms is the overlapped window.
@@ -737,17 +744,16 @@ void MorphologyService::submit_kernel(Request& rq, std::size_t i,
 }
 
 Expected<vds::Dag> MorphologyService::compose_workflow(Request& rq) {
-  // (4a) VDL generation (the second stylesheet), then (4b) Chimera
-  // composition.
+  // (4a) The second stylesheet defines the catalog's derivations straight
+  // into a Virtual Data Catalog (catalog_to_vdl prints the same VDL as
+  // text), then (4b) Chimera composes.
   obs::Span span = obs::start_span(config_.tracer, "compute.vdl_compose", "compute");
   const auto t0 = std::chrono::steady_clock::now();
-  const auto vdl = catalog_to_vdl(rq.input, rq.out_name, config_.default_args);
-  if (!vdl.ok()) return vdl.error();
-  rq.trace.vdl_bytes = static_cast<double>(vdl->size());
-  const auto doc = vds::parse_vdl(vdl.value());
-  if (!doc.ok()) return doc.error();
   vds::VirtualDataCatalog vdc;
-  if (const Status s = vdc.ingest(doc.value()); !s.ok()) return s.error();
+  const auto vdl_bytes =
+      define_catalog_derivations(rq.input, rq.out_name, config_.default_args, vdc);
+  if (!vdl_bytes.ok()) return vdl_bytes.error();
+  rq.trace.vdl_bytes = static_cast<double>(vdl_bytes.value());
   auto abstract = vds::compose_abstract_workflow(vdc, {rq.out_lfn});
   if (!abstract.ok()) return abstract.error();
   rq.trace.compose_wall_ms = wall_ms_since(t0);
@@ -755,7 +761,7 @@ Expected<vds::Dag> MorphologyService::compose_workflow(Request& rq) {
   return abstract;
 }
 
-Status MorphologyService::plan_workflow(Request& rq, const vds::Dag& abstract) {
+Status MorphologyService::plan_workflow(Request& rq, vds::Dag abstract) {
   // (4c) Pegasus planning. The generated concat transformation runs at the
   // service's own site (where the results will be gathered).
   (void)tc_.add({"concatMorph_" + rq.out_name, config_.cache_site,
@@ -765,7 +771,7 @@ Status MorphologyService::plan_workflow(Request& rq, const vds::Dag& abstract) {
   pegasus::PlannerConfig planner_config = config_.planner;
   planner_config.output_site = config_.cache_site;
   pegasus::Planner planner(grid_, rls_, tc_, planner_config, config_.seed);
-  auto plan = planner.plan(abstract);
+  auto plan = planner.plan(std::move(abstract));
   if (!plan.ok()) return plan.error();
   rq.trace.plan = std::move(plan.value());
   rq.trace.plan_wall_ms = wall_ms_since(t0);
@@ -802,8 +808,12 @@ Status MorphologyService::execute_workflow(Request& rq) {
   // the per-(node, attempt) failure draws are schedule-invariant.
   dagman.set_ready_times(
       stage_in_ready_times(rq.fetch_timeline, trace.plan, config_.cache_site));
+  rq.node_row.assign(dag.num_nodes(), kNoRow);
   for (std::size_t i = 0; i < rq.galaxy_ids.size(); ++i) {
-    rq.node_row["m_" + rq.galaxy_ids[i]] = i;
+    if (const std::size_t node = dag.index_of("m_" + rq.galaxy_ids[i]);
+        node != vds::Dag::npos) {
+      rq.node_row[node] = i;
+    }
   }
   dagman.set_node_callback(
       [this, &rq](const grid::NodeResult& nr) { return on_node_final(rq, nr); });
@@ -812,13 +822,13 @@ Status MorphologyService::execute_workflow(Request& rq) {
   // before execution: a resumed run re-executes only the unfinished tail.
   std::map<std::string, grid::NodeResult> prior;
   if (rq.journal) {
-    for (const std::string& node_id : dag.node_ids()) {
-      if (!rq.journal->has("node", rq.ck + node_id)) continue;
+    for (const vds::DagNode& n : dag.nodes()) {
+      if (!rq.journal->has("node", rq.ck + n.id)) continue;
       grid::NodeResult r;
-      r.id = node_id;
+      r.id = n.id;
       r.outcome = grid::NodeOutcome::kSucceeded;
-      if (const vds::DagNode* n = dag.node(node_id)) r.site = n->site;
-      prior[node_id] = std::move(r);
+      r.site = n.site;
+      prior[n.id] = std::move(r);
     }
   }
   trace.nodes_resumed = prior.size();
@@ -913,11 +923,13 @@ Status MorphologyService::on_node_final(Request& rq, const grid::NodeResult& nr)
   // also done. With rescue rounds budgeted a failure is NOT final — a
   // later round may still succeed, and mark_node_final is first-wins — so
   // failed rows are left for materialize_catalog's sweep.
-  if (const auto it = rq.node_row.find(nr.id); it != rq.node_row.end()) {
+  const std::size_t node = rq.trace.plan.concrete.index_of(nr.id);
+  if (const std::size_t row = node == vds::Dag::npos ? kNoRow : rq.node_row[node];
+      row != kNoRow) {
     if (nr.outcome != grid::NodeOutcome::kFailed) {
-      rq.writer.mark_node_final(it->second, false);
+      rq.writer.mark_node_final(row, false);
     } else if (config_.rescue_rounds == 0) {
-      rq.writer.mark_node_final(it->second, true);
+      rq.writer.mark_node_final(row, true);
     }
   }
   if (rq.journal && nr.outcome == grid::NodeOutcome::kSucceeded &&
@@ -965,11 +977,18 @@ void MorphologyService::materialize_catalog(Request& rq) {
   // produces no product). Sweep rows whose node outcome never went through
   // this run's event loop — journal-resumed nodes and outcomes recovered by
   // rescue-merge; mark_node_final is idempotent, so callback-finalized rows
-  // are safe.
+  // are safe. The report is indexed by node id on first need.
+  std::unordered_map<std::string_view, const grid::NodeResult*> outcome_of;
   for (std::size_t i = 0; i < rq.galaxy_ids.size(); ++i) {
     if (rq.writer.node_finalized(i)) continue;
-    const grid::NodeResult* nr = trace.execution.result_for("m_" + rq.galaxy_ids[i]);
-    rq.writer.mark_node_final(i, nr && nr->outcome == grid::NodeOutcome::kFailed);
+    if (outcome_of.empty()) {
+      for (const grid::NodeResult& r : trace.execution.nodes) {
+        outcome_of.emplace(r.id, &r);
+      }
+    }
+    const auto it = outcome_of.find("m_" + rq.galaxy_ids[i]);
+    rq.writer.mark_node_final(
+        i, it != outcome_of.end() && it->second->outcome == grid::NodeOutcome::kFailed);
   }
   for (const core::GalMorphResult& r : rq.results) {
     if (r.params.valid) {

@@ -9,9 +9,11 @@
 //   3. Otherwise it downloads every galaxy image into its local cache and
 //      registers them in the RLS (so later requests use GridFTP-class local
 //      access instead of SIA).
-//   4. The input VOTable is transformed into a VDL derivation file; Chimera
-//      composes the abstract workflow; Pegasus reduces/maps it; DAGMan
-//      executes it (simulated timing + real morphology computation).
+//   4. The input VOTable is transformed into VDL derivations (the
+//      derivation file's contents, defined straight into a Virtual Data
+//      Catalog); Chimera composes the abstract workflow; Pegasus
+//      reduces/maps it; DAGMan executes it (simulated timing + real
+//      morphology computation).
 //   5. The output VOTable is registered in the RLS; polls of the status URL
 //      now return "job completed" plus the result URL.
 //
@@ -269,7 +271,7 @@ class MorphologyService {
   /// (4a, 4b) VDL generation and Chimera composition.
   Expected<vds::Dag> compose_workflow(Request& rq);
   /// (4c) Pegasus planning into rq.trace.plan.
-  Status plan_workflow(Request& rq, const vds::Dag& abstract);
+  Status plan_workflow(Request& rq, vds::Dag abstract);
   /// (4d) Simulated DAGMan execution with ready-on-data dispatch, journal
   /// resume and rescue rounds, then commit and provenance.
   Status execute_workflow(Request& rq);

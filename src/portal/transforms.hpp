@@ -4,13 +4,15 @@
 // a derivation file containing the Virtual Data Language markup". XSLT is
 // replaced by typed transforms over the parsed table. The compute service
 // reads the `cutout_url` column itself when it stages images, which is the
-// first stylesheet's role; catalog_to_vdl is the second.
+// first stylesheet's role; catalog_to_vdl is the second, and
+// define_catalog_derivations builds the same derivations without the text.
 #pragma once
 
 #include <string>
 
 #include "common/expected.hpp"
 #include "core/galmorph.hpp"
+#include "vds/chimera.hpp"
 #include "votable/table.hpp"
 
 namespace nvo::portal {
@@ -34,5 +36,15 @@ std::string output_votable_lfn(const std::string& cluster_name);
 Expected<std::string> catalog_to_vdl(const votable::Table& catalog,
                                      const std::string& cluster_name,
                                      const core::GalMorphArgs& defaults);
+
+/// Stylesheet 2 without the text round trip: defines the TRs and DVs that
+/// catalog_to_vdl prints straight into `vdc`, in the order parsing that
+/// text would ingest them, and returns the text's byte count. A galaxy id
+/// or cluster name the printed VDL cannot spell (any character outside
+/// [A-Za-z0-9_.]) is a parse error, as it is for the printed text.
+Expected<std::size_t> define_catalog_derivations(const votable::Table& catalog,
+                                                 const std::string& cluster_name,
+                                                 const core::GalMorphArgs& defaults,
+                                                 vds::VirtualDataCatalog& vdc);
 
 }  // namespace nvo::portal

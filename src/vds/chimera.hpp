@@ -8,6 +8,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/expected.hpp"
@@ -28,7 +29,8 @@ class VirtualDataCatalog {
   /// exist, every binding must name one of its formal arguments, every
   /// formal argument must be bound, file-binding directions must match the
   /// formal declaration, and no other derivation may already produce any of
-  /// its output files (single-producer rule).
+  /// its output files (single-producer rule). Formals are resolved by binary
+  /// search, so a derivation with n bindings costs O(n log n).
   Status define_derivation(Derivation dv);
 
   /// Ingests a whole parsed VDL document.
@@ -45,9 +47,19 @@ class VirtualDataCatalog {
   std::size_t num_derivations() const { return derivations_.size(); }
 
  private:
-  std::map<std::string, Transformation> transformations_;
-  std::map<std::string, Derivation> derivations_;
-  std::map<std::string, std::string> producer_of_;  // lfn -> derivation name
+  struct TransformationEntry {
+    Transformation tr;
+    /// Indices into tr.args, sorted by formal name.
+    std::vector<std::size_t> by_name;
+  };
+  /// The formal of `entry` named `name`, or nullptr.
+  static const FormalArg* find_formal(const TransformationEntry& entry,
+                                      const std::string& name);
+
+  std::map<std::string, TransformationEntry> transformations_;
+  std::unordered_map<std::string, Derivation> derivations_;
+  /// lfn -> its producer in derivations_ (whose elements never move).
+  std::unordered_map<std::string, const Derivation*> producer_of_;
 };
 
 /// Composes the abstract workflow that materializes the requested logical

@@ -1,13 +1,10 @@
 #include "vds/dag.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/strings.hpp"
 
 namespace nvo::vds {
-
-const std::vector<std::string> Dag::kEmpty;
 
 const char* to_string(JobType t) {
   switch (t) {
@@ -21,43 +18,60 @@ const char* to_string(JobType t) {
   return "?";
 }
 
+void Dag::reserve(std::size_t n) {
+  nodes_.reserve(n);
+  parents_.reserve(n);
+  children_.reserve(n);
+  index_.reserve(n);
+}
+
+std::size_t Dag::index_of(const std::string& id) const {
+  const auto it = index_.find(id);
+  return it == index_.end() ? npos : it->second;
+}
+
 Status Dag::add_node(DagNode node) {
-  if (index_.count(node.id)) {
+  if (!index_.emplace(node.id, nodes_.size()).second) {
     return Error(ErrorCode::kAlreadyExists, "node " + node.id);
   }
-  index_[node.id] = nodes_.size();
-  parents_[node.id];
-  children_[node.id];
   nodes_.push_back(std::move(node));
+  parents_.emplace_back();
+  children_.emplace_back();
   return Status::Ok();
 }
 
 Status Dag::add_edge(const std::string& parent, const std::string& child) {
-  if (!index_.count(parent)) return Error(ErrorCode::kNotFound, "node " + parent);
-  if (!index_.count(child)) return Error(ErrorCode::kNotFound, "node " + child);
-  auto& kids = children_[parent];
-  if (std::find(kids.begin(), kids.end(), child) != kids.end()) return Status::Ok();
-  kids.push_back(child);
-  parents_[child].push_back(parent);
+  const std::size_t p = index_of(parent);
+  if (p == npos) return Error(ErrorCode::kNotFound, "node " + parent);
+  const std::size_t c = index_of(child);
+  if (c == npos) return Error(ErrorCode::kNotFound, "node " + child);
+  add_edge(p, c);
   return Status::Ok();
 }
 
-bool Dag::has_node(const std::string& id) const { return index_.count(id) != 0; }
+void Dag::add_edge(std::size_t parent, std::size_t child) {
+  std::vector<std::size_t>& kids = children_[parent];
+  if (std::find(kids.begin(), kids.end(), child) != kids.end()) return;
+  kids.push_back(child);
+  parents_[child].push_back(parent);
+  ++num_edges_;
+}
 
 const DagNode* Dag::node(const std::string& id) const {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &nodes_[it->second];
+  const std::size_t i = index_of(id);
+  return i == npos ? nullptr : &nodes_[i];
 }
 
 DagNode* Dag::mutable_node(const std::string& id) {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &nodes_[it->second];
+  const std::size_t i = index_of(id);
+  return i == npos ? nullptr : &nodes_[i];
 }
 
-std::size_t Dag::num_edges() const {
-  std::size_t n = 0;
-  for (const auto& [id, kids] : children_) n += kids.size();
-  return n;
+std::vector<std::string> Dag::ids_of(const std::vector<std::size_t>& indices) const {
+  std::vector<std::string> out;
+  out.reserve(indices.size());
+  for (const std::size_t i : indices) out.push_back(nodes_[i].id);
+  return out;
 }
 
 std::vector<std::string> Dag::node_ids() const {
@@ -67,47 +81,71 @@ std::vector<std::string> Dag::node_ids() const {
   return out;
 }
 
-const std::vector<std::string>& Dag::parents(const std::string& id) const {
-  const auto it = parents_.find(id);
-  return it == parents_.end() ? kEmpty : it->second;
+std::vector<std::string> Dag::parents(const std::string& id) const {
+  const std::size_t i = index_of(id);
+  return i == npos ? std::vector<std::string>{} : ids_of(parents_[i]);
 }
 
-const std::vector<std::string>& Dag::children(const std::string& id) const {
-  const auto it = children_.find(id);
-  return it == children_.end() ? kEmpty : it->second;
+std::vector<std::string> Dag::children(const std::string& id) const {
+  const std::size_t i = index_of(id);
+  return i == npos ? std::vector<std::string>{} : ids_of(children_[i]);
 }
 
 std::vector<std::string> Dag::roots() const {
   std::vector<std::string> out;
-  for (const DagNode& n : nodes_) {
-    if (parents(n.id).empty()) out.push_back(n.id);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (parents_[i].empty()) out.push_back(nodes_[i].id);
   }
   return out;
 }
 
 std::vector<std::string> Dag::leaves() const {
   std::vector<std::string> out;
-  for (const DagNode& n : nodes_) {
-    if (children(n.id).empty()) out.push_back(n.id);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (children_[i].empty()) out.push_back(nodes_[i].id);
   }
   return out;
 }
 
-Expected<std::vector<std::string>> Dag::topological_order() const {
-  std::map<std::string, std::size_t> in_degree;
-  for (const DagNode& n : nodes_) in_degree[n.id] = parents(n.id).size();
-  std::deque<std::string> ready;
-  for (const DagNode& n : nodes_) {
-    if (in_degree[n.id] == 0) ready.push_back(n.id);
+Dag Dag::subgraph(const std::vector<std::size_t>& picks) const& {
+  Dag out;
+  out.reserve(picks.size());
+  for (const std::size_t i : picks) (void)out.add_node(nodes_[i]);
+  out.add_induced_edges(*this, picks);
+  return out;
+}
+
+Dag Dag::subgraph(const std::vector<std::size_t>& picks) && {
+  Dag out;
+  out.reserve(picks.size());
+  for (const std::size_t i : picks) (void)out.add_node(std::move(nodes_[i]));
+  out.add_induced_edges(*this, picks);
+  return out;
+}
+
+void Dag::add_induced_edges(const Dag& from, const std::vector<std::size_t>& picks) {
+  std::vector<std::size_t> position(from.nodes_.size(), npos);
+  for (std::size_t j = 0; j < picks.size(); ++j) position[picks[j]] = j;
+  for (std::size_t j = 0; j < picks.size(); ++j) {
+    for (const std::size_t child : from.children_[picks[j]]) {
+      if (position[child] != npos) add_edge(j, position[child]);
+    }
   }
-  std::vector<std::string> order;
+}
+
+Expected<std::vector<std::size_t>> Dag::topological_indices() const {
+  std::vector<std::size_t> in_degree(nodes_.size());
+  // `order` doubles as the FIFO ready queue: entries before `head` are
+  // emitted, the rest are ready and waiting.
+  std::vector<std::size_t> order;
   order.reserve(nodes_.size());
-  while (!ready.empty()) {
-    const std::string id = ready.front();
-    ready.pop_front();
-    order.push_back(id);
-    for (const std::string& child : children(id)) {
-      if (--in_degree[child] == 0) ready.push_back(child);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    in_degree[i] = parents_[i].size();
+    if (in_degree[i] == 0) order.push_back(i);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const std::size_t child : children_[order[head]]) {
+      if (--in_degree[child] == 0) order.push_back(child);
     }
   }
   if (order.size() != nodes_.size()) {
@@ -116,17 +154,23 @@ Expected<std::vector<std::string>> Dag::topological_order() const {
   return order;
 }
 
+Expected<std::vector<std::string>> Dag::topological_order() const {
+  auto order = topological_indices();
+  if (!order.ok()) return order.error();
+  return ids_of(order.value());
+}
+
 std::string Dag::to_string() const {
   std::string out;
-  for (const DagNode& n : nodes_) {
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const DagNode& n = nodes_[i];
     out += format("%s [%s", n.id.c_str(), nvo::vds::to_string(n.type));
     if (!n.transformation.empty()) out += " " + n.transformation;
     if (!n.site.empty()) out += " @" + n.site;
     out += "]";
     if (!n.inputs.empty()) out += " in:" + join(n.inputs, ",");
     if (!n.outputs.empty()) out += " out:" + join(n.outputs, ",");
-    const auto& kids = children(n.id);
-    if (!kids.empty()) out += " -> " + join(kids, ",");
+    if (!children_[i].empty()) out += " -> " + join(ids_of(children_[i]), ",");
     out += "\n";
   }
   return out;

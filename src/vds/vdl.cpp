@@ -4,13 +4,6 @@
 
 namespace nvo::vds {
 
-const FormalArg* Transformation::find_arg(const std::string& arg_name) const {
-  for (const FormalArg& a : args) {
-    if (a.name == arg_name) return &a;
-  }
-  return nullptr;
-}
-
 std::vector<std::string> Derivation::input_files() const {
   std::vector<std::string> out;
   for (const auto& [name, actual] : bindings) {

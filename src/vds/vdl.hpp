@@ -36,8 +36,6 @@ struct FormalArg {
 struct Transformation {
   std::string name;
   std::vector<FormalArg> args;
-
-  const FormalArg* find_arg(const std::string& arg_name) const;
 };
 
 /// An actual argument in a derivation: either a scalar literal or a logical

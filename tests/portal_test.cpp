@@ -78,6 +78,82 @@ TEST(Transforms, CatalogToVdlPerGalaxyRedshift) {
   EXPECT_EQ(doc->derivations[1].bindings.at("redshift").value, "0.42");
 }
 
+TEST(Transforms, DirectBuildMatchesParsedVdl) {
+  // The service defines the derivations straight from the table; parsing
+  // the printed VDL must give the same catalog, the same workflow and the
+  // same byte count. Twelve galaxies, so formal r10 sorts before r2.
+  votable::Table catalog = tiny_catalog(12);
+  catalog.set_cell(3, "redshift", votable::Value::of_double(0.4242));
+  const core::GalMorphArgs defaults;
+  const auto text = catalog_to_vdl(catalog, "CL", defaults);
+  ASSERT_TRUE(text.ok());
+  auto doc = vds::parse_vdl(text.value());
+  ASSERT_TRUE(doc.ok()) << doc.error().to_string();
+  vds::VirtualDataCatalog parsed;
+  ASSERT_TRUE(parsed.ingest(doc.value()).ok());
+  vds::VirtualDataCatalog direct;
+  const auto bytes = define_catalog_derivations(catalog, "CL", defaults, direct);
+  ASSERT_TRUE(bytes.ok()) << bytes.error().to_string();
+  EXPECT_EQ(bytes.value(), text->size());
+
+  EXPECT_EQ(direct.num_transformations(), parsed.num_transformations());
+  for (const vds::Transformation& tr : doc->transformations) {
+    const vds::Transformation* built = direct.transformation(tr.name);
+    ASSERT_NE(built, nullptr) << tr.name;
+    ASSERT_EQ(built->args.size(), tr.args.size());
+    for (std::size_t i = 0; i < tr.args.size(); ++i) {
+      EXPECT_EQ(built->args[i].name, tr.args[i].name);
+      EXPECT_EQ(built->args[i].direction, tr.args[i].direction);
+    }
+  }
+  EXPECT_EQ(direct.num_derivations(), parsed.num_derivations());
+  for (const vds::Derivation& dv : doc->derivations) {
+    const vds::Derivation* built = direct.derivation(dv.name);
+    ASSERT_NE(built, nullptr) << dv.name;
+    EXPECT_EQ(built->transformation, dv.transformation);
+    ASSERT_EQ(built->bindings.size(), dv.bindings.size());
+    for (const auto& [formal, actual] : dv.bindings) {
+      const auto it = built->bindings.find(formal);
+      ASSERT_NE(it, built->bindings.end()) << dv.name << " " << formal;
+      EXPECT_EQ(it->second.is_file, actual.is_file);
+      EXPECT_EQ(it->second.value, actual.value);
+      EXPECT_EQ(it->second.direction, actual.direction);
+    }
+  }
+
+  const std::vector<std::string> request = {output_votable_lfn("CL")};
+  auto from_text = vds::compose_abstract_workflow(parsed, request);
+  auto from_table = vds::compose_abstract_workflow(direct, request);
+  ASSERT_TRUE(from_text.ok() && from_table.ok());
+  EXPECT_EQ(from_table->node_ids(), from_text->node_ids());
+  for (const std::string& id : from_text->node_ids()) {
+    EXPECT_EQ(from_table->node(id)->inputs, from_text->node(id)->inputs) << id;
+    EXPECT_EQ(from_table->node(id)->outputs, from_text->node(id)->outputs) << id;
+    EXPECT_EQ(from_table->node(id)->args, from_text->node(id)->args) << id;
+    EXPECT_EQ(from_table->parents(id), from_text->parents(id)) << id;
+    EXPECT_EQ(from_table->children(id), from_text->children(id)) << id;
+  }
+}
+
+TEST(Transforms, DirectBuildRejectsNamesTheVdlCannotSpell) {
+  const core::GalMorphArgs defaults;
+  votable::Table bad_id = tiny_catalog(2);
+  bad_id.set_cell(1, "id", votable::Value::of_string("CL-G1"));
+  for (const auto& [catalog, cluster] :
+       {std::pair<votable::Table, std::string>{bad_id, "CL"},
+        std::pair<votable::Table, std::string>{tiny_catalog(2), "CL 2"}}) {
+    // The printed text does not parse back...
+    const auto text = catalog_to_vdl(catalog, cluster, defaults);
+    ASSERT_TRUE(text.ok());
+    EXPECT_FALSE(vds::parse_vdl(text.value()).ok()) << cluster;
+    // ...and the direct build refuses it the same way.
+    vds::VirtualDataCatalog vdc;
+    const auto direct = define_catalog_derivations(catalog, cluster, defaults, vdc);
+    ASSERT_FALSE(direct.ok()) << cluster;
+    EXPECT_EQ(direct.error().code, ErrorCode::kParseError);
+  }
+}
+
 TEST(Transforms, EmptyCatalogRejected) {
   votable::Table empty({votable::Field{"id", votable::DataType::kString}});
   EXPECT_FALSE(catalog_to_vdl(empty, "CL", core::GalMorphArgs{}).ok());

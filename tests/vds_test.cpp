@@ -85,6 +85,83 @@ TEST(Dag, CycleDetected) {
   EXPECT_FALSE(d.topological_order().ok());
 }
 
+TEST(Dag, IndexAccessorsFollowInsertionAndEdgeOrder) {
+  Dag d;
+  for (const char* id : {"a", "b", "c", "d"}) {
+    DagNode n;
+    n.id = id;
+    (void)d.add_node(n);
+  }
+  (void)d.add_edge("b", "c");
+  (void)d.add_edge("a", "c");
+  (void)d.add_edge("c", "d");
+  d.add_edge(0, 3);  // a -> d by index
+  EXPECT_EQ(d.index_of("c"), 2u);
+  EXPECT_EQ(d.index_of("zz"), Dag::npos);
+  EXPECT_EQ(d.node_at(3).id, "d");
+  EXPECT_EQ(d.parents_of(2), (std::vector<std::size_t>{1, 0}));  // edge order
+  EXPECT_EQ(d.children_of(0), (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(d.parents("c"), (std::vector<std::string>{"b", "a"}));
+  EXPECT_EQ(d.num_edges(), 4u);
+  auto order = d.topological_indices();
+  ASSERT_TRUE(order.ok());
+  EXPECT_EQ(order.value(), (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(d.topological_order().value(),
+            (std::vector<std::string>{"a", "b", "c", "d"}));
+}
+
+TEST(Dag, SubgraphKeepsPickOrderAndRebuildsEdges) {
+  Dag d;
+  for (const char* id : {"a", "b", "c", "d"}) {
+    DagNode n;
+    n.id = id;
+    n.site = std::string("site_") + id;
+    (void)d.add_node(n);
+  }
+  (void)d.add_edge("b", "c");
+  (void)d.add_edge("a", "c");
+  (void)d.add_edge("c", "d");
+  (void)d.add_edge("a", "d");
+  // Picks in a new order, dropping b: nodes d, a, c; edges re-added pick by
+  // pick in child order, so c's parents list only a, and d's list a then c.
+  const std::vector<std::size_t> picks = {3, 0, 2};
+  const Dag copy = d.subgraph(picks);
+  EXPECT_EQ(copy.node_ids(), (std::vector<std::string>{"d", "a", "c"}));
+  EXPECT_EQ(copy.children("a"), (std::vector<std::string>{"c", "d"}));
+  EXPECT_EQ(copy.parents("d"), (std::vector<std::string>{"a", "c"}));
+  EXPECT_EQ(copy.parents("c"), (std::vector<std::string>{"a"}));
+  EXPECT_EQ(copy.num_edges(), 3u);
+  EXPECT_EQ(copy.node("c")->site, "site_c");
+  EXPECT_EQ(d.num_nodes(), 4u);  // the source is untouched
+  // The rvalue form moves the nodes and gives the same graph.
+  const Dag moved = std::move(d).subgraph(picks);
+  EXPECT_EQ(moved.to_string(), copy.to_string());
+  EXPECT_EQ(moved.node("d")->site, "site_d");
+}
+
+TEST(Dag, IdIndexSurvivesGrowthAndCopies) {
+  Dag d;
+  for (int i = 0; i < 3000; ++i) {
+    DagNode n;
+    n.id = "node_" + std::to_string(i);
+    ASSERT_TRUE(d.add_node(n).ok());
+  }
+  for (int i = 0; i < 3000; i += 7) {
+    EXPECT_EQ(d.index_of("node_" + std::to_string(i)), static_cast<std::size_t>(i));
+  }
+  DagNode dup;
+  dup.id = "node_1234";
+  EXPECT_FALSE(d.add_node(dup).ok());
+  Dag copy = d;
+  DagNode extra;
+  extra.id = "extra";
+  ASSERT_TRUE(copy.add_node(extra).ok());
+  EXPECT_TRUE(copy.has_node("node_2999"));
+  EXPECT_TRUE(copy.has_node("extra"));
+  EXPECT_FALSE(d.has_node("extra"));
+  EXPECT_EQ(d.node("node_42")->id, "node_42");
+}
+
 TEST(Dag, ToStringMentionsNodes) {
   const std::string s = chain3().to_string();
   EXPECT_NE(s.find("a"), std::string::npos);
@@ -246,6 +323,54 @@ TEST(Vdc, EnforcesSingleProducer) {
   (void)vdc.define_transformation(simple_tr("t"));
   ASSERT_TRUE(vdc.define_derivation(simple_dv("d1", "t", "a", "b")).ok());
   EXPECT_FALSE(vdc.define_derivation(simple_dv("d2", "t", "x", "b")).ok());
+}
+
+TEST(Vdc, WideFanInNamesTheSameFaults) {
+  // A concat-style TR with thousands of formals (formals are looked up by
+  // binary search): every check still reports the fault it always named.
+  VirtualDataCatalog vdc;
+  Transformation wide;
+  wide.name = "wide";
+  constexpr int kFormals = 3000;
+  for (int i = 0; i < kFormals; ++i) {
+    wide.args.push_back({"r" + std::to_string(i), Direction::kIn});
+  }
+  wide.args.push_back({"votable", Direction::kOut});
+  ASSERT_TRUE(vdc.define_transformation(wide).ok());
+  const auto full = [&](const std::string& name, const std::string& out) {
+    Derivation dv;
+    dv.name = name;
+    dv.transformation = "wide";
+    for (int i = 0; i < kFormals; ++i) {
+      dv.bindings["r" + std::to_string(i)] =
+          ActualArg{true, "in" + std::to_string(i), Direction::kIn};
+    }
+    dv.bindings["votable"] = ActualArg{true, out, Direction::kOut};
+    return dv;
+  };
+  ASSERT_TRUE(vdc.define_derivation(full("ok", "v0")).ok());
+
+  Derivation unbound = full("d1", "v1");
+  unbound.bindings.erase("r1500");
+  unbound.bindings.erase("r17");
+  EXPECT_EQ(vdc.define_derivation(unbound).error().message,
+            "DV d1 leaves argument 'r17' unbound");  // first in declaration order
+  Derivation unknown = full("d2", "v2");
+  unknown.bindings["zz"] = ActualArg{false, "1", Direction::kIn};
+  unknown.bindings["aa"] = ActualArg{false, "1", Direction::kIn};
+  EXPECT_EQ(vdc.define_derivation(unknown).error().message,
+            "DV d2 binds unknown argument 'aa'");  // first in binding order
+  Derivation mismatch = full("d3", "v3");
+  mismatch.bindings["r2999"].direction = Direction::kOut;
+  EXPECT_EQ(vdc.define_derivation(mismatch).error().message,
+            "DV d3 direction mismatch on 'r2999'");
+  Derivation scalar_out = full("d4", "v4");
+  scalar_out.bindings["votable"] = ActualArg{false, "x", Direction::kIn};
+  EXPECT_EQ(vdc.define_derivation(scalar_out).error().message,
+            "DV d4 binds scalar to out argument 'votable'");
+  EXPECT_EQ(vdc.define_derivation(full("d5", "v0")).error().message,
+            "logical file 'v0' already produced by ok");
+  EXPECT_EQ(vdc.num_derivations(), 1u);
 }
 
 // ---------------------------------------------------------------------------

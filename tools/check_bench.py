@@ -78,7 +78,9 @@ def fail(message):
 
 
 def load(path):
-    """Parses `path`, reporting every duplicate key (the last one wins)."""
+    """Parses `path` as strict JSON, reporting every duplicate key (the last
+    one wins) and every NaN, Infinity or -Infinity token (read as None),
+    which Python's json module would otherwise accept."""
     def pairs(items):
         seen = {}
         for key, value in items:
@@ -86,8 +88,12 @@ def load(path):
                 fail(f"{path}: duplicate key {key!r}")
             seen[key] = value
         return seen
+
+    def non_finite(token):
+        fail(f"{path}: non-finite number {token} (not strict JSON)")
+
     with open(path) as f:
-        return json.load(f, object_pairs_hook=pairs)
+        return json.load(f, object_pairs_hook=pairs, parse_constant=non_finite)
 
 
 def by_name(doc):
