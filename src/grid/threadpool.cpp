@@ -66,6 +66,20 @@ void ThreadPool::submit_cancellable(CancellationToken token,
 
 void ThreadPool::wait_idle() {
   std::unique_lock lock(mutex_);
+  // Help first: a caller that would otherwise park runs queued tasks itself,
+  // counted in active_ like a worker's so another waiter still sees them.
+  while (!queue_.empty()) {
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    ++active_;
+    lock.unlock();
+    task();
+    lock.lock();
+    --active_;
+  }
+  // A worker that finished while this caller's task still ran did not see
+  // the pool idle; if that task was the last, wake the other waiters here.
+  if (active_ == 0) idle_.notify_all();
   idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 

@@ -32,11 +32,11 @@ class ThreadPool {
   void submit(std::function<void()> task);
 
   /// Enqueues a cancellable task: the token is checked when the task is
-  /// dequeued (by a worker or by the destructor's inline drain) — cancelled
-  /// runs `on_cancel`, live runs `task`. This is how a cancelled request's
-  /// queued work is dropped without executing the expensive body while the
-  /// bookkeeping it owes (in-flight counter decrements, cv notifications)
-  /// still happens exactly once.
+  /// dequeued (by a worker, by wait_idle's caller or by the destructor's
+  /// inline drain) — cancelled runs `on_cancel`, live runs `task`. This is
+  /// how a cancelled request's queued work is dropped without executing the
+  /// expensive body while the bookkeeping it owes (in-flight counter
+  /// decrements, cv notifications) still happens exactly once.
   void submit_cancellable(CancellationToken token, std::function<void()> task,
                           std::function<void()> on_cancel);
 
@@ -46,7 +46,12 @@ class ThreadPool {
     return cancelled_tasks_;
   }
 
-  /// Blocks until the queue is empty and all workers are idle.
+  /// Blocks until the queue is empty and no task is running. The caller
+  /// does not park while work is queued: it dequeues and runs tasks itself,
+  /// exactly as a worker would, until the queue is empty, then waits for the
+  /// tasks still running elsewhere. So a task must never block on the thread
+  /// that waits for it (a lock that thread holds across wait_idle, a signal
+  /// only it sends later): the task may be running on that very thread.
   void wait_idle();
 
   std::size_t num_threads() const { return workers_.size(); }
@@ -57,7 +62,8 @@ class ThreadPool {
     return queue_.size();
   }
 
-  /// Tasks currently executing on workers (instantaneous).
+  /// Tasks currently executing, on workers or on a wait_idle caller
+  /// (instantaneous).
   std::size_t active_tasks() const {
     std::lock_guard lock(mutex_);
     return active_;

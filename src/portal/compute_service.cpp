@@ -81,27 +81,13 @@ constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 /// each other up to this bound (and all of them overlap kernel time),
 /// modeling a client that keeps this many transfers in flight.
 constexpr std::size_t kStageInWindow = 8;
-/// Bound on staged-but-uncomputed images in flight: staging blocks once this
-/// many kernel tasks are pending, so pinned cutout memory is proportional
-/// to the bound rather than the cluster size.
-constexpr std::size_t kPrefetchDepth = 32;
 /// Hedge delay: this quantile of the primary-duration history, once the
 /// history holds kHedgeMinSamples durations.
 constexpr double kHedgeQuantile = 0.75;
 constexpr std::size_t kHedgeMinSamples = 6;
-/// Cap on the service-level rolling window of primary stage-in durations
-/// (hedge_history_): old weather ages out, the quantile sort stays cheap.
+/// Capacity of the service-level ring of primary stage-in durations
+/// (hedge_history_): old weather ages out, the quantile selection stays cheap.
 constexpr std::size_t kHedgeHistoryLimit = 512;
-
-/// Linear-interpolated quantile of a sample set (q in [0,1]).
-double quantile_of(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
-}
 
 std::string unescape_field(const std::string& s) {
   std::string out;
@@ -209,7 +195,8 @@ struct RunTotals {
   }
 };
 
-/// Waits for the kernel pool on scope exit, error paths included.
+/// Waits for the kernel pool on scope exit, error paths included (the
+/// waiting thread runs the still-queued kernels itself).
 struct PoolDrain {
   grid::ThreadPool& pool;
   ~PoolDrain() { pool.wait_idle(); }
@@ -313,6 +300,21 @@ Expected<std::string> MorphologyService::gal_morph_compute(
   return status_url;
 }
 
+double interpolated_quantile(std::span<double> samples, double q) {
+  if (samples.empty()) return 0.0;
+  const double pos = q * static_cast<double>(samples.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  // The order statistics a full sort would put at lo and hi: after the
+  // partition every element past lo is >= samples[lo], so the next one up
+  // is the smallest of them.
+  std::nth_element(samples.begin(), samples.begin() + lo, samples.end());
+  const double v_lo = samples[lo];
+  const double v_hi =
+      hi == lo ? v_lo : *std::min_element(samples.begin() + hi, samples.end());
+  return v_lo + (v_hi - v_lo) * (pos - static_cast<double>(lo));
+}
+
 std::map<std::string, double> stage_in_ready_times(const FetchTimeline& fetches,
                                                    const pegasus::PlanResult& plan,
                                                    const std::string& cache_site) {
@@ -377,8 +379,9 @@ struct MorphologyService::Request {
   FetchTimeline fetch_timeline{};
   /// Concrete-DAG node index -> its galaxy's row (kNoRow for other nodes).
   std::vector<std::size_t> node_row{};
-  /// Serializes the kPrefetchDepth blocking protocol around the live count
-  /// in staging_inflight_ (a member, so the gauge can read it).
+  /// Serializes the in-flight byte bound around the live counts in
+  /// staging_inflight_ and staging_inflight_bytes_ (members, so the gauges
+  /// can read them).
   std::mutex inflight_mu{};
   std::condition_variable inflight_cv{};
   /// Kernel spans parent under the staging span by explicit id: the tasks
@@ -452,14 +455,24 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
   EvictionDeferral deferral(*this);
   PoolDrain drain{pool_};
   if (Status s = stage_and_compute(rq); !s.ok()) return s;
+  const auto staged = std::chrono::steady_clock::now();
   auto abstract = compose_workflow(rq);
   if (!abstract.ok()) return abstract.error();
   if (Status s = plan_workflow(rq, std::move(abstract.value())); !s.ok()) return s;
   if (Status s = execute_workflow(rq); !s.ok()) return s;
+  const auto controlled = std::chrono::steady_clock::now();
   // (4e) Barrier for the kernels, which ran concurrently with planning and
-  // the simulated execution: kernel_wall_ms is the overlapped window.
+  // the simulated execution; this thread runs whatever is still queued.
+  // kernel_wall_ms is the overlapped window, split into the three phases.
   pool_.wait_idle();
-  trace.kernel_wall_ms = wall_ms_since(rq.stage_t0);
+  const auto drained = std::chrono::steady_clock::now();
+  const auto ms = [](std::chrono::steady_clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  trace.stage_wall_ms = ms(staged - rq.stage_t0);
+  trace.control_wall_ms = ms(controlled - staged);
+  trace.drain_wall_ms = ms(drained - controlled);
+  trace.kernel_wall_ms = ms(drained - rq.stage_t0);
   materialize_catalog(rq);
   req.count("valid", static_cast<double>(trace.valid_results));
   req.count("invalid", static_cast<double>(trace.invalid_results));
@@ -612,7 +625,7 @@ Status MorphologyService::stage_and_compute(Request& rq) {
   std::vector<double> durations;
   durations.reserve(rq.fetch_timeline.size());
   for (const auto& fetch : rq.fetch_timeline) durations.push_back(fetch.second);
-  trace.stage_in_p99_ms = quantile_of(std::move(durations), 0.99);
+  trace.stage_in_p99_ms = interpolated_quantile(durations, 0.99);
   staging.count("images_fetched", static_cast<double>(trace.images_fetched));
   staging.count("images_cached", static_cast<double>(trace.images_cached));
   staging.count("retries", static_cast<double>(trace.staging_retries));
@@ -648,7 +661,8 @@ Expected<services::HttpResponse> MorphologyService::fetch_cutout(
   // hedge_wasted_bytes (its stream is cancelled, but the WAN transfer
   // already happened).
   if (config_.hedge_stage_ins && hedge_history_.size() >= kHedgeMinSamples) {
-    const double hedge_delay = quantile_of(hedge_history_, kHedgeQuantile);
+    hedge_selection_.assign(hedge_history_.begin(), hedge_history_.end());
+    const double hedge_delay = interpolated_quantile(hedge_selection_, kHedgeQuantile);
     trace.hedge_delay_ms = hedge_delay;
     std::string hedge_url;
     if (const auto parsed = services::Url::parse(url); parsed.ok()) {
@@ -677,26 +691,39 @@ Expected<services::HttpResponse> MorphologyService::fetch_cutout(
       }
     }
   }
-  hedge_history_.push_back(fetch_ms);
-  if (hedge_history_.size() > kHedgeHistoryLimit) {
-    hedge_history_.erase(hedge_history_.begin());
+  if (hedge_history_.size() < kHedgeHistoryLimit) {
+    hedge_history_.push_back(fetch_ms);
+  } else {
+    hedge_history_[hedge_oldest_] = fetch_ms;
+    hedge_oldest_ = (hedge_oldest_ + 1) % kHedgeHistoryLimit;
   }
   return response;
 }
 
 void MorphologyService::submit_kernel(Request& rq, std::size_t i,
                                       services::ReplicaCache::Payload payload) {
+  // Pinned cutout bytes stay within the cache's own budget (0: unbounded),
+  // except that a payload is always admitted when nothing is in flight, so
+  // one oversize cutout cannot deadlock the loop.
+  const std::size_t bytes = payload ? payload->size() : 0;
+  const std::size_t budget = config_.replica_cache.byte_budget;
   {
     std::unique_lock lock(rq.inflight_mu);
     rq.inflight_cv.wait(lock, [&] {
-      return staging_inflight_.load(std::memory_order_relaxed) < kPrefetchDepth;
+      return budget == 0 || staging_inflight_.load(std::memory_order_relaxed) == 0 ||
+             staging_inflight_bytes_.load(std::memory_order_relaxed) + bytes <= budget;
     });
     staging_inflight_.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t pinned =
+        staging_inflight_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    rq.trace.staging_inflight_bytes_hwm =
+        std::max(rq.trace.staging_inflight_bytes_hwm, pinned);
   }
-  const auto release = [this, &rq] {
+  const auto release = [this, &rq, bytes] {
     {
       std::lock_guard lock(rq.inflight_mu);
       staging_inflight_.fetch_sub(1, std::memory_order_relaxed);
+      staging_inflight_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
     }
     rq.inflight_cv.notify_one();
   };
@@ -1062,6 +1089,10 @@ void MorphologyService::register_metrics(obs::MetricsRegistry& registry) const {
   const std::atomic<std::size_t>* inflight = &staging_inflight_;
   registry.register_gauge("staging.inflight", [inflight] {
     return static_cast<double>(inflight->load(std::memory_order_relaxed));
+  });
+  const std::atomic<std::size_t>* inflight_bytes = &staging_inflight_bytes_;
+  registry.register_gauge("staging.inflight_bytes", [inflight_bytes] {
+    return static_cast<double>(inflight_bytes->load(std::memory_order_relaxed));
   });
 }
 

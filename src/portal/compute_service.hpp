@@ -24,6 +24,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -134,8 +135,19 @@ struct ServiceTrace {
   double plan_wall_ms = 0.0;
   /// Real morphology computation. With pipelined staging the kernels run
   /// concurrently with image fetches, so this measures the full overlapped
-  /// stage-and-compute window (fetch start to last kernel done).
+  /// stage-and-compute window (fetch start to last kernel done). The three
+  /// phases below split it on the request thread; they sum to it.
   double kernel_wall_ms = 0.0;
+  /// Staging loop: fetches, cache admission, kernel submission.
+  double stage_wall_ms = 0.0;
+  /// Compose + plan + execute (the control plane), after staging.
+  double control_wall_ms = 0.0;
+  /// The closing pool barrier: running still-queued kernels on the request
+  /// thread, then waiting for the workers' last ones.
+  double drain_wall_ms = 0.0;
+  /// Peak bytes of staged cutouts pinned for kernels not yet finished;
+  /// at most max(replica-cache byte budget, largest single cutout).
+  std::size_t staging_inflight_bytes_hwm = 0;
   pegasus::PlanResult plan;
   grid::RunReport execution;       ///< simulated DAGMan run
   std::size_t valid_results = 0;
@@ -146,6 +158,12 @@ struct ServiceTrace {
   /// extends the critical path; image_fetch_sim_ms is the serial fetch bill.
   double total_sim_seconds = 0.0;
 };
+
+/// Linear-interpolated quantile (q in [0,1]) of `samples`, 0 when empty.
+/// Reorders `samples`: selects the two order statistics around
+/// q * (n - 1) instead of sorting, with the same values and arithmetic a
+/// full sort would give.
+double interpolated_quantile(std::span<double> samples, double q);
 
 /// The stage-ins of one request as the sim clock saw them: each fetched
 /// cutout's LFN and its effective fetch duration in ms (after hedging), in
@@ -227,8 +245,9 @@ class MorphologyService {
 
   /// Registers this service's metrics (staging client, replica cache,
   /// kernel pool) under "client.compute.*", "cache.replica.*" and "pool.*",
-  /// plus "staging.inflight" (live staged-but-uncomputed image count). The
-  /// service must outlive the registry's use.
+  /// plus "staging.inflight" and "staging.inflight_bytes" (live count and
+  /// bytes of staged-but-uncomputed images). The service must outlive the
+  /// registry's use.
   void register_metrics(obs::MetricsRegistry& registry) const;
 
  private:
@@ -265,8 +284,13 @@ class MorphologyService {
   Expected<services::HttpResponse> fetch_cutout(ServiceTrace& trace,
                                                 const std::string& url,
                                                 double& effective_ms);
-  /// Runs galaxy `i`'s kernel on the pool, blocking while kPrefetchDepth
-  /// kernels are already pending.
+  /// Runs galaxy `i`'s kernel on the pool. Blocks while admitting the
+  /// payload would pin more staged bytes than the replica cache's byte
+  /// budget (0: never), unless nothing is in flight. At the default budget
+  /// a whole campaign fits, so staging runs ahead of the pool and the
+  /// request thread reaches compose with the backlog still queued; pinned
+  /// cutout memory stays within twice the cache budget (cache plus backlog)
+  /// whatever the cluster size.
   void submit_kernel(Request& rq, std::size_t i, services::ReplicaCache::Payload payload);
   /// (4a, 4b) VDL generation and Chimera composition.
   Expected<vds::Dag> compose_workflow(Request& rq);
@@ -318,15 +342,22 @@ class MorphologyService {
   /// (other tenants through a shared service) proceed normally.
   bool kill_fired_ = false;
   /// Staged-but-uncomputed images currently pinned for pending kernel
-  /// tasks (the kPrefetchDepth bound's live occupancy). Atomic so the
-  /// "staging.inflight" gauge can read it while pool workers decrement.
+  /// tasks, and their bytes (the byte bound's live occupancy, see
+  /// submit_kernel). Atomic so the "staging.inflight" and
+  /// "staging.inflight_bytes" gauges can read them while pool workers
+  /// decrement.
   std::atomic<std::size_t> staging_inflight_{0};
+  std::atomic<std::size_t> staging_inflight_bytes_{0};
   /// Rolling window of primary (unhedged) stage-in durations across the
   /// service's lifetime — the sample set the hedge delay is derived from.
   /// Service-level on purpose: the delay learned on one request protects
   /// the next one's earliest fetches, instead of re-warming per request.
-  /// Bounded (oldest dropped) so the delay tracks current archive weather.
+  /// A fixed ring (once full, hedge_oldest_ is overwritten) so the delay
+  /// tracks current archive weather; hedge_selection_ is the reusable copy
+  /// the quantile selection reorders.
   std::vector<double> hedge_history_;
+  std::size_t hedge_oldest_ = 0;
+  std::vector<double> hedge_selection_;
 
   // Shared with fabric handler closures.
   struct State {

@@ -3,13 +3,18 @@
 // incremental catalog merge. These tests pin what that schedule must not
 // change — catalogs equal a test-side phase-barriered reference (fetch every
 // cutout, run every kernel, apply the grid's verdicts, concat) in every
-// completion order, under chaos, and across kill/resume — and that an
-// archive brownout is absorbed by the overlap instead of billed serially.
+// completion order, under chaos, across kill/resume, kernel-pool sizes and
+// in-flight byte budgets — and that an archive brownout is absorbed by the
+// overlap instead of billed serially.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cstdio>
+#include <future>
+#include <mutex>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -24,6 +29,7 @@
 #include "portal/streaming_merge.hpp"
 #include "portal/transforms.hpp"
 #include "services/federation.hpp"
+#include "services/replica_cache.hpp"
 #include "votable/table_ops.hpp"
 #include "votable/votable_io.hpp"
 
@@ -212,6 +218,123 @@ TEST(Dataflow, KillResumeMatchesFaultFreeRun) {
   }
   EXPECT_GT(report->total_nodes_resumed + report->clusters_resumed, 0u);
   std::remove(journal_path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Identity across kernel-pool sizes and in-flight byte budgets
+// ---------------------------------------------------------------------------
+
+/// What the sim clock and the planner made of one request, as one string:
+/// the concrete DAG (ids, sites, files, children in order), the RunReport
+/// (each node's site, attempts, outcome and start/end bits, the run
+/// counters, the makespan bits) and the request's sim latencies.
+std::string sim_fingerprint(const portal::ServiceTrace& t) {
+  std::string out;
+  const auto bits = [&out](double v) {
+    out += std::to_string(std::bit_cast<std::uint64_t>(v)) + ' ';
+  };
+  const vds::Dag& dag = t.plan.concrete;
+  for (const vds::DagNode& n : dag.nodes()) {
+    out += n.id + ' ' + n.site + ' ' + n.source_site + ' ' + n.file + " ->";
+    for (const std::string& child : dag.children(n.id)) out += ' ' + child;
+    out += '\n';
+  }
+  const grid::RunReport& r = t.execution;
+  for (const grid::NodeResult& nr : r.nodes) {
+    out += nr.id + ' ' + nr.site + ' ' + std::to_string(nr.attempts) + ' ' +
+           std::to_string(static_cast<int>(nr.outcome)) + ' ';
+    bits(nr.start_seconds);
+    bits(nr.end_seconds);
+    out += '\n';
+  }
+  for (const std::size_t v : {r.jobs_total, r.jobs_succeeded, r.jobs_failed,
+                              r.jobs_skipped, r.retries, r.stolen_jobs, r.wan_bytes}) {
+    out += std::to_string(v) + ' ';
+  }
+  bits(r.makespan_seconds);
+  bits(t.total_sim_seconds);
+  bits(t.image_fetch_sim_ms);
+  bits(t.stage_in_p99_ms);
+  return out;
+}
+
+TEST(Dataflow, CampaignIsIdenticalAcrossThreadCountsAndByteBudgets) {
+  // Staging runs ahead of the pool by up to the replica cache's byte budget,
+  // and wait_idle's caller runs part of the backlog, so which thread runs a
+  // kernel and how deep the backlog gets vary with the pool size and the
+  // budget. None of it may reach a catalog byte, the concrete DAG, the
+  // RunReport or a sim-clock bit. 512 bytes is below one cutout (a FITS
+  // header alone is 2880), so that budget admits one payload at a time.
+  constexpr std::size_t kBelowOneCutout = 512;
+  const std::size_t default_budget = services::ReplicaCacheConfig{}.byte_budget;
+  struct Variant {
+    std::size_t threads;
+    std::size_t budget;
+  };
+  std::vector<std::string> reference;  // catalog + fingerprint per cluster
+  std::size_t largest_cutout = 0;
+  for (const Variant v : {Variant{2, default_budget}, Variant{1, default_budget},
+                          Variant{4, default_budget}, Variant{1, kBelowOneCutout},
+                          Variant{4, kBelowOneCutout}}) {
+    CampaignConfig config = small_config();
+    config.compute_threads = v.threads;
+    config.image_cache.byte_budget = v.budget;
+    Campaign campaign(config);
+    auto report = campaign.run();
+    ASSERT_TRUE(report.ok()) << report.error().to_string();
+    std::vector<std::string> observed;
+    for (const ClusterOutcome& c : report->clusters) {
+      const portal::ServiceTrace* t =
+          campaign.compute_service().trace(c.portal_trace.compute_request_id);
+      ASSERT_NE(t, nullptr) << c.name;
+      observed.push_back(c.catalog_xml + sim_fingerprint(*t));
+      if (reference.empty()) {
+        // The default budget evicts nothing, so every staged cutout's size
+        // is still on the grid.
+        for (const auto& [node, inputs] : t->plan.data_inputs) {
+          for (const std::string& lfn : inputs) {
+            largest_cutout = std::max(
+                largest_cutout, campaign.grid().file_size(lfn).value_or(0));
+          }
+        }
+      }
+      EXPECT_GT(t->staging_inflight_bytes_hwm, 0u) << c.name;
+      EXPECT_LE(t->staging_inflight_bytes_hwm, std::max(v.budget, largest_cutout))
+          << v.threads << " threads, budget " << v.budget << ", " << c.name;
+    }
+    if (reference.empty()) {
+      ASSERT_GT(largest_cutout, kBelowOneCutout);
+      reference = std::move(observed);
+      continue;
+    }
+    ASSERT_EQ(observed.size(), reference.size());
+    for (std::size_t i = 0; i < observed.size(); ++i) {
+      EXPECT_EQ(observed[i], reference[i])
+          << v.threads << " threads, budget " << v.budget << ", "
+          << report->clusters[i].name;
+    }
+  }
+}
+
+TEST(Dataflow, PhaseTimersSplitTheKernelWindow) {
+  Campaign campaign(small_config());
+  auto report = campaign.run();
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+  ASSERT_FALSE(report->clusters.empty());
+  for (const ClusterOutcome& c : report->clusters) {
+    const portal::ServiceTrace* t =
+        campaign.compute_service().trace(c.portal_trace.compute_request_id);
+    ASSERT_NE(t, nullptr) << c.name;
+    EXPECT_GE(t->stage_wall_ms, 0.0) << c.name;
+    EXPECT_GE(t->control_wall_ms, 0.0) << c.name;
+    EXPECT_GE(t->drain_wall_ms, 0.0) << c.name;
+    EXPECT_GT(t->kernel_wall_ms, 0.0) << c.name;
+    // The phases are cut from the same clock readings as the window, so
+    // they add up to it except for the rounding of ns into ms.
+    EXPECT_LE(t->stage_wall_ms + t->control_wall_ms + t->drain_wall_ms,
+              t->kernel_wall_ms + 1e-9)
+        << c.name;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -534,6 +657,69 @@ TEST(Dataflow, ThreadPoolDestructorRunsTasksSubmittedByTasks) {
     // Destructor runs here, possibly racing the resubmissions.
   }
   EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(Dataflow, ThreadPoolWaitIdleRunsQueuedTasksOnTheCaller) {
+  // Both workers are parked on a gate, so only wait_idle's caller can take
+  // the queued tasks. The last one opens the gate: by then the caller has
+  // run everything queued before it. A watchdog opens it after 30 s, so a
+  // wait_idle that does not help fails the test instead of hanging it.
+  grid::ThreadPool pool(2);
+  std::promise<void> release;
+  std::once_flag opened;
+  const auto open = [&] { std::call_once(opened, [&] { release.set_value(); }); };
+  std::shared_future<void> gate = release.get_future().share();
+  std::jthread watchdog([&open](std::stop_token stop) {
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!stop.stop_requested() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    open();
+  });
+  std::atomic<std::size_t> parked{0};
+  for (std::size_t i = 0; i < pool.num_threads(); ++i) {
+    pool.submit([&parked, gate] {
+      parked.fetch_add(1);
+      gate.wait();
+    });
+  }
+  while (parked.load() < pool.num_threads()) std::this_thread::yield();
+
+  constexpr std::size_t kTasks = 6;
+  std::mutex ids_mu;  // uncontended unless a worker wrongly runs a task
+  std::vector<std::thread::id> ran_on;
+  std::vector<std::thread::id> dropped_on;
+  const auto record = [&ids_mu](std::vector<std::thread::id>& ids) {
+    std::lock_guard lock(ids_mu);
+    ids.push_back(std::this_thread::get_id());
+  };
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    pool.submit([&] { record(ran_on); });
+  }
+  CancellationToken withdrawn;
+  withdrawn.cancel("withdrawn");
+  std::atomic<int> bodies{0};
+  pool.submit_cancellable(
+      withdrawn, [&bodies] { bodies.fetch_add(1); }, [&] { record(dropped_on); });
+  pool.submit([&] {
+    record(ran_on);
+    open();
+  });
+  EXPECT_EQ(pool.queue_depth(), kTasks + 2);
+  EXPECT_EQ(pool.active_tasks(), pool.num_threads());
+
+  pool.wait_idle();
+  watchdog.request_stop();
+  const std::thread::id caller = std::this_thread::get_id();
+  ASSERT_EQ(ran_on.size(), kTasks + 1);
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+  // The caller took the cancel branch, once, and it counts like a worker's.
+  EXPECT_EQ(bodies.load(), 0);
+  ASSERT_EQ(dropped_on.size(), 1u);
+  EXPECT_EQ(dropped_on[0], caller);
+  EXPECT_EQ(pool.cancelled_tasks(), 1u);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.active_tasks(), 0u);
 }
 
 TEST(Dataflow, ThreadPoolIdleTimeIsMonotoneAndStableWhenParked) {

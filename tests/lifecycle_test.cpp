@@ -4,25 +4,34 @@
 // stage-in (inflight gauges return to zero, no orphaned slots), a chaos
 // overload sweep asserting that expired/shed/cancelled requests release
 // every resource while survivors' catalogs stay byte-identical to a run
-// without deadlines, and honest-accounting checks on hedged stage-ins.
+// without deadlines, a cancel, a chaos kill and the byte budget with the
+// cluster's kernels held queued behind parked workers, and
+// honest-accounting checks on hedged stage-ins and their quantile.
 // This suite runs in the TSan lane: the cancel paths cross the portal
 // thread and pool workers, so data races here are the failure mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <chrono>
+#include <cstdio>
 #include <future>
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/campaign.hpp"
 #include "common/cancel.hpp"
+#include "grid/checkpoint.hpp"
 #include "grid/threadpool.hpp"
 #include "obs/metrics.hpp"
 #include "portal/async_portal.hpp"
+#include "portal/compute_service.hpp"
 #include "portal/transforms.hpp"
 #include "services/chaos.hpp"
 #include "services/federation.hpp"
@@ -248,6 +257,265 @@ TEST(Lifecycle, CancelMidStageInReleasesEverything) {
   EXPECT_EQ(registry.snapshot().gauge("staging.inflight"), 0.0);
 }
 
+// ---------------------------------------------------------------------------
+// Deep backlog: the whole cluster queued behind parked workers
+// ---------------------------------------------------------------------------
+
+/// Parks every worker of a campaign's kernel pool on a gate at the first
+/// cutout fetch, so each kernel the staging loop submits stays queued until
+/// an opener thread opens the gate. Whatever the opener waits for, it gives
+/// up after 60 s, so a broken drain fails the test instead of hanging it.
+class BacklogGate {
+ public:
+  BacklogGate(analysis::Campaign& campaign, std::size_t cutouts)
+      // The service owns its pool non-const; the accessor is const only
+      // because nothing outside the service should submit to it.
+      : pool_(const_cast<grid::ThreadPool&>(campaign.compute_service().pool())),
+        cutouts_(cutouts) {}
+  BacklogGate(const BacklogGate&) = delete;
+  ~BacklogGate() {
+    if (opener_.joinable()) opener_.join();
+    if (!opened_) release_.set_value();
+  }
+
+  grid::ThreadPool& pool() { return pool_; }
+
+  /// The opener saw what it waited for (false: it gave up). Call after the
+  /// request finished.
+  bool opened_on_cue() {
+    if (opener_.joinable()) opener_.join();
+    return on_cue_;
+  }
+
+  /// Fault-injector hook for each cutout fetch (runs on the request thread).
+  /// Returns true on the cluster's last fetch.
+  bool on_cutout_fetch() {
+    ++fetches_;
+    if (fetches_ == 1) park();
+    if (fetches_ != cutouts_) return false;
+    staged_.store(true);
+    return true;
+  }
+
+  /// Opens the gate once staging is over and the request thread has taken
+  /// the whole backlog off the queue (only it can: the workers are parked),
+  /// so the helping drain does all of the work.
+  void open_after_drain() {
+    open_when([this] { return staged_.load() && pool_.queue_depth() == 0; });
+  }
+
+  /// Opens the gate `hold` after the first kernel is queued, giving a
+  /// staging loop that ignores its bound time to run ahead.
+  void open_after_first_kernel(std::chrono::milliseconds hold) {
+    open_when([this, hold] {
+      if (pool_.queue_depth() == 0) return false;
+      std::this_thread::sleep_for(hold);
+      return true;
+    });
+  }
+
+ private:
+  template <typename Ready>
+  void open_when(Ready ready) {
+    opener_ = std::thread([this, ready] {
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (!(on_cue_ = ready()) && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      opened_ = true;
+      release_.set_value();
+    });
+  }
+
+  void park() {
+    for (std::size_t i = 0; i < pool_.num_threads(); ++i) {
+      pool_.submit([this] {
+        parked_.fetch_add(1);
+        gate_.wait();
+      });
+    }
+    while (parked_.load() < pool_.num_threads()) std::this_thread::yield();
+  }
+
+  grid::ThreadPool& pool_;
+  const std::size_t cutouts_;
+  std::size_t fetches_ = 0;
+  std::promise<void> release_;
+  std::shared_future<void> gate_ = release_.get_future().share();
+  std::atomic<std::size_t> parked_{0};
+  std::atomic<bool> staged_{false};
+  bool opened_ = false;  // written by opener_, read after joining it
+  bool on_cue_ = false;  // likewise
+  std::thread opener_;
+};
+
+bool is_cutout_fetch(const services::Url& url) {
+  return url.host == services::Federation::kMastHost && url.path == "/cutout/image";
+}
+
+/// The first cluster of a fresh, fault-free campaign: its cutouts (one
+/// archive fetch each), the largest of them and its catalog.
+struct FirstCluster {
+  std::size_t cutouts = 0;
+  std::size_t largest_cutout = 0;
+  std::string catalog;
+};
+
+FirstCluster first_cluster() {
+  analysis::Campaign reference(small_campaign());
+  FirstCluster out;
+  const auto outcome = reference.run_cluster(cluster_name(reference, 0));
+  EXPECT_TRUE(outcome);
+  const ServiceTrace* trace = reference.compute_service().last_trace();
+  if (!outcome || trace == nullptr) return out;
+  out.cutouts = trace->images_fetched;
+  out.catalog = outcome->catalog_xml;
+  for (const auto& [node, inputs] : trace->plan.data_inputs) {
+    for (const std::string& lfn : inputs) {
+      out.largest_cutout =
+          std::max(out.largest_cutout, reference.grid().file_size(lfn).value_or(0));
+    }
+  }
+  return out;
+}
+
+// A cancel that lands after the staging loop's last checkpoint finds the
+// whole cluster queued. The request unwinds at DAGMan dispatch and its
+// drain runs every queued kernel's cancel branch on the request thread:
+// each drops exactly once, none journals a row, and the in-flight count
+// and bytes return to zero.
+TEST(Lifecycle, CancelWithTheWholeClusterQueuedDropsEveryKernelOnce) {
+  const std::size_t cutouts = first_cluster().cutouts;
+  ASSERT_GT(cutouts, 1u);
+  const std::string journal_path =
+      testing::TempDir() + "nvo_lifecycle_backlog_cancel.journal";
+  std::remove(journal_path.c_str());
+  analysis::CampaignConfig config = small_campaign();
+  config.journal_path = journal_path;
+  analysis::Campaign campaign(config);
+  ASSERT_NE(campaign.journal(), nullptr);
+  auto portal = make_portal(campaign);
+  portal->add_tenant("alice");
+  obs::MetricsRegistry registry;
+  campaign.compute_service().register_metrics(registry);
+  BacklogGate gate(campaign, cutouts);
+  const std::size_t cancelled_before = gate.pool().cancelled_tasks();
+
+  struct Target {
+    AsyncPortal* portal = nullptr;
+    std::string id;
+  };
+  auto target = std::make_shared<Target>();
+  campaign.fabric().set_fault_injector(
+      [target, &gate](const services::Url& url, const services::EndpointModel&,
+                      double) -> std::optional<services::EndpointModel> {
+        if (is_cutout_fetch(url) && gate.on_cutout_fetch()) {
+          target->portal->cancel(target->id, "withdrawn with the backlog queued");
+        }
+        return std::nullopt;
+      });
+  const Submission sub = portal->submit("alice", cluster_name(campaign, 0));
+  ASSERT_TRUE(sub.admitted);
+  target->portal = portal.get();
+  target->id = sub.id;
+  gate.open_after_drain();
+  portal->drain();
+  campaign.fabric().set_fault_injector({});
+
+  const auto status = portal->status(sub.id);
+  ASSERT_TRUE(status);
+  EXPECT_EQ(status->state, RequestState::kCancelled);
+  // Staging finished: the cancel was seen by DAGMan, not the staging loop.
+  EXPECT_NE(status->error.find("cancelled mid-execution"), std::string::npos)
+      << status->error;
+  EXPECT_TRUE(gate.opened_on_cue()) << "the request thread did not drain the queue";
+  EXPECT_EQ(gate.pool().cancelled_tasks() - cancelled_before, cutouts);
+  EXPECT_EQ(campaign.journal()->count("row"), 0u);
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(snap.gauge("staging.inflight"), 0.0);
+  EXPECT_EQ(snap.gauge("staging.inflight_bytes"), 0.0);
+  EXPECT_EQ(snap.gauge("pool.queue_depth"), 0.0);
+  EXPECT_EQ(snap.gauge("pool.active_tasks"), 0.0);
+  std::remove(journal_path.c_str());
+}
+
+// The chaos kill fires mid-execute with the whole first cluster still
+// queued. The drain on the way out runs every queued kernel on the request
+// thread, journaling its row, and a campaign resumed on the journal
+// produces catalogs byte-identical to a fault-free run.
+TEST(Lifecycle, KillMidExecuteWithTheBacklogQueuedResumesByteIdentical) {
+  const std::size_t cutouts = first_cluster().cutouts;
+  ASSERT_GT(cutouts, 1u);
+  auto reference = analysis::Campaign(small_campaign()).run();
+  ASSERT_TRUE(reference.ok()) << reference.error().to_string();
+  const std::string journal_path =
+      testing::TempDir() + "nvo_lifecycle_backlog_kill.journal";
+  std::remove(journal_path.c_str());
+  analysis::CampaignConfig config = small_campaign();
+  config.journal_path = journal_path;
+  {
+    analysis::CampaignConfig killed = config;
+    // Half the first cluster's compute jobs: the kill lands inside its DAG.
+    killed.chaos.kill_after_nodes(std::max<std::size_t>(
+        1, reference->clusters.front().compute_jobs / 2));
+    analysis::Campaign campaign(killed);
+    ASSERT_NE(campaign.journal(), nullptr);
+    BacklogGate gate(campaign, cutouts);
+    campaign.fabric().set_fault_injector(
+        [&gate](const services::Url& url, const services::EndpointModel&,
+                double) -> std::optional<services::EndpointModel> {
+          if (is_cutout_fetch(url)) gate.on_cutout_fetch();
+          return std::nullopt;
+        });
+    gate.open_after_drain();
+    auto report = campaign.run();
+    campaign.fabric().set_fault_injector({});
+    ASSERT_FALSE(report.ok()) << "the chaos kill must abort the campaign";
+    EXPECT_TRUE(campaign.compute_service().kill_fired());
+    EXPECT_TRUE(gate.opened_on_cue()) << "the request thread did not drain the queue";
+    // Every queued kernel ran (on the request thread) and kept its science.
+    EXPECT_EQ(campaign.journal()->count("row"), cutouts);
+  }
+  analysis::Campaign resumed(config);
+  ASSERT_NE(resumed.journal(), nullptr);
+  auto report = resumed.run();
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+  EXPECT_GT(report->total_rows_resumed, 0u);
+  ASSERT_EQ(report->clusters.size(), reference->clusters.size());
+  for (std::size_t i = 0; i < report->clusters.size(); ++i) {
+    EXPECT_EQ(report->clusters[i].catalog_xml, reference->clusters[i].catalog_xml)
+        << report->clusters[i].name;
+  }
+  std::remove(journal_path.c_str());
+}
+
+// With the workers parked and a byte budget below one cutout, the staging
+// loop may pin only one payload: it waits at the second until the gate
+// opens, instead of queueing the cluster. The science is unchanged.
+TEST(Lifecycle, ByteBudgetHoldsStagingBehindParkedWorkers) {
+  const FirstCluster reference = first_cluster();
+  ASSERT_GT(reference.cutouts, 1u);
+  analysis::CampaignConfig config = small_campaign();
+  config.image_cache.byte_budget = 512;  // a FITS header alone is 2880
+  analysis::Campaign campaign(config);
+  BacklogGate gate(campaign, reference.cutouts);
+  campaign.fabric().set_fault_injector(
+      [&gate](const services::Url& url, const services::EndpointModel&,
+              double) -> std::optional<services::EndpointModel> {
+        if (is_cutout_fetch(url)) gate.on_cutout_fetch();
+        return std::nullopt;
+      });
+  gate.open_after_first_kernel(std::chrono::milliseconds(50));
+  const auto outcome = campaign.run_cluster(cluster_name(campaign, 0));
+  campaign.fabric().set_fault_injector({});
+  ASSERT_TRUE(outcome) << outcome.error().to_string();
+  const ServiceTrace* trace = campaign.compute_service().last_trace();
+  ASSERT_NE(trace, nullptr);
+  EXPECT_GT(trace->staging_inflight_bytes_hwm, 0u);
+  EXPECT_LE(trace->staging_inflight_bytes_hwm, reference.largest_cutout);
+  EXPECT_EQ(outcome->catalog_xml, reference.catalog);
+}
+
 // Overload + brownout chaos sweep: submissions at ~4x the queue capacity
 // with a mix of unbounded, hopeless-deadline, and withdrawn requests. Every
 // request must reach a terminal state, every gauge must drain to zero, and
@@ -384,6 +652,40 @@ analysis::CampaignConfig hedging_campaign(bool hedged) {
     config.chaos.add(window);
   }
   return config;
+}
+
+/// The hedge quantile as it was computed before the ring and the selection:
+/// a full sort of a copy. The oracle for interpolated_quantile.
+double sorted_quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+TEST(Lifecycle, QuantileSelectionMatchesTheSortedQuantileBitForBit) {
+  std::mt19937_64 rng(2003);
+  std::uniform_real_distribution<double> duration_ms(5.0, 900.0);
+  std::vector<std::vector<double>> sets = {{}, {42.5}, {7.0, 7.0, 7.0, 7.0, 7.0, 7.0},
+                                           {3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 2.0, 2.0}};
+  std::vector<double> distinct(512);
+  std::vector<double> coarse(512);  // many ties
+  for (std::size_t i = 0; i < 512; ++i) {
+    distinct[i] = duration_ms(rng);
+    coarse[i] = static_cast<double>(static_cast<int>(duration_ms(rng) / 100.0));
+  }
+  sets.push_back(distinct);
+  sets.push_back(coarse);
+  for (const std::vector<double>& set : sets) {
+    for (const double q : {0.0, 0.25, 0.5, 0.75, 0.99, 1.0}) {
+      std::vector<double> samples = set;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(interpolated_quantile(samples, q)),
+                std::bit_cast<std::uint64_t>(sorted_quantile(set, q)))
+          << "n " << set.size() << ", q " << q;
+    }
+  }
 }
 
 // Hedging must cut the stage-in tail without changing a single catalog
