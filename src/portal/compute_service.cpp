@@ -81,13 +81,28 @@ constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 /// each other up to this bound (and all of them overlap kernel time),
 /// modeling a client that keeps this many transfers in flight.
 constexpr std::size_t kStageInWindow = 8;
+/// Bound on the bytes of staged-but-uncomputed cutouts pinned for pending
+/// kernels (see submit_kernel). Its own constant, not the replica cache's
+/// byte_budget: shrinking the cache must not shrink how far staging runs
+/// ahead of the pool. A whole campaign_cold campaign stages ~30 MB.
+constexpr std::size_t kStagingByteBound = 256u << 20;
 /// Hedge delay: this quantile of the primary-duration history, once the
 /// history holds kHedgeMinSamples durations.
 constexpr double kHedgeQuantile = 0.75;
 constexpr std::size_t kHedgeMinSamples = 6;
-/// Capacity of the service-level ring of primary stage-in durations
-/// (hedge_history_): old weather ages out, the quantile selection stays cheap.
+/// Cap on the service-level rolling window of primary stage-in durations
+/// (hedge_history_): old weather ages out, the quantile sort stays cheap.
 constexpr std::size_t kHedgeHistoryLimit = 512;
+
+/// Linear-interpolated quantile of a sample set (q in [0,1]).
+double quantile_of(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
 
 std::string unescape_field(const std::string& s) {
   std::string out;
@@ -298,21 +313,6 @@ Expected<std::string> MorphologyService::gal_morph_compute(
   state_->requests[request_id] = std::move(record);
   state_->order.push_back(request_id);
   return status_url;
-}
-
-double interpolated_quantile(std::span<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  // The order statistics a full sort would put at lo and hi: after the
-  // partition every element past lo is >= samples[lo], so the next one up
-  // is the smallest of them.
-  std::nth_element(samples.begin(), samples.begin() + lo, samples.end());
-  const double v_lo = samples[lo];
-  const double v_hi =
-      hi == lo ? v_lo : *std::min_element(samples.begin() + hi, samples.end());
-  return v_lo + (v_hi - v_lo) * (pos - static_cast<double>(lo));
 }
 
 std::map<std::string, double> stage_in_ready_times(const FetchTimeline& fetches,
@@ -625,7 +625,7 @@ Status MorphologyService::stage_and_compute(Request& rq) {
   std::vector<double> durations;
   durations.reserve(rq.fetch_timeline.size());
   for (const auto& fetch : rq.fetch_timeline) durations.push_back(fetch.second);
-  trace.stage_in_p99_ms = interpolated_quantile(durations, 0.99);
+  trace.stage_in_p99_ms = quantile_of(std::move(durations), 0.99);
   staging.count("images_fetched", static_cast<double>(trace.images_fetched));
   staging.count("images_cached", static_cast<double>(trace.images_cached));
   staging.count("retries", static_cast<double>(trace.staging_retries));
@@ -661,8 +661,7 @@ Expected<services::HttpResponse> MorphologyService::fetch_cutout(
   // hedge_wasted_bytes (its stream is cancelled, but the WAN transfer
   // already happened).
   if (config_.hedge_stage_ins && hedge_history_.size() >= kHedgeMinSamples) {
-    hedge_selection_.assign(hedge_history_.begin(), hedge_history_.end());
-    const double hedge_delay = interpolated_quantile(hedge_selection_, kHedgeQuantile);
+    const double hedge_delay = quantile_of(hedge_history_, kHedgeQuantile);
     trace.hedge_delay_ms = hedge_delay;
     std::string hedge_url;
     if (const auto parsed = services::Url::parse(url); parsed.ok()) {
@@ -691,27 +690,25 @@ Expected<services::HttpResponse> MorphologyService::fetch_cutout(
       }
     }
   }
-  if (hedge_history_.size() < kHedgeHistoryLimit) {
-    hedge_history_.push_back(fetch_ms);
-  } else {
-    hedge_history_[hedge_oldest_] = fetch_ms;
-    hedge_oldest_ = (hedge_oldest_ + 1) % kHedgeHistoryLimit;
+  hedge_history_.push_back(fetch_ms);
+  if (hedge_history_.size() > kHedgeHistoryLimit) {
+    hedge_history_.erase(hedge_history_.begin());
   }
   return response;
 }
 
 void MorphologyService::submit_kernel(Request& rq, std::size_t i,
                                       services::ReplicaCache::Payload payload) {
-  // Pinned cutout bytes stay within the cache's own budget (0: unbounded),
-  // except that a payload is always admitted when nothing is in flight, so
-  // one oversize cutout cannot deadlock the loop.
+  // Pinned cutout bytes stay within kStagingByteBound, except that a
+  // payload is always admitted when nothing is in flight, so one oversize
+  // cutout cannot deadlock the loop.
   const std::size_t bytes = payload ? payload->size() : 0;
-  const std::size_t budget = config_.replica_cache.byte_budget;
   {
     std::unique_lock lock(rq.inflight_mu);
     rq.inflight_cv.wait(lock, [&] {
-      return budget == 0 || staging_inflight_.load(std::memory_order_relaxed) == 0 ||
-             staging_inflight_bytes_.load(std::memory_order_relaxed) + bytes <= budget;
+      return staging_inflight_.load(std::memory_order_relaxed) == 0 ||
+             staging_inflight_bytes_.load(std::memory_order_relaxed) + bytes <=
+                 kStagingByteBound;
     });
     staging_inflight_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t pinned =

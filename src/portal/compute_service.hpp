@@ -24,7 +24,6 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -146,7 +145,7 @@ struct ServiceTrace {
   /// thread, then waiting for the workers' last ones.
   double drain_wall_ms = 0.0;
   /// Peak bytes of staged cutouts pinned for kernels not yet finished;
-  /// at most max(replica-cache byte budget, largest single cutout).
+  /// at most max(the staging byte bound, largest single cutout).
   std::size_t staging_inflight_bytes_hwm = 0;
   pegasus::PlanResult plan;
   grid::RunReport execution;       ///< simulated DAGMan run
@@ -158,12 +157,6 @@ struct ServiceTrace {
   /// extends the critical path; image_fetch_sim_ms is the serial fetch bill.
   double total_sim_seconds = 0.0;
 };
-
-/// Linear-interpolated quantile (q in [0,1]) of `samples`, 0 when empty.
-/// Reorders `samples`: selects the two order statistics around
-/// q * (n - 1) instead of sorting, with the same values and arithmetic a
-/// full sort would give.
-double interpolated_quantile(std::span<double> samples, double q);
 
 /// The stage-ins of one request as the sim clock saw them: each fetched
 /// cutout's LFN and its effective fetch duration in ms (after hedging), in
@@ -241,6 +234,11 @@ class MorphologyService {
   const services::ReplicaCache& replica_cache() const { return cache_; }
 
   /// The service-lifetime kernel pool (queue/active/idle observables).
+  /// Const because nothing outside the service should submit to it. The
+  /// one deliberate exception is a test seam: lifecycle_test's BacklogGate
+  /// const_casts it to park the workers on a gate, so a cluster's kernels
+  /// stay queued behind them (the pool is FIFO, so they queue after the
+  /// gate tasks).
   const grid::ThreadPool& pool() const { return pool_; }
 
   /// Registers this service's metrics (staging client, replica cache,
@@ -285,11 +283,11 @@ class MorphologyService {
                                                 const std::string& url,
                                                 double& effective_ms);
   /// Runs galaxy `i`'s kernel on the pool. Blocks while admitting the
-  /// payload would pin more staged bytes than the replica cache's byte
-  /// budget (0: never), unless nothing is in flight. At the default budget
-  /// a whole campaign fits, so staging runs ahead of the pool and the
-  /// request thread reaches compose with the backlog still queued; pinned
-  /// cutout memory stays within twice the cache budget (cache plus backlog)
+  /// payload would pin more staged bytes than kStagingByteBound (256 MB,
+  /// independent of the replica cache's byte budget), unless nothing is in
+  /// flight. A whole campaign fits, so staging runs ahead of the pool and
+  /// the request thread reaches compose with the backlog still queued;
+  /// pinned cutout memory stays within the cache budget plus the bound
   /// whatever the cluster size.
   void submit_kernel(Request& rq, std::size_t i, services::ReplicaCache::Payload payload);
   /// (4a, 4b) VDL generation and Chimera composition.
@@ -352,12 +350,8 @@ class MorphologyService {
   /// service's lifetime — the sample set the hedge delay is derived from.
   /// Service-level on purpose: the delay learned on one request protects
   /// the next one's earliest fetches, instead of re-warming per request.
-  /// A fixed ring (once full, hedge_oldest_ is overwritten) so the delay
-  /// tracks current archive weather; hedge_selection_ is the reusable copy
-  /// the quantile selection reorders.
+  /// Bounded (oldest dropped) so the delay tracks current archive weather.
   std::vector<double> hedge_history_;
-  std::size_t hedge_oldest_ = 0;
-  std::vector<double> hedge_selection_;
 
   // Shared with fabric handler closures.
   struct State {

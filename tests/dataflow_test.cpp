@@ -4,7 +4,7 @@
 // change — catalogs equal a test-side phase-barriered reference (fetch every
 // cutout, run every kernel, apply the grid's verdicts, concat) in every
 // completion order, under chaos, across kill/resume, kernel-pool sizes and
-// in-flight byte budgets — and that an archive brownout is absorbed by the
+// replica-cache budgets — and that an archive brownout is absorbed by the
 // overlap instead of billed serially.
 #include <gtest/gtest.h>
 
@@ -258,13 +258,13 @@ std::string sim_fingerprint(const portal::ServiceTrace& t) {
   return out;
 }
 
-TEST(Dataflow, CampaignIsIdenticalAcrossThreadCountsAndByteBudgets) {
-  // Staging runs ahead of the pool by up to the replica cache's byte budget,
-  // and wait_idle's caller runs part of the backlog, so which thread runs a
-  // kernel and how deep the backlog gets vary with the pool size and the
-  // budget. None of it may reach a catalog byte, the concrete DAG, the
-  // RunReport or a sim-clock bit. 512 bytes is below one cutout (a FITS
-  // header alone is 2880), so that budget admits one payload at a time.
+TEST(Dataflow, CampaignIsIdenticalAcrossThreadCountsAndCacheBudgets) {
+  // Staging runs ahead of the pool, and wait_idle's caller runs part of the
+  // backlog, so which thread runs a kernel and how deep the backlog gets
+  // vary with the pool size. A replica-cache budget below one cutout (a
+  // FITS header alone is 2880 bytes) evicts every image as it lands. None
+  // of it may reach a catalog byte, the concrete DAG, the RunReport or a
+  // sim-clock bit.
   constexpr std::size_t kBelowOneCutout = 512;
   const std::size_t default_budget = services::ReplicaCacheConfig{}.byte_budget;
   struct Variant {
@@ -272,6 +272,7 @@ TEST(Dataflow, CampaignIsIdenticalAcrossThreadCountsAndByteBudgets) {
     std::size_t budget;
   };
   std::vector<std::string> reference;  // catalog + fingerprint per cluster
+  std::vector<std::size_t> cutout_bytes;  // staged bytes per cluster
   std::size_t largest_cutout = 0;
   for (const Variant v : {Variant{2, default_budget}, Variant{1, default_budget},
                           Variant{4, default_budget}, Variant{1, kBelowOneCutout},
@@ -283,7 +284,8 @@ TEST(Dataflow, CampaignIsIdenticalAcrossThreadCountsAndByteBudgets) {
     auto report = campaign.run();
     ASSERT_TRUE(report.ok()) << report.error().to_string();
     std::vector<std::string> observed;
-    for (const ClusterOutcome& c : report->clusters) {
+    for (std::size_t i = 0; i < report->clusters.size(); ++i) {
+      const ClusterOutcome& c = report->clusters[i];
       const portal::ServiceTrace* t =
           campaign.compute_service().trace(c.portal_trace.compute_request_id);
       ASSERT_NE(t, nullptr) << c.name;
@@ -291,15 +293,21 @@ TEST(Dataflow, CampaignIsIdenticalAcrossThreadCountsAndByteBudgets) {
       if (reference.empty()) {
         // The default budget evicts nothing, so every staged cutout's size
         // is still on the grid.
+        std::size_t bytes = 0;
         for (const auto& [node, inputs] : t->plan.data_inputs) {
           for (const std::string& lfn : inputs) {
-            largest_cutout = std::max(
-                largest_cutout, campaign.grid().file_size(lfn).value_or(0));
+            const std::size_t size = campaign.grid().file_size(lfn).value_or(0);
+            largest_cutout = std::max(largest_cutout, size);
+            bytes += size;
           }
         }
+        cutout_bytes.push_back(bytes);
       }
+      // The staged bytes are released per request: the high water mark
+      // never counts another cluster's cutouts.
+      ASSERT_LT(i, cutout_bytes.size());
       EXPECT_GT(t->staging_inflight_bytes_hwm, 0u) << c.name;
-      EXPECT_LE(t->staging_inflight_bytes_hwm, std::max(v.budget, largest_cutout))
+      EXPECT_LE(t->staging_inflight_bytes_hwm, cutout_bytes[i])
           << v.threads << " threads, budget " << v.budget << ", " << c.name;
     }
     if (reference.empty()) {

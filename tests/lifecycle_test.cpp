@@ -4,23 +4,21 @@
 // stage-in (inflight gauges return to zero, no orphaned slots), a chaos
 // overload sweep asserting that expired/shed/cancelled requests release
 // every resource while survivors' catalogs stay byte-identical to a run
-// without deadlines, a cancel, a chaos kill and the byte budget with the
-// cluster's kernels held queued behind parked workers, and
-// honest-accounting checks on hedged stage-ins and their quantile.
+// without deadlines, a cancel, a chaos kill and a starved replica cache
+// with the cluster's kernels held queued behind parked workers, and
+// honest-accounting checks on hedged stage-ins.
 // This suite runs in the TSan lane: the cancel paths cross the portal
 // thread and pool workers, so data races here are the failure mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <future>
 #include <map>
 #include <memory>
 #include <optional>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -268,8 +266,7 @@ TEST(Lifecycle, CancelMidStageInReleasesEverything) {
 class BacklogGate {
  public:
   BacklogGate(analysis::Campaign& campaign, std::size_t cutouts)
-      // The service owns its pool non-const; the accessor is const only
-      // because nothing outside the service should submit to it.
+      // The deliberate test seam documented at MorphologyService::pool().
       : pool_(const_cast<grid::ThreadPool&>(campaign.compute_service().pool())),
         cutouts_(cutouts) {}
   BacklogGate(const BacklogGate&) = delete;
@@ -302,16 +299,6 @@ class BacklogGate {
   /// so the helping drain does all of the work.
   void open_after_drain() {
     open_when([this] { return staged_.load() && pool_.queue_depth() == 0; });
-  }
-
-  /// Opens the gate `hold` after the first kernel is queued, giving a
-  /// staging loop that ignores its bound time to run ahead.
-  void open_after_first_kernel(std::chrono::milliseconds hold) {
-    open_when([this, hold] {
-      if (pool_.queue_depth() == 0) return false;
-      std::this_thread::sleep_for(hold);
-      return true;
-    });
   }
 
  private:
@@ -354,10 +341,11 @@ bool is_cutout_fetch(const services::Url& url) {
 }
 
 /// The first cluster of a fresh, fault-free campaign: its cutouts (one
-/// archive fetch each), the largest of them and its catalog.
+/// archive fetch each), the largest of them, their total and its catalog.
 struct FirstCluster {
   std::size_t cutouts = 0;
   std::size_t largest_cutout = 0;
+  std::size_t cutout_bytes = 0;
   std::string catalog;
 };
 
@@ -372,8 +360,9 @@ FirstCluster first_cluster() {
   out.catalog = outcome->catalog_xml;
   for (const auto& [node, inputs] : trace->plan.data_inputs) {
     for (const std::string& lfn : inputs) {
-      out.largest_cutout =
-          std::max(out.largest_cutout, reference.grid().file_size(lfn).value_or(0));
+      const std::size_t bytes = reference.grid().file_size(lfn).value_or(0);
+      out.largest_cutout = std::max(out.largest_cutout, bytes);
+      out.cutout_bytes += bytes;
     }
   }
   return out;
@@ -489,12 +478,14 @@ TEST(Lifecycle, KillMidExecuteWithTheBacklogQueuedResumesByteIdentical) {
   std::remove(journal_path.c_str());
 }
 
-// With the workers parked and a byte budget below one cutout, the staging
-// loop may pin only one payload: it waits at the second until the gate
-// opens, instead of queueing the cluster. The science is unchanged.
-TEST(Lifecycle, ByteBudgetHoldsStagingBehindParkedWorkers) {
+// The staging bound is its own, not the replica cache's byte budget: with
+// a cache budget below one cutout and the workers parked, staging still
+// queues the whole cluster (every cutout pinned at once) and the request
+// thread drains it. The science is unchanged.
+TEST(Lifecycle, StarvedCacheStillQueuesTheClusterBehindParkedWorkers) {
   const FirstCluster reference = first_cluster();
   ASSERT_GT(reference.cutouts, 1u);
+  ASSERT_GT(reference.cutout_bytes, reference.largest_cutout);
   analysis::CampaignConfig config = small_campaign();
   config.image_cache.byte_budget = 512;  // a FITS header alone is 2880
   analysis::Campaign campaign(config);
@@ -505,14 +496,14 @@ TEST(Lifecycle, ByteBudgetHoldsStagingBehindParkedWorkers) {
         if (is_cutout_fetch(url)) gate.on_cutout_fetch();
         return std::nullopt;
       });
-  gate.open_after_first_kernel(std::chrono::milliseconds(50));
+  gate.open_after_drain();
   const auto outcome = campaign.run_cluster(cluster_name(campaign, 0));
   campaign.fabric().set_fault_injector({});
   ASSERT_TRUE(outcome) << outcome.error().to_string();
+  EXPECT_TRUE(gate.opened_on_cue()) << "staging stopped short of the whole cluster";
   const ServiceTrace* trace = campaign.compute_service().last_trace();
   ASSERT_NE(trace, nullptr);
-  EXPECT_GT(trace->staging_inflight_bytes_hwm, 0u);
-  EXPECT_LE(trace->staging_inflight_bytes_hwm, reference.largest_cutout);
+  EXPECT_EQ(trace->staging_inflight_bytes_hwm, reference.cutout_bytes);
   EXPECT_EQ(outcome->catalog_xml, reference.catalog);
 }
 
@@ -652,40 +643,6 @@ analysis::CampaignConfig hedging_campaign(bool hedged) {
     config.chaos.add(window);
   }
   return config;
-}
-
-/// The hedge quantile as it was computed before the ring and the selection:
-/// a full sort of a copy. The oracle for interpolated_quantile.
-double sorted_quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
-}
-
-TEST(Lifecycle, QuantileSelectionMatchesTheSortedQuantileBitForBit) {
-  std::mt19937_64 rng(2003);
-  std::uniform_real_distribution<double> duration_ms(5.0, 900.0);
-  std::vector<std::vector<double>> sets = {{}, {42.5}, {7.0, 7.0, 7.0, 7.0, 7.0, 7.0},
-                                           {3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 2.0, 2.0}};
-  std::vector<double> distinct(512);
-  std::vector<double> coarse(512);  // many ties
-  for (std::size_t i = 0; i < 512; ++i) {
-    distinct[i] = duration_ms(rng);
-    coarse[i] = static_cast<double>(static_cast<int>(duration_ms(rng) / 100.0));
-  }
-  sets.push_back(distinct);
-  sets.push_back(coarse);
-  for (const std::vector<double>& set : sets) {
-    for (const double q : {0.0, 0.25, 0.5, 0.75, 0.99, 1.0}) {
-      std::vector<double> samples = set;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(interpolated_quantile(samples, q)),
-                std::bit_cast<std::uint64_t>(sorted_quantile(set, q)))
-          << "n " << set.size() << ", q " << q;
-    }
-  }
 }
 
 // Hedging must cut the stage-in tail without changing a single catalog
