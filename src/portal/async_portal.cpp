@@ -5,6 +5,7 @@
 
 #include "common/strings.hpp"
 #include "portal/transforms.hpp"
+#include "votable/votable_io.hpp"
 
 namespace nvo::portal {
 
@@ -54,13 +55,14 @@ AsyncPortal::AsyncPortal(services::HttpFabric& fabric,
       ids_("preq-"),
       status_board_(std::make_shared<std::map<std::string, std::string>>()) {
   // Evicted memo entries silently demote future duplicates to full runs;
-  // the hook only keeps accounting honest. Runs outside every cache lock
-  // (see the EvictionCallback lock-discipline contract), so it could even
-  // re-enter the cache.
-  stats_ = Stats{};
-  auto* evictions = &stats_.memo_evictions;
-  memo_cache_.set_eviction_callback(
-      [evictions](const std::string&) { ++*evictions; });
+  // the hook keeps accounting honest and drops the entry's parsed table, so
+  // parsed catalogs stay bounded by the memo budget. Runs outside every
+  // cache lock (see the EvictionCallback lock-discipline contract), so it
+  // could even re-enter the cache.
+  memo_cache_.set_eviction_callback([this](const std::string& lfn) {
+    ++stats_.memo_evictions;
+    parsed_memo_.erase(lfn);
+  });
 
   // The portal's own Fig. 6-style status endpoint: poll-able over the
   // fabric, one id per request. The board is shared so the handler stays
@@ -387,14 +389,42 @@ void AsyncPortal::serve_from_memo(Tenant& tenant, Request& req) {
   // Serve the memoized catalog through the tenant's own client — a real
   // fabric fetch (latency, integrity verification, breaker accounting)
   // against the RLS-backed result store, not a zero-cost map lookup.
-  auto table = tenant.portal->fetch_votable(req.result_url);
+  auto response = tenant.portal->fetch_result(req.result_url);
+  if (!response.ok()) return fail_request(tenant, req, response.error().to_string());
+  auto table = memo_catalog(req.out_lfn, payload, response->body, req.run.trace);
   if (!table.ok()) return fail_request(tenant, req, table.error().to_string());
-  req.run.catalog = std::move(table.value());
-  req.run.trace.galaxies = req.run.catalog.num_rows();
-  req.run.trace.tally(req.run.catalog);
+  req.memo_table = std::move(table.value());
+  req.run.trace.galaxies = req.memo_table->num_rows();
   req.memo_hit = true;
   ++stats_.memo_hits;
   finish(tenant, req, RequestState::kDone);
+}
+
+Expected<std::shared_ptr<const votable::Table>> AsyncPortal::memo_catalog(
+    const std::string& lfn, const services::ReplicaCache::Payload& payload,
+    const std::vector<std::uint8_t>& bytes, PortalTrace& trace) {
+  // Only bytes identical to the memo payload (which the cache re-verified
+  // at get) may share its parsed table. A digest match is not proof of
+  // identity, so compare the bytes themselves.
+  const bool memoized = bytes == *payload;
+  if (memoized) {
+    const auto it = parsed_memo_.find(lfn);
+    if (it != parsed_memo_.end() && it->second.payload == payload) {
+      trace.valid = it->second.valid;
+      trace.invalid = it->second.invalid;
+      return it->second.table;
+    }
+  }
+  ++stats_.memo_parses;
+  auto parsed =
+      votable::from_votable_xml(std::string(bytes.begin(), bytes.end()));
+  if (!parsed.ok()) return parsed.error();
+  auto table = std::make_shared<const votable::Table>(std::move(parsed.value()));
+  trace.tally(*table);
+  if (memoized) {
+    parsed_memo_[lfn] = ParsedMemo{payload, table, trace.valid, trace.invalid};
+  }
+  return table;
 }
 
 void AsyncPortal::park_behind(const std::string& leader_id, Request& req) {
@@ -618,7 +648,7 @@ const votable::Table* AsyncPortal::result(const std::string& id) const {
   if (req.state != RequestState::kDone && req.state != RequestState::kPartial) {
     return nullptr;
   }
-  return &req.run.catalog;
+  return req.memo_table ? req.memo_table.get() : &req.run.catalog;
 }
 
 AsyncPortal::Stats AsyncPortal::stats() const {
@@ -630,6 +660,7 @@ AsyncPortal::Stats AsyncPortal::stats() const {
     if (!tenant->running.empty()) ++out.running;
   }
   for (const auto& [leader, parked] : followers_) out.waiting += parked.size();
+  out.parsed_entries = parsed_memo_.size();
   return out;
 }
 
@@ -672,6 +703,9 @@ void AsyncPortal::register_metrics(obs::MetricsRegistry& registry) {
         counters["portal.async.coalesced"] = static_cast<double>(s.coalesced);
         counters["portal.async.memo_evictions"] =
             static_cast<double>(s.memo_evictions);
+        counters["portal.memo.parses"] = static_cast<double>(s.memo_parses);
+        gauges["portal.memo.parsed_entries"] =
+            static_cast<double>(s.parsed_entries);
         gauges["portal.async.queued"] = static_cast<double>(s.queued);
         gauges["portal.async.running"] = static_cast<double>(s.running);
         gauges["portal.async.waiting"] = static_cast<double>(s.waiting);

@@ -22,7 +22,13 @@
 //     byte-budgeted services::ReplicaCache over the RLS-backed compute
 //     store, so duplicates re-fetch the materialized catalog instead of
 //     re-deriving it. Degraded (partial/failed) outcomes are never
-//     memoized — chaos stays with the tenant that hit it.
+//     memoized — chaos stays with the tenant that hit it. What is memoized
+//     is the compute service's morphology VOTable, not the leader's merged
+//     catalog. A memo hit still fetches those bytes through its tenant's
+//     client, but parses them only when they differ from the bytes already
+//     parsed for that output LFN; otherwise it shares one immutable table
+//     with every other hit on the entry, and memo eviction drops the
+//     parsed table with the bytes.
 //
 // Execution model: a discrete-event, stage-interleaved scheduler. step()
 // runs ONE pipeline stage (images / catalog / cutouts / compute / merge) of
@@ -186,6 +192,10 @@ class AsyncPortal {
   std::string status_url(const std::string& id) const;
   /// Final catalog of a done/partial request, or the partial catalog an
   /// expired request had built when its budget ran out; nullptr otherwise.
+  /// A derived request's catalog is the merged one (federation columns plus
+  /// morphology). A memo hit's is the memoized morphology VOTable, one
+  /// table shared by every hit on that memo entry; it stays readable for
+  /// the record's lifetime even after the memo entry is evicted.
   const votable::Table* result(const std::string& id) const;
 
   /// Runs one scheduling unit (start a request, or advance the running
@@ -212,12 +222,17 @@ class AsyncPortal {
     std::uint64_t recomputes = 0;
     std::uint64_t compute_cache_hits = 0;  ///< RLS/journal hits at compute
     std::uint64_t memo_hits = 0;           ///< portal memo fast-path serves
+    /// Full VOTable parses on the memo path: one per memoized byte string,
+    /// plus one per fetch whose bytes differ from the memo payload.
+    /// memo_hits - memo_parses is the number of hits that shared a table.
+    std::uint64_t memo_parses = 0;
     std::uint64_t coalesced = 0;           ///< followers parked on a leader
     std::uint64_t memo_evictions = 0;
     /// Gauges, derived from the scheduler's queues when stats() is called.
     std::size_t queued = 0;   ///< admitted, waiting in tenant queues
     std::size_t running = 0;  ///< tenants with a request in flight
     std::size_t waiting = 0;  ///< parked followers
+    std::size_t parsed_entries = 0;  ///< memo entries with a parsed table
   };
   Stats stats() const;
   services::AdmissionStats admission_stats() const { return admission_.stats(); }
@@ -262,6 +277,9 @@ class AsyncPortal {
     /// The derivation: cluster, trace, intermediate tables and the final
     /// deliverable (`run.catalog`).
     Portal::AnalysisRun run;
+    /// A memo hit's catalog, shared with the other hits on the same memo
+    /// entry; `run.catalog` stays empty for memo hits.
+    std::shared_ptr<const votable::Table> memo_table;
   };
   static const char* stage_name(const Request& req);
 
@@ -295,6 +313,10 @@ class AsyncPortal {
   void release_admission(Request& req);
   void refresh_activation(Tenant& tenant);
   void memoize(const Request& req);
+  /// The shared table for `bytes`, parsed at most once per memo payload.
+  Expected<std::shared_ptr<const votable::Table>> memo_catalog(
+      const std::string& lfn, const services::ReplicaCache::Payload& payload,
+      const std::vector<std::uint8_t>& bytes, PortalTrace& trace);
   bool memo_ready(const Request& req) const;
   void publish_status(const Request& req);
   void observe_latency(const Request& req);
@@ -306,6 +328,18 @@ class AsyncPortal {
   services::AdmissionController admission_;
   services::DeficitRoundRobin drr_;
   services::ReplicaCache memo_cache_;
+  /// One memoized catalog, parsed once: the memo payload it was parsed
+  /// from, the shared table and its valid/invalid tally.
+  struct ParsedMemo {
+    services::ReplicaCache::Payload payload;
+    std::shared_ptr<const votable::Table> table;
+    std::size_t valid = 0;
+    std::size_t invalid = 0;
+  };
+  /// Output LFN -> parsed memo entry. Pruned by the memo eviction callback,
+  /// so it never holds more entries than the memo; an entry whose payload
+  /// was since replaced is re-parsed at its next hit.
+  std::unordered_map<std::string, ParsedMemo> parsed_memo_;
   IdGenerator ids_;
   std::vector<ClusterEntry> clusters_;
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;

@@ -398,14 +398,14 @@ void PortalTrace::tally(const votable::Table& catalog) {
   }
 }
 
-Expected<votable::Table> Portal::fetch_votable(const std::string& url) {
+Expected<services::HttpResponse> Portal::fetch_result(const std::string& url) {
   auto response = client_.get(url);
   if (!response.ok()) return response.error();
   if (response->status != 200) {
     return Error(ErrorCode::kServiceUnavailable,
                  format("fetch of %s returned %d", url.c_str(), response->status));
   }
-  return votable::from_votable_xml(response->body_text());
+  return response;
 }
 
 void Portal::advance(AnalysisRun& run, const services::RequestContext& ctx) {
@@ -511,7 +511,9 @@ void Portal::compute_stage(AnalysisRun& run, const services::RequestContext& ctx
                          "compute status poll answered non-terminal state '" +
                              poll->state + "'"));
   }
-  auto morphology = fetch_votable(poll->result_url);
+  auto fetched = fetch_result(poll->result_url);
+  if (!fetched.ok()) return end_run(run, Stage::kFailed, fetched.error());
+  auto morphology = votable::from_votable_xml(fetched->body_text());
   if (!morphology.ok()) return end_run(run, Stage::kFailed, morphology.error());
   run.morphology = std::move(morphology.value());
   // Simulated compute latency: the fabric charges from submit to fetch,

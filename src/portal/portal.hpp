@@ -191,9 +191,9 @@ class Portal {
   /// Drives a run of `cluster_name` through every stage.
   AnalysisOutcome run_analysis(const std::string& cluster_name);
 
-  /// Fetches and parses a VOTable (a compute-service result document)
-  /// through the portal's client.
-  Expected<votable::Table> fetch_votable(const std::string& url);
+  /// Fetches a compute-service result document through the portal's client
+  /// (retry, breaker, digest verification); a non-200 answer is an error.
+  Expected<services::HttpResponse> fetch_result(const std::string& url);
 
   /// The portal's resilient HTTP client (retry/breaker/failover state).
   services::ResilientClient& client() { return client_; }

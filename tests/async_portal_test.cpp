@@ -1,7 +1,8 @@
 // Tests for the multi-tenant async portal: admission control and load
 // shedding, deficit-round-robin fairness, cross-request memoization with
-// single-flight coalescing, chaos blast-radius containment, and the
-// open-loop load generator.
+// single-flight coalescing, memo hits sharing one parsed catalog (bounded
+// by memo eviction, never handed to tampered bytes), chaos blast-radius
+// containment, and the open-loop load generator.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -14,9 +15,12 @@
 #include "obs/metrics.hpp"
 #include "portal/async_portal.hpp"
 #include "portal/load_gen.hpp"
+#include "portal/transforms.hpp"
 #include "services/admission.hpp"
+#include "services/chaos.hpp"
 #include "services/federation.hpp"
 #include "sim/universe.hpp"
+#include "votable/votable_io.hpp"
 
 namespace nvo::portal {
 namespace {
@@ -695,6 +699,240 @@ TEST(AsyncPortal, MemoEvictionFallsBackToFullRun) {
   EXPECT_EQ(portal->stats().recomputes, 2u);
   (void)a;
   (void)b;
+}
+
+/// The compute service's stored catalog bytes for `cluster` (what /results
+/// serves and what the portal memoizes).
+std::string stored_catalog(analysis::Campaign& campaign, const std::string& cluster) {
+  const std::string* xml =
+      campaign.compute_service().result_xml(output_votable_lfn(cluster));
+  EXPECT_NE(xml, nullptr);
+  return xml ? *xml : std::string();
+}
+
+/// Cell-for-cell equality by canonical text (NaN cells compare equal).
+void expect_same_table(const votable::Table& got, const votable::Table& want) {
+  ASSERT_EQ(got.num_columns(), want.num_columns());
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (std::size_t c = 0; c < want.num_columns(); ++c) {
+    EXPECT_EQ(got.fields()[c].name, want.fields()[c].name);
+  }
+  for (std::size_t r = 0; r < want.num_rows(); ++r) {
+    for (std::size_t c = 0; c < want.num_columns(); ++c) {
+      EXPECT_EQ(got.row(r)[c].is_null(), want.row(r)[c].is_null()) << r << "," << c;
+      EXPECT_EQ(got.row(r)[c].to_text(), want.row(r)[c].to_text()) << r << "," << c;
+    }
+  }
+}
+
+TEST(AsyncPortal, MemoHitsShareOneParsedCatalog) {
+  analysis::Campaign campaign(small_campaign());
+  auto portal = make_portal(campaign);
+  for (const char* t : {"alice", "bob", "carol"}) portal->add_tenant(t);
+  obs::MetricsRegistry registry;
+  portal->register_metrics(registry);
+
+  const std::string cluster = cluster_name(campaign, 0);
+  const Submission leader = portal->submit("alice", cluster);
+  portal->drain();
+  ASSERT_EQ(portal->status(leader.id)->state, RequestState::kDone);
+
+  std::vector<std::string> ids;
+  for (int round = 0; round < 3; ++round) {
+    for (const char* t : {"alice", "bob", "carol"}) {
+      const Submission s = portal->submit(t, cluster);
+      ASSERT_TRUE(s.admitted);
+      ids.push_back(s.id);
+    }
+    portal->drain();
+  }
+
+  const std::string xml = stored_catalog(campaign, cluster);
+  auto fresh = votable::from_votable_xml(xml);
+  ASSERT_TRUE(fresh.ok());
+  PortalTrace tally;
+  tally.tally(fresh.value());
+
+  const votable::Table* shared = portal->result(ids.front());
+  ASSERT_NE(shared, nullptr);
+  for (const std::string& id : ids) {
+    const auto status = portal->status(id);
+    ASSERT_TRUE(status.ok());
+    EXPECT_EQ(status->state, RequestState::kDone) << id;
+    EXPECT_TRUE(status->memo_hit) << id;
+    EXPECT_EQ(status->galaxies, fresh->num_rows());
+    EXPECT_EQ(status->valid, tally.valid);
+    EXPECT_EQ(status->invalid, tally.invalid);
+    EXPECT_EQ(portal->result(id), shared) << id;
+  }
+  // What a memo hit serves is the memoized morphology VOTable itself.
+  expect_same_table(*shared, fresh.value());
+  EXPECT_EQ(votable::to_votable_xml(*shared), xml);
+
+  const auto stats = portal->stats();
+  EXPECT_EQ(stats.memo_hits, ids.size());
+  EXPECT_EQ(stats.memo_parses, 1u);
+  EXPECT_EQ(stats.parsed_entries, 1u);
+  const auto snapshot = registry.snapshot();
+  EXPECT_EQ(snapshot.counter("portal.memo.parses"), 1.0);
+  EXPECT_EQ(snapshot.gauges.at("portal.memo.parsed_entries"), 1.0);
+}
+
+TEST(AsyncPortal, MemoEvictionPrunesParsedCatalogs) {
+  analysis::Campaign campaign(small_campaign());
+  AsyncPortalConfig config;
+  config.memo_cache.byte_budget = 1;  // below one catalog: one entry at a time
+  config.memo_cache.shards = 1;
+  auto portal = make_portal(campaign, config);
+  portal->add_tenant("alice");
+  portal->add_tenant("bob");
+
+  const std::string clusters[2] = {cluster_name(campaign, 0),
+                                   cluster_name(campaign, 1)};
+  const votable::Table* first_hit = nullptr;
+  std::string first_hit_xml;
+  std::uint64_t memo_hits = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& cluster : clusters) {
+      // Derive (or re-derive after eviction), then two duplicates that hit
+      // the memo and share one parse.
+      portal->submit("alice", cluster);
+      portal->drain();
+      const Submission a = portal->submit("alice", cluster);
+      const Submission b = portal->submit("bob", cluster);
+      portal->drain();
+      memo_hits += 2;
+      ASSERT_TRUE(portal->status(a.id)->memo_hit);
+      ASSERT_TRUE(portal->status(b.id)->memo_hit);
+      EXPECT_EQ(portal->result(a.id), portal->result(b.id));
+      if (first_hit == nullptr) {
+        first_hit = portal->result(a.id);
+        first_hit_xml = votable::to_votable_xml(*first_hit);
+      } else if (cluster == clusters[0]) {
+        EXPECT_NE(portal->result(a.id), first_hit);  // parsed again
+      }
+
+      const auto stats = portal->stats();
+      EXPECT_LE(stats.parsed_entries, portal->memo_cache().stats().entries);
+      EXPECT_EQ(stats.memo_hits, memo_hits);
+      // Each re-derived catalog is parsed once more, not once per hit.
+      EXPECT_EQ(stats.memo_parses, memo_hits / 2);
+    }
+  }
+  EXPECT_GT(portal->stats().memo_evictions, 0u);
+  // The table handed out before its memo entry was evicted stays readable.
+  EXPECT_EQ(votable::to_votable_xml(*first_hit), first_hit_xml);
+  EXPECT_EQ(first_hit_xml, stored_catalog(campaign, clusters[0]));
+}
+
+/// Corrupts a share of the compute host's /results responses from now on.
+void corrupt_results(analysis::Campaign& campaign, double rate) {
+  services::FaultWindow window;
+  window.kind = services::FaultWindow::Kind::kBitFlip;
+  window.host = campaign.compute_service().config().host;
+  window.path_prefix = "/results";
+  window.start_ms = campaign.fabric().now_ms();
+  window.corruption_rate = rate;
+  services::ChaosSchedule chaos;
+  chaos.add(window);
+  services::install_chaos(campaign.fabric(), chaos);
+}
+
+struct CorruptedServe {
+  std::vector<RequestState> states;
+  std::vector<const votable::Table*> results;
+  const votable::Table* shared = nullptr;
+  std::uint64_t tampered = 0;
+  std::uint64_t fetches = 0;
+  std::uint64_t memo_parses = 0;
+  double sim_ms = 0.0;
+};
+
+/// Derives one cluster, memoizes it with one clean hit, then serves
+/// `duplicates` more memo hits through a 50% bit-flip window on /results.
+CorruptedServe serve_through_corruption(bool verify_digests, int duplicates) {
+  analysis::Campaign campaign(small_campaign());
+  AsyncPortalConfig config;
+  config.portal.retry.verify_digests = verify_digests;
+  auto portal = make_portal(campaign, config);
+  portal->add_tenant("alice");
+  portal->add_tenant("bob");
+  const std::string cluster = cluster_name(campaign, 0);
+  portal->submit("alice", cluster);
+  portal->drain();
+  const Submission clean = portal->submit("bob", cluster);
+  portal->drain();
+
+  CorruptedServe out;
+  out.shared = portal->result(clean.id);
+  const std::string host = campaign.compute_service().config().host;
+  const auto before = campaign.fabric().metrics_for(host, "/results");
+  corrupt_results(campaign, 0.5);
+  std::vector<std::string> ids;
+  for (int i = 0; i < duplicates; ++i) {
+    ids.push_back(portal->submit(i % 2 ? "alice" : "bob", cluster).id);
+    portal->drain();
+  }
+  const auto after = campaign.fabric().metrics_for(host, "/results");
+  out.tampered = after->corruptions_injected - before->corruptions_injected;
+  out.fetches = after->requests - before->requests;
+  for (const std::string& id : ids) {
+    out.states.push_back(portal->status(id)->state);
+    out.results.push_back(portal->result(id));
+  }
+  out.memo_parses = portal->stats().memo_parses;
+  out.sim_ms = portal->now_ms();
+  return out;
+}
+
+TEST(AsyncPortal, TamperedMemoFetchesNeverShareTheParsedCatalog) {
+  constexpr int kDuplicates = 24;
+  // Verification on (the default): every tampered fetch is rejected by the
+  // digest check and retried, exactly as before memo tables were shared,
+  // so no tampered byte reaches a parser and every served request shares
+  // the one clean table.
+  const CorruptedServe verified = serve_through_corruption(true, kDuplicates);
+  ASSERT_NE(verified.shared, nullptr);
+  EXPECT_GT(verified.tampered, 0u);
+  EXPECT_EQ(verified.memo_parses, 1u);
+  std::map<RequestState, int> outcomes;
+  for (std::size_t i = 0; i < verified.states.size(); ++i) {
+    ++outcomes[verified.states[i]];
+    if (verified.states[i] == RequestState::kDone) {
+      EXPECT_EQ(verified.results[i], verified.shared) << i;
+    } else {
+      EXPECT_EQ(verified.results[i], nullptr) << i;
+    }
+  }
+  // Pinned from the fetch path as it stood before parsed tables were
+  // shared: the same fabric requests, retries, outcomes and sim clock.
+  EXPECT_EQ(verified.tampered, 13u);
+  EXPECT_EQ(verified.fetches, 37u);
+  EXPECT_EQ(outcomes[RequestState::kDone], kDuplicates);
+  EXPECT_NEAR(verified.sim_ms, 8192.8754937716149, 1e-6);
+
+  // Verification off: tampered bytes reach the portal. The byte comparison
+  // against the memo payload is then the guard — each tampered body is
+  // parsed on its own (or fails to parse) and never gets the shared table.
+  const CorruptedServe unverified = serve_through_corruption(false, kDuplicates);
+  ASSERT_NE(unverified.shared, nullptr);
+  EXPECT_GT(unverified.tampered, 0u);
+  EXPECT_LT(unverified.tampered, static_cast<std::uint64_t>(kDuplicates));
+  EXPECT_EQ(unverified.fetches, static_cast<std::uint64_t>(kDuplicates));
+  EXPECT_EQ(unverified.memo_parses, 1u + unverified.tampered);
+  std::size_t shared = 0;
+  std::map<RequestState, int> unverified_outcomes;
+  for (std::size_t i = 0; i < unverified.results.size(); ++i) {
+    shared += unverified.results[i] == unverified.shared;
+    ++unverified_outcomes[unverified.states[i]];
+  }
+  EXPECT_EQ(shared, kDuplicates - unverified.tampered);
+  // Pinned as before: a tampered body that no longer parses fails its
+  // request; one that still parses is served as its own table.
+  EXPECT_EQ(unverified.tampered, 9u);
+  EXPECT_EQ(unverified_outcomes[RequestState::kDone], 19);
+  EXPECT_EQ(unverified_outcomes[RequestState::kFailed], 5);
+  EXPECT_NEAR(unverified.sim_ms, 6118.5364042840029, 1e-6);
 }
 
 TEST(AsyncPortal, ChaosKillIsOneShotAndTenantScoped) {
