@@ -505,8 +505,9 @@ void BM_GalMorphFromBytes(benchmark::State& state) {
 BENCHMARK(BM_GalMorphFromBytes)->Unit(benchmark::kMicrosecond);
 
 void BM_BatchThreadScaling(benchmark::State& state) {
-  // 64 cutouts measured on a pool of range(0) threads. On a single-core
-  // host the scaling flattens at 1; on multi-core it tracks the pool size.
+  // 64 cutouts measured by range(0) pool workers plus the caller, which
+  // claims cutouts alongside them in parallel_for. On a single-core host the
+  // scaling flattens at 1; on multi-core it tracks the executor count.
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
   std::vector<image::Image> cutouts;
   for (int i = 0; i < 64; ++i) {

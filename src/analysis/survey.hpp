@@ -23,7 +23,9 @@ namespace nvo::analysis {
 struct SurveyConfig {
   std::uint64_t seed = 20031115;
   std::size_t target_galaxies = 100000;
-  /// Kernel fan-out across a private thread pool (1 = caller only).
+  /// Workers in the survey's private kernel pool. The calling thread
+  /// claims galaxies alongside them at each per-cluster barrier, so n > 1
+  /// runs the kernel on n + 1 threads; 1 means the caller only, no pool.
   std::size_t compute_threads = 1;
   int cutout_size = 64;
   double corruption_rate = 0.04;

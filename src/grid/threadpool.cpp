@@ -110,27 +110,38 @@ void ThreadPool::worker_loop(std::stop_token stop) {
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  const std::size_t chunks = std::min(n, pool.num_threads() * 4);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  std::atomic<std::size_t> remaining{0};
+  // About 16 chunks per executor (the workers plus this thread): fine enough
+  // that no executor is left with a long last chunk at the barrier, coarse
+  // enough that the shared cursor is touched rarely.
+  const std::size_t executors = pool.num_threads() + 1;
+  const std::size_t chunk_size = (n + 16 * executors - 1) / (16 * executors);
+  const std::size_t chunks = (n + chunk_size - 1) / chunk_size;
+  std::atomic<std::size_t> cursor{0};
+  // noexcept: fn must not throw, and an escaping exception terminates on
+  // this thread as it does on a worker, so no helper outlives the frame.
+  const auto claim = [&]() noexcept {
+    for (std::size_t c = cursor.fetch_add(1); c < chunks; c = cursor.fetch_add(1)) {
+      const std::size_t end = std::min(n, (c + 1) * chunk_size);
+      for (std::size_t i = c * chunk_size; i < end; ++i) fn(i);
+    }
+  };
   std::mutex done_mutex;
   std::condition_variable done_cv;
-  std::size_t submitted = 0;
-  for (std::size_t begin = 0; begin < n; begin += chunk_size) {
-    const std::size_t end = std::min(n, begin + chunk_size);
-    ++submitted;
-    remaining.fetch_add(1, std::memory_order_relaxed);
-    pool.submit([&, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(done_mutex);
-        done_cv.notify_all();
-      }
+  std::size_t helpers = std::min(pool.num_threads(), chunks);
+  for (std::size_t h = helpers; h > 0; --h) {
+    pool.submit([&] {
+      claim();
+      // Decrement and notify under the lock, so the caller cannot see zero
+      // and unwind this frame before the helper has let go of it.
+      std::lock_guard lock(done_mutex);
+      if (--helpers == 0) done_cv.notify_all();
     });
   }
-  (void)submitted;
+  claim();
+  // The helpers reference this frame, so every one must have returned, even
+  // one that found nothing left to claim.
   std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+  done_cv.wait(lock, [&] { return helpers == 0; });
 }
 
 }  // namespace nvo::grid

@@ -93,8 +93,14 @@ class ThreadPool {
   std::vector<std::jthread> workers_;  // declared last: joins before members die
 };
 
-/// Runs fn(i) for i in [0, n) across the pool, blocking until done. Chunked
-/// to amortize queue overhead on fine-grained loops.
+/// Runs fn(i) once for each i in [0, n), blocking until done. The calling
+/// thread is an executor too: it and up to num_threads() helper tasks claim
+/// chunks of indices from one shared cursor, so fn may run on the caller
+/// and any index may run on any of those threads. fn must not throw (as for
+/// a task). Before returning, the call waits until each helper task it
+/// submitted has returned, even one that found nothing left to claim, so no
+/// task of the call stays queued. Calling it from a task of the same pool
+/// is unsupported: the helpers could be queued behind the calling task.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 

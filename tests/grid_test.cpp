@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <fstream>
+#include <mutex>
 #include <set>
+#include <thread>
 
 #include "grid/checkpoint.hpp"
 #include "grid/dagman.hpp"
@@ -37,10 +41,21 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // Every index exactly once: one index, one per worker, one past 16 chunks
+  // per executor (workers plus the caller), and many per chunk.
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    ThreadPool pool(workers);
+    for (const std::size_t n :
+         {std::size_t{1}, workers, 16 * (workers + 1) + 1, std::size_t{1000}}) {
+      std::vector<std::atomic<int>> hits(n);
+      parallel_for(pool, n, [&](std::size_t i) { hits[i].fetch_add(1); });
+      // No helper task of the call is left queued once it returns.
+      EXPECT_EQ(pool.queue_depth(), 0u) << workers << " workers, n = " << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << workers << " workers, n = " << n << ", i = " << i;
+      }
+    }
+  }
 }
 
 TEST(ThreadPool, ParallelForZeroItems) {
@@ -54,6 +69,60 @@ TEST(ThreadPool, ParallelForSingleItem) {
   int value = 0;
   parallel_for(pool, 1, [&](std::size_t i) { value = static_cast<int>(i) + 7; });
   EXPECT_EQ(value, 7);
+}
+
+TEST(ThreadPool, ParallelForRunsOnTheCallerWhileTheWorkerIsHeld) {
+  // The only worker sits on a gate, so nothing the call submits can start:
+  // every index has to run on the calling thread. The call still may not
+  // return before its helper task, queued behind the gate, has run.
+  ThreadPool pool(1);
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool worker_held = false;
+  bool gate_open = false;
+  pool.submit([&] {
+    std::unique_lock lock(gate_mutex);
+    worker_held = true;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return gate_open; });
+  });
+  {
+    std::unique_lock lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return worker_held; });
+  }
+
+  constexpr std::size_t kN = 100;
+  std::vector<std::thread::id> ran_on(kN);
+  std::atomic<std::size_t> done{0};
+  std::atomic<bool> returned{false};
+  bool returned_before_open = false;
+  // Opens the gate once every index has run, or after a give-up that turns
+  // a caller that parks into a failure instead of a hang. The short grace
+  // after the last index gives a call that does not wait for its helper
+  // time to return early and be caught.
+  std::thread opener([&] {
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (done.load() < kN && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::lock_guard lock(gate_mutex);
+    returned_before_open = returned.load();
+    gate_open = true;
+    gate_cv.notify_all();
+  });
+  parallel_for(pool, kN, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+    done.fetch_add(1);
+  });
+  returned.store(true);
+  opener.join();
+
+  EXPECT_FALSE(returned_before_open);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(ran_on[i], std::this_thread::get_id()) << "index " << i;
+  }
 }
 
 TEST(ThreadPool, DestructorDrainsQueue) {

@@ -217,9 +217,12 @@ int run_survey_mode(std::size_t target, int cutout, const std::string& out_path,
           : 0.0;
   std::printf("survey: %zu clusters, %zu galaxies (%zu valid, %zu invalid)\n",
               r.clusters, r.galaxies, r.valid, r.invalid);
+  // The calling thread runs the kernel alongside the pool's workers.
+  const std::size_t kernel_threads =
+      cfg.compute_threads > 1 ? cfg.compute_threads + 1 : 1;
   std::printf("  compute %.2fs (%.0f gal/s, %zu threads), merge %.2fs over "
               "%zu runs (%.1f MiB spilled)\n",
-              r.compute_seconds, gal_per_s, cfg.compute_threads,
+              r.compute_seconds, gal_per_s, kernel_threads,
               r.merge_seconds, r.spill_runs,
               static_cast<double>(r.spill_bytes) / (1024.0 * 1024.0));
   if (r.vm_hwm_kb > 0) {
