@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/strings.hpp"
 
@@ -13,31 +14,161 @@ bool classify_early_type(double concentration, double asymmetry,
          thresholds.score_threshold;
 }
 
+namespace {
+
+/// One tangent-plane axis cut into slabs at quantiles of the coordinates.
+/// slab_of counts the cuts at or below a value, so it is monotone: every
+/// coordinate in slab s >= 1 is >= cuts[s - 1], and every coordinate in a
+/// slab <= s is < cuts[s]. The k-NN search bounds distances with these
+/// cuts, so a cut that rounding or a tie puts "wrong" costs time only.
+/// Quantile cuts keep the slabs even where the galaxies crowd toward the
+/// cluster core, and a far outlier widens only the outermost slab.
+struct SlabAxis {
+  std::vector<double> cuts;
+
+  SlabAxis(std::vector<double> coords, std::size_t slabs) {
+    std::sort(coords.begin(), coords.end());
+    for (std::size_t s = 1; s < slabs; ++s) {
+      cuts.push_back(coords[s * coords.size() / slabs]);
+    }
+  }
+  std::ptrdiff_t slabs() const { return static_cast<std::ptrdiff_t>(cuts.size()) + 1; }
+  std::ptrdiff_t slab_of(double v) const {
+    return std::upper_bound(cuts.begin(), cuts.end(), v) - cuts.begin();
+  }
+  /// Lower bound on (v - q)^2 for every v in slab s, where q is in slab qs.
+  double gap2_to(std::ptrdiff_t s, std::ptrdiff_t qs, double q) const {
+    if (s == qs) return 0.0;
+    const double g = (s > qs ? cuts[s - 1] : cuts[s]) - q;
+    return g * g;
+  }
+  /// Lower bound on (v - q)^2 for every v outside slabs [lo, hi], where q
+  /// lies in slab lo..hi: +inf when no slab is left on either side.
+  double gap2_outside(std::ptrdiff_t lo, std::ptrdiff_t hi, double q) const {
+    double g2 = std::numeric_limits<double>::infinity();
+    if (hi + 1 < slabs()) {
+      const double g = cuts[hi] - q;
+      g2 = g * g;
+    }
+    if (lo > 0) {
+      const double g = cuts[lo - 1] - q;
+      g2 = std::min(g2, g * g);
+    }
+    return g2;
+  }
+};
+
+}  // namespace
+
 std::vector<double> local_density_arcmin2(const std::vector<sky::Equatorial>& positions,
                                           const sky::Equatorial& center, int k) {
   const std::size_t n = positions.size();
   std::vector<double> out(n, 0.0);
-  if (n < 2) return out;
-  const int kk = std::min<int>(k, static_cast<int>(n) - 1);
+  if (n < 2 || k < 1) return out;
+  const std::size_t kk = std::min<std::size_t>(k, n - 1);
 
   // Tangent-plane coordinates (arcmin) about the cluster center make the
-  // neighbor distances Euclidean.
+  // neighbor distances Euclidean. A galaxy without finite coordinates is
+  // infinitely far from every other, so it stays out of the grid and its
+  // density is 0.
   std::vector<double> xs(n), ys(n);
+  std::vector<std::size_t> members;
+  members.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const sky::TangentPlane tp = sky::project_tan(center, positions[i]);
     xs[i] = tp.xi_deg * 60.0;
     ys[i] = tp.eta_deg * 60.0;
+    if (std::isfinite(xs[i]) && std::isfinite(ys[i])) members.push_back(i);
   }
-  std::vector<double> d2(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double dx = xs[j] - xs[i];
-      const double dy = ys[j] - ys[i];
-      d2[j] = dx * dx + dy * dy;
+  if (members.empty()) return out;
+
+  // Grid of about kCellTarget galaxies per cell, filled by counting sort.
+  constexpr double kCellTarget = 8.0;
+  const std::size_t slabs = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::sqrt(members.size() / kCellTarget)));
+  std::vector<double> mx, my;
+  mx.reserve(members.size());
+  my.reserve(members.size());
+  for (const std::size_t i : members) {
+    mx.push_back(xs[i]);
+    my.push_back(ys[i]);
+  }
+  const SlabAxis xa(std::move(mx), slabs);
+  const SlabAxis ya(std::move(my), slabs);
+  const std::ptrdiff_t nx = xa.slabs();
+  const std::ptrdiff_t ny = ya.slabs();
+  std::vector<std::ptrdiff_t> cell_x(n), cell_y(n);
+  std::vector<std::size_t> cell_start(static_cast<std::size_t>(nx * ny) + 1, 0);
+  for (const std::size_t i : members) {
+    cell_x[i] = xa.slab_of(xs[i]);
+    cell_y[i] = ya.slab_of(ys[i]);
+    ++cell_start[static_cast<std::size_t>(cell_y[i] * nx + cell_x[i]) + 1];
+  }
+  for (std::size_t c = 1; c < cell_start.size(); ++c) cell_start[c] += cell_start[c - 1];
+  // Coordinates in cell order, so a cell's galaxies are contiguous.
+  std::vector<double> cell_xs(members.size()), cell_ys(members.size());
+  std::vector<std::size_t> slot_of(n);
+  {
+    std::vector<std::size_t> fill(cell_start.begin(), cell_start.end() - 1);
+    for (const std::size_t i : members) {
+      const std::size_t slot = fill[static_cast<std::size_t>(cell_y[i] * nx + cell_x[i])]++;
+      cell_xs[slot] = xs[i];
+      cell_ys[slot] = ys[i];
+      slot_of[i] = slot;
     }
-    d2[i] = 1e300;  // exclude self
-    std::nth_element(d2.begin(), d2.begin() + (kk - 1), d2.end());
-    const double dk = std::sqrt(std::max(d2[kk - 1], 1e-6));
+  }
+
+  // Per galaxy: visit rings of cells outward, keeping the kk smallest
+  // squared distances in ascending order. Each distance is the same
+  // dx*dx + dy*dy the brute-force selection computed, and a cell or a ring
+  // is skipped only once the slab gaps prove that none of its galaxies is
+  // nearer than the kk-th found, so the k-th distance is bit-identical.
+  std::vector<double> best(kk);
+  for (const std::size_t i : members) {
+    const double qx = xs[i];
+    const double qy = ys[i];
+    const std::ptrdiff_t cx = cell_x[i];
+    const std::ptrdiff_t cy = cell_y[i];
+    const std::size_t self = slot_of[i];
+    std::size_t filled = 0;
+    const auto visit = [&](std::ptrdiff_t x, std::ptrdiff_t y) {
+      if (filled == kk &&
+          xa.gap2_to(x, cx, qx) + ya.gap2_to(y, cy, qy) >= best[kk - 1]) {
+        return;
+      }
+      const std::size_t c = static_cast<std::size_t>(y * nx + x);
+      for (std::size_t p = cell_start[c]; p < cell_start[c + 1]; ++p) {
+        const double dx = cell_xs[p] - qx;
+        const double dy = cell_ys[p] - qy;
+        const double d2 = dx * dx + dy * dy;
+        if ((filled == kk && !(d2 < best[kk - 1])) || p == self) continue;
+        std::size_t slot = filled < kk ? filled++ : kk - 1;
+        for (; slot > 0 && best[slot - 1] > d2; --slot) best[slot] = best[slot - 1];
+        best[slot] = d2;
+      }
+    };
+    for (std::ptrdiff_t r = 0;; ++r) {
+      const std::ptrdiff_t x0 = std::max<std::ptrdiff_t>(cx - r, 0);
+      const std::ptrdiff_t x1 = std::min(cx + r, nx - 1);
+      for (std::ptrdiff_t y = std::max<std::ptrdiff_t>(cy - r, 0);
+           y <= std::min(cy + r, ny - 1); ++y) {
+        if (y == cy - r || y == cy + r) {
+          for (std::ptrdiff_t x = x0; x <= x1; ++x) visit(x, y);
+        } else {
+          if (cx - r >= 0) visit(cx - r, y);
+          if (cx + r < nx) visit(cx + r, y);
+        }
+      }
+      // Every unvisited galaxy lies beyond the ring on some axis, so its
+      // squared distance is at least that axis's squared slab gap.
+      const double bound = std::min(xa.gap2_outside(cx - r, cx + r, qx),
+                                    ya.gap2_outside(cy - r, cy + r, qy));
+      if (bound == std::numeric_limits<double>::infinity()) break;
+      if (filled == kk && bound >= best[kk - 1]) break;
+    }
+    const double kth =
+        filled == kk ? best[kk - 1] : std::numeric_limits<double>::infinity();
+    const double dk = std::sqrt(std::max(kth, 1e-6));
     out[i] = static_cast<double>(kk) / (3.14159265358979323846 * dk * dk);
   }
   return out;
@@ -53,29 +184,36 @@ Expected<DresslerReport> analyze_cluster(const votable::Table& merged_catalog,
                                          const sky::Equatorial& cluster_center,
                                          std::size_t radial_bins,
                                          const ClassifierThresholds& thresholds) {
-  for (const char* col : {"id", "ra", "dec", "valid", "concentration", "asymmetry"}) {
-    if (!merged_catalog.column_index(col)) {
+  // Columns are looked up once, then read by index on every row.
+  enum Required { kId, kRa, kDec, kValid, kConcentration, kAsymmetry, kRequired };
+  const char* const names[kRequired] = {"id",    "ra",            "dec",
+                                        "valid", "concentration", "asymmetry"};
+  std::size_t col[kRequired];
+  for (std::size_t c = 0; c < kRequired; ++c) {
+    const auto idx = merged_catalog.column_index(names[c]);
+    if (!idx) {
       return Error(ErrorCode::kInvalidArgument,
-                   std::string("catalog lacks column ") + col);
+                   std::string("catalog lacks column ") + names[c]);
     }
+    col[c] = *idx;
   }
+  const auto sb_col = merged_catalog.column_index("surface_brightness");
 
   DresslerReport report;
   std::vector<sky::Equatorial> positions;
-  for (std::size_t i = 0; i < merged_catalog.num_rows(); ++i) {
-    const auto valid = merged_catalog.cell(i, "valid").as_bool();
+  for (const votable::Row& row : merged_catalog.rows()) {
+    const auto valid = row[col[kValid]].as_bool();
     if (!valid || !*valid) {
       ++report.invalid_dropped;
       continue;
     }
     AnalysisGalaxy g;
-    g.id = merged_catalog.cell(i, "id").as_string().value_or("");
-    g.position.ra_deg = merged_catalog.cell(i, "ra").as_number().value_or(0.0);
-    g.position.dec_deg = merged_catalog.cell(i, "dec").as_number().value_or(0.0);
-    g.concentration = merged_catalog.cell(i, "concentration").as_number().value_or(0.0);
-    g.asymmetry = merged_catalog.cell(i, "asymmetry").as_number().value_or(0.0);
-    g.surface_brightness =
-        merged_catalog.cell(i, "surface_brightness").as_number().value_or(0.0);
+    if (const std::string* id = row[col[kId]].string_ref()) g.id = *id;
+    g.position.ra_deg = row[col[kRa]].as_number().value_or(0.0);
+    g.position.dec_deg = row[col[kDec]].as_number().value_or(0.0);
+    g.concentration = row[col[kConcentration]].as_number().value_or(0.0);
+    g.asymmetry = row[col[kAsymmetry]].as_number().value_or(0.0);
+    g.surface_brightness = sb_col ? row[*sb_col].as_number().value_or(0.0) : 0.0;
     g.radius_arcmin =
         sky::angular_separation_deg(cluster_center, g.position) * 60.0;
     g.early_type = classify_early_type(g.concentration, g.asymmetry, thresholds);
@@ -105,11 +243,13 @@ Expected<DresslerReport> analyze_cluster(const votable::Table& merged_catalog,
   const double r_max = *std::max_element(radii.begin(), radii.end()) * 1.0001;
   report.early_fraction_vs_radius =
       binned_fraction(radii, early, radial_bins, 0.0, r_max);
-  const double d_lo = *std::min_element(log_density.begin(), log_density.end());
-  const double d_hi = *std::max_element(log_density.begin(), log_density.end()) * 1.0001;
+  // The bins are half-open, so the top edge sits just above the densest
+  // galaxy. Log densities are often negative: pad by a magnitude, never
+  // scale, or the edge would fall below the maximum.
+  const auto [d_min, d_max] = std::minmax_element(log_density.begin(), log_density.end());
+  const double d_hi = *d_max + 1e-4 * std::max(std::abs(*d_max), 1.0);
   report.early_fraction_vs_density =
-      binned_fraction(log_density, early, radial_bins, d_lo,
-                      d_hi > d_lo ? d_hi : d_lo + 1.0);
+      binned_fraction(log_density, early, radial_bins, *d_min, d_hi);
 
   report.spearman_asymmetry_density = spearman(log_density, asym);
   report.spearman_concentration_density = spearman(log_density, conc);

@@ -1,6 +1,7 @@
 #include "common/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -98,7 +99,24 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
-std::string fixed(double value, int digits) { return format("%.*f", digits, value); }
+std::string fixed(double value, int digits) {
+  std::string out;
+  append_fixed(out, value, digits);
+  return out;
+}
+
+void append_fixed(std::string& out, double value, int digits) {
+  // Room for DBL_MAX's 309 integer digits plus sign, point and 64 decimals;
+  // anything longer falls back to printf itself.
+  char buf[384];
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, value, std::chars_format::fixed, digits);
+  if (ec == std::errc()) {
+    out.append(buf, end);
+  } else {
+    out += format("%.*f", digits, value);
+  }
+}
 
 std::string replace_all(std::string s, std::string_view from, std::string_view to) {
   if (from.empty()) return s;

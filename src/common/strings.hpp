@@ -36,8 +36,12 @@ std::optional<long long> parse_int(std::string_view s);
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// Fixed-point formatting helper (value with `digits` decimals).
+/// Fixed-point formatting helper (value with `digits` decimals). The
+/// bytes are printf("%.*f")'s: std::to_chars in fixed format with a
+/// precision is specified to match it, and it needs no format parsing or
+/// locale, so hot paths can append without a vsnprintf per value.
 std::string fixed(double value, int digits);
+void append_fixed(std::string& out, double value, int digits);
 
 /// Replaces every occurrence of `from` with `to`.
 std::string replace_all(std::string s, std::string_view from, std::string_view to);

@@ -163,8 +163,9 @@ std::string_view trim_blanks(std::string_view s) {
 
 /// Walks the header at fixed 80-byte offsets up to END, recording the
 /// structural cards in `scan`. With a `header`, every keyed card is also
-/// stored there as the trimmed text of its value. Fails when END is missing
-/// or a quoted value is unterminated.
+/// stored there as the trimmed text of its value, with its comment (quoted
+/// values included, so write_fits reproduces the cards it wrote). Fails
+/// when END is missing or a quoted value is unterminated.
 Status scan_header(std::string_view bytes, HeaderScan& scan, FitsHeader* header) {
   for (std::size_t pos = 0; pos + kCard <= bytes.size(); pos += kCard) {
     const std::string_view card = bytes.substr(pos, kCard);
@@ -195,6 +196,11 @@ Status scan_header(std::string_view bytes, HeaderScan& scan, FitsHeader* header)
       }
       v.text = value.substr(1, close - 1);
       v.is_string = true;
+      if (header != nullptr) {
+        const std::string_view rest = value.substr(close + 1);
+        const std::size_t slash = rest.find('/');
+        if (slash != std::string_view::npos) comment = trim_blanks(rest.substr(slash + 1));
+      }
     } else if (slot != nullptr || header != nullptr) {
       const std::size_t slash = field.find('/');
       v.text = trim_blanks(field.substr(0, slash));

@@ -30,6 +30,11 @@
 namespace nvo::portal {
 
 namespace {
+/// Content digest of a catalog's bytes, recorded when it is materialized.
+std::uint64_t catalog_digest(const std::string& xml) {
+  return content_digest(reinterpret_cast<const std::uint8_t*>(xml.data()), xml.size());
+}
+
 double wall_ms_since(const std::chrono::steady_clock::time_point& t0) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                    t0)
@@ -282,8 +287,10 @@ MorphologyService::MorphologyService(services::HttpFabric& fabric, grid::Grid& g
                   if (it == state->results.end()) {
                     return Error(ErrorCode::kNotFound, "no result " + *name);
                   }
-                  return services::HttpResponse::text(it->second,
-                                                      "text/xml;content=x-votable");
+                  auto response = services::HttpResponse::text(
+                      it->second.xml, "text/xml;content=x-votable");
+                  response.origin_digest = it->second.digest;
+                  return response;
                 },
                 services::EndpointModel{10.0, 50.0, 0.0, true});
 }
@@ -499,7 +506,7 @@ bool MorphologyService::serve_materialized(RequestRecord& record,
     // (2b) Checkpoint-journal result cache: a cluster whose catalog was
     // persisted by an earlier (possibly killed) campaign completes without
     // re-staging, re-planning, or re-computing anything.
-    state_->results[out_lfn] = *journaled;
+    state_->results[out_lfn] = {*journaled, catalog_digest(*journaled)};
     rls_.add(out_lfn, config_.cache_site, record.result_lfn);
     grid_.put_file(config_.cache_site, out_lfn, journaled->size());
     trace.journal_hit = true;
@@ -1022,8 +1029,10 @@ void MorphologyService::materialize_catalog(Request& rq) {
     }
   }
   // (5) Materialize, register, and expose the output VOTable.
-  std::string& xml = state_->results[rq.out_lfn];
-  xml = rq.writer.finish();
+  auto& result = state_->results[rq.out_lfn];
+  result.xml = rq.writer.finish();
+  result.digest = catalog_digest(result.xml);
+  const std::string& xml = result.xml;
   rls_.add(rq.out_lfn, config_.cache_site, rq.record.result_lfn);
   grid_.put_file(config_.cache_site, rq.out_lfn, xml.size());
   if (rq.journal) {
@@ -1065,7 +1074,7 @@ Expected<MorphologyService::PollResult> MorphologyService::poll(
 
 const std::string* MorphologyService::result_xml(const std::string& out_lfn) const {
   const auto it = state_->results.find(out_lfn);
-  return it == state_->results.end() ? nullptr : &it->second;
+  return it == state_->results.end() ? nullptr : &it->second.xml;
 }
 
 Expected<votable::Table> MorphologyService::fetch_result(

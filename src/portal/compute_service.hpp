@@ -356,7 +356,13 @@ class MorphologyService {
   // Shared with fabric handler closures.
   struct State {
     std::map<std::string, RequestRecord> requests;          // id -> record
-    std::map<std::string, std::string> results;             // lfn -> VOTable XML
+    /// A materialized output VOTable and the content digest recorded when
+    /// it was stored, which /results hands the fabric as its signature.
+    struct Result {
+      std::string xml;
+      std::uint64_t digest = 0;
+    };
+    std::map<std::string, Result> results;                  // lfn -> catalog
     std::vector<std::string> order;                         // request ids, oldest first
   };
   std::shared_ptr<State> state_;

@@ -222,6 +222,8 @@ Expected<votable::Table> Portal::attach_cutout_refs(votable::Table catalog,
   std::size_t refs_attached = 0;
   catalog.add_column({"cutout_url", votable::DataType::kString, "", "meta.ref.url",
                       "galaxy cutout access reference"});
+  // The first column of that name, the one a by-name write would reach.
+  const std::size_t url_col = *catalog.column_index("cutout_url");
 
   // Matches one batch of records against catalog rows by position: for each
   // row, the nearest record strictly inside the 2 arcsec tolerance wins
@@ -250,8 +252,7 @@ Expected<votable::Table> Portal::attach_cutout_refs(votable::Table catalog,
             }
           }
           if (best) {
-            catalog.set_cell(i, "cutout_url",
-                             votable::Value::of_string(best->access_url));
+            catalog.row(i)[url_col] = votable::Value::of_string(best->access_url);
             ++refs_attached;
           }
         }
@@ -345,8 +346,7 @@ Expected<votable::Table> Portal::attach_cutout_refs(votable::Table catalog,
           best = &r;
         }
       }
-      catalog.set_cell(i, "cutout_url",
-                       votable::Value::of_string(best->access_url));
+      catalog.row(i)[url_col] = votable::Value::of_string(best->access_url);
       ++refs_attached;
     }
   }

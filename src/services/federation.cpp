@@ -97,6 +97,17 @@ SiaFinder make_field_finder(const sim::Universe& universe, const std::string& ti
   };
 }
 
+/// The stored 512 px optical field of the cluster named by CLUSTER=.
+StoredImageProducer optical_field(const sim::Universe* u) {
+  return [u](const Url& url) -> Expected<std::shared_ptr<const sim::EncodedFrame>> {
+    const auto name = url.param("CLUSTER");
+    if (!name) return Error(ErrorCode::kInvalidArgument, "no CLUSTER");
+    const sim::Cluster* c = u->find_cluster(*name);
+    if (!c) return Error(ErrorCode::kNotFound, "cluster " + *name);
+    return u->optical_field_fits(*c, 512, 2.0);
+  };
+}
+
 }  // namespace
 
 const std::vector<std::string>& Federation::archive_hosts() {
@@ -171,14 +182,7 @@ Federation register_federation(HttpFabric& fabric, const sim::Universe& universe
                  make_sia_query_handler(
                      make_field_finder(universe, "CNOC field", image_base, 512, 2.0)),
                  EndpointModel{110.0, 5.0, 0.0, true});
-    fabric.route(host, "/cnoc/image",
-                 make_image_handler([u](const Url& url) -> Expected<image::FitsFile> {
-                   const auto name = url.param("CLUSTER");
-                   if (!name) return Error(ErrorCode::kInvalidArgument, "no CLUSTER");
-                   const sim::Cluster* c = u->find_cluster(*name);
-                   if (!c) return Error(ErrorCode::kNotFound, "cluster " + *name);
-                   return u->optical_field(*c, 512, 2.0);
-                 }),
+    fabric.route(host, "/cnoc/image", make_stored_image_handler(optical_field(u)),
                  EndpointModel{110.0, 5.0, 0.0, true});
     fabric.route(host, "/cnoc/cone",
                  make_indexed_cone_search_handler(
@@ -194,41 +198,41 @@ Federation register_federation(HttpFabric& fabric, const sim::Universe& universe
     const std::string image_base = "http://" + host + "/dss/image";
     const Handler dss_sia_handler = make_sia_query_handler(
         make_field_finder(universe, "DSS", image_base, 512, 2.0));
-    const Handler dss_image_handler =
-        make_image_handler([u](const Url& url) -> Expected<image::FitsFile> {
-          const auto name = url.param("CLUSTER");
-          if (!name) return Error(ErrorCode::kInvalidArgument, "no CLUSTER");
-          const sim::Cluster* c = u->find_cluster(*name);
-          if (!c) return Error(ErrorCode::kNotFound, "cluster " + *name);
-          return u->optical_field(*c, 512, 2.0);
-        });
+    const Handler dss_image_handler = make_stored_image_handler(optical_field(u));
 
     // Cutout SIA: one record per catalogued galaxy inside the query cone.
     // The per-record acref points at the dynamic cutout endpoint — and a
     // wide cone returns every member in one query, which is exactly the
     // batched mode the paper says would speed things up "tremendously".
-    const std::string cutout_base = "http://" + host + "/cutout/image";
+    // Each access URL is "<base>?POS=<ra>,<dec>&SIZE=<deg>" with every
+    // number printed "%.6f"; the parts shared by every record are built once.
+    constexpr double kCutoutDeg = 64.0 / sky::kArcsecPerDeg;  // 64 pix at 1"/pix
+    const std::string cutout_prefix = "http://" + host + "/cutout/image?POS=";
+    const std::string cutout_suffix = "&SIZE=" + fixed(kCutoutDeg, 6);
     const Handler cutout_sia_handler = make_sia_query_handler(
-        [galaxy_index, cutout_base](const sky::Equatorial& pos, double size_deg) {
+        [galaxy_index, cutout_prefix, cutout_suffix](const sky::Equatorial& pos,
+                                                     double size_deg) {
           std::vector<SiaRecord> out;
-          const double cutout_deg = 64.0 / sky::kArcsecPerDeg;  // 64 pix at 1"/pix
           for (const std::size_t id :
                galaxy_index->index->query_cone(pos, size_deg / 2.0)) {
             const sim::GalaxyTruth& g = *galaxy_index->refs[id].galaxy;
             SiaRecord r;
             r.title = g.id;
             r.center = g.position;
-            r.size_deg = cutout_deg;
-            r.access_url =
-                format("%s?POS=%.6f,%.6f&SIZE=%.6f", cutout_base.c_str(),
-                       g.position.ra_deg, g.position.dec_deg, cutout_deg);
+            r.size_deg = kCutoutDeg;
+            r.access_url = cutout_prefix;
+            append_fixed(r.access_url, g.position.ra_deg, 6);
+            r.access_url += ',';
+            append_fixed(r.access_url, g.position.dec_deg, 6);
+            r.access_url += cutout_suffix;
             r.estimated_bytes = 64 * 64 * 4 + 2880 * 2;
             out.push_back(std::move(r));
           }
           return out;
         });
-    const Handler cutout_image_handler = make_image_handler(
-        [u, galaxy_index](const Url& url) -> Expected<image::FitsFile> {
+    const Handler cutout_image_handler = make_stored_image_handler(
+        [u, galaxy_index](
+            const Url& url) -> Expected<std::shared_ptr<const sim::EncodedFrame>> {
           const auto pos_text = url.param("POS");
           const auto size = url.param_double("SIZE");
           if (!pos_text || !size) {
@@ -247,7 +251,7 @@ Federation register_federation(HttpFabric& fabric, const sim::Universe& universe
             return Error(ErrorCode::kNotFound,
                          "no catalogued galaxy near " + pos.to_string());
           }
-          return u->galaxy_cutout(*hit.cluster, *hit.galaxy, pix);
+          return u->galaxy_cutout_fits(*hit.cluster, *hit.galaxy, pix);
         });
 
     fabric.route(host, "/dss/sia", dss_sia_handler, EndpointModel{80.0, 4.0, 0.0, true});

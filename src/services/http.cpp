@@ -1,6 +1,7 @@
 #include "services/http.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/strings.hpp"
 #include "services/integrity.hpp"
@@ -34,7 +35,13 @@ std::string url_decode(std::string_view s) {
   return out;
 }
 
+std::atomic<HttpFabric::OriginDigestAudit> g_origin_audit{nullptr};
+
 }  // namespace
+
+void HttpFabric::set_origin_digest_audit(OriginDigestAudit audit) {
+  g_origin_audit.store(audit, std::memory_order_release);
+}
 
 std::string url_encode(const std::string& s) {
   std::string out;
@@ -257,7 +264,16 @@ Expected<HttpResponse> HttpFabric::get(const std::string& url_text) {
   // Sign the payload at serve time: content digest bound to the canonical
   // request URL. Clients recompute after transfer; anything that alters the
   // bytes in flight (or replays another resource's bytes) breaks the match.
-  response.digest = integrity::sign_payload(response.body, url);
+  // An origin serving bytes it stored earlier hands over the digest it
+  // recorded then, so only the URL binding is computed here.
+  if (response.origin_digest != 0) {
+    response.digest = integrity::bind_digest(response.origin_digest, url.to_string());
+    if (const auto audit = g_origin_audit.load(std::memory_order_acquire)) {
+      audit(url, response);
+    }
+  } else {
+    response.digest = integrity::sign_payload(response.body, url);
+  }
   // Chaos corruption: the tamperer may alter the already-signed response
   // (bit flips, truncation, stale replays). Counted so tests can assert
   // every injected corruption was detected downstream.

@@ -4,7 +4,12 @@
 // response out, with a per-endpoint performance model (connection latency,
 // bandwidth, failure rate, up/down state) that reproduces the WAN behaviour
 // the prototype saw: per-request overhead dominating many-small-image
-// workloads, and archives occasionally being down.
+// workloads, and archives occasionally being down. Every successful
+// response leaves the fabric signed (services/integrity.hpp): the fabric
+// hashes the body, unless the handler serves an immutable payload it
+// stored earlier and hands over the digest it recorded then, in which case
+// the fabric only binds that digest to the URL. Chaos tampering acts after
+// signing either way.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +55,11 @@ struct HttpResponse {
   /// dispatch (see services/integrity.hpp). 0 means "unsigned" (hand-built
   /// fixture responses); verification treats unsigned as trivially valid.
   std::uint64_t digest = 0;
+  /// Set by a handler that serves an immutable payload it stored earlier:
+  /// the content digest of `body` it recorded when it stored the bytes.
+  /// The fabric then binds it to the URL instead of re-hashing the body.
+  /// 0 (the default) makes the fabric hash the body itself.
+  std::uint64_t origin_digest = 0;
 
   std::string body_text() const { return std::string(body.begin(), body.end()); }
   static HttpResponse text(std::string s, const std::string& type = "text/plain");
@@ -161,6 +171,14 @@ class HttpFabric : public HttpChannel {
     std::lock_guard lock(mu_);
     injector_ = std::move(injector);
   }
+
+  /// Origin-digest audit, a process-wide test seam: when installed, every
+  /// fabric calls it with each response whose handler supplied an
+  /// origin_digest, after signing and before any tamperer acts. Test
+  /// binaries install it once, before any request, to check each supplied
+  /// digest against the body it came with. It must not alter the response.
+  using OriginDigestAudit = void (*)(const Url&, const HttpResponse&);
+  static void set_origin_digest_audit(OriginDigestAudit audit);
 
   /// Response tamperer hook (the chaos corruption harness): called after a
   /// handler succeeds and the response has been signed, with the fabric's

@@ -6,7 +6,9 @@
 //
 //  - every HttpResponse is signed at serve time with a cheap content digest
 //    bound to the canonical request URL (so a stale replica — valid bytes
-//    for a *different* resource — is just as detectable as a bit flip);
+//    for a *different* resource — is just as detectable as a bit flip); an
+//    origin serving bytes it stored earlier supplies the content digest it
+//    recorded then, so only the URL binding happens at serve time;
 //  - clients recompute the digest after transfer and treat a mismatch as a
 //    retryable transport fault, counting against the unified retry budget;
 //  - a QuarantineList remembers (endpoint, resource) pairs that served bad
@@ -20,18 +22,14 @@
 #include <utility>
 #include <vector>
 
+#include "common/digest.hpp"
 #include "services/http.hpp"
 
 namespace nvo::services::integrity {
 
-/// Word-wise 64-bit digest over raw bytes: four 64-bit lanes over 32-byte
-/// blocks, tail bytes folded FNV-style, length mixed in. Every step is a
-/// bijection of the state, so any change confined to one lane — every
-/// single-bit flip among them — always changes the digest. Not
-/// cryptographic — the threat model is random corruption (bit flips,
-/// truncation, stale replays), not an adversary.
-std::uint64_t content_digest(const std::uint8_t* data, std::size_t n);
-std::uint64_t content_digest(const std::vector<std::uint8_t>& bytes);
+/// The payload digest (common/digest.hpp), under the name the integrity
+/// checks have always used.
+using nvo::content_digest;
 
 /// Binds a content digest to the resource it was served for. Both sides
 /// derive the binding from the *canonical* URL (Url::to_string of the

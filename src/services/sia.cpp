@@ -29,23 +29,31 @@ votable::Table sia_records_to_table(const std::vector<SiaRecord>& records) {
 }
 
 Expected<std::vector<SiaRecord>> sia_records_from_table(const votable::Table& table) {
-  for (const char* col : {"title", "ra", "dec", "size", "format", "acref"}) {
-    if (!table.column_index(col)) {
-      return Error(ErrorCode::kParseError, std::string("SIA table lacks column ") + col);
+  // Columns are looked up once, then read by index on every row.
+  enum Column { kTitle, kRa, kDec, kSize, kFormat, kAcref, kRequired };
+  const char* const names[kRequired] = {"title", "ra", "dec", "size", "format", "acref"};
+  std::size_t col[kRequired];
+  for (std::size_t c = 0; c < kRequired; ++c) {
+    const auto idx = table.column_index(names[c]);
+    if (!idx) {
+      return Error(ErrorCode::kParseError,
+                   std::string("SIA table lacks column ") + names[c]);
     }
+    col[c] = *idx;
   }
+  const auto filesize_col = table.column_index("filesize");
   std::vector<SiaRecord> out;
   out.reserve(table.num_rows());
-  for (std::size_t i = 0; i < table.num_rows(); ++i) {
+  for (const votable::Row& row : table.rows()) {
     SiaRecord r;
-    r.title = table.cell(i, "title").as_string().value_or("");
-    r.center.ra_deg = table.cell(i, "ra").as_number().value_or(0.0);
-    r.center.dec_deg = table.cell(i, "dec").as_number().value_or(0.0);
-    r.size_deg = table.cell(i, "size").as_number().value_or(0.0);
-    r.format = table.cell(i, "format").as_string().value_or("image/fits");
-    r.access_url = table.cell(i, "acref").as_string().value_or("");
+    if (const std::string* title = row[col[kTitle]].string_ref()) r.title = *title;
+    r.center.ra_deg = row[col[kRa]].as_number().value_or(0.0);
+    r.center.dec_deg = row[col[kDec]].as_number().value_or(0.0);
+    r.size_deg = row[col[kSize]].as_number().value_or(0.0);
+    if (const std::string* format = row[col[kFormat]].string_ref()) r.format = *format;
+    if (const std::string* url = row[col[kAcref]].string_ref()) r.access_url = *url;
     r.estimated_bytes = static_cast<std::size_t>(
-        table.cell(i, "filesize").as_long().value_or(0));
+        filesize_col ? row[*filesize_col].as_long().value_or(0) : 0);
     out.push_back(std::move(r));
   }
   return out;
@@ -84,6 +92,16 @@ Handler make_image_handler(ImageProducer producer) {
     auto fits = producer(url);
     if (!fits.ok()) return fits.error();
     return HttpResponse::binary(image::write_fits(fits.value()), "image/fits");
+  };
+}
+
+Handler make_stored_image_handler(StoredImageProducer producer) {
+  return [producer = std::move(producer)](const Url& url) -> Expected<HttpResponse> {
+    auto frame = producer(url);
+    if (!frame.ok()) return frame.error();
+    HttpResponse response = HttpResponse::binary(frame.value()->fits, "image/fits");
+    response.origin_digest = frame.value()->digest;
+    return response;
   };
 }
 

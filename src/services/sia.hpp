@@ -10,11 +10,13 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/expected.hpp"
 #include "image/fits.hpp"
 #include "services/http.hpp"
+#include "sim/render_cache.hpp"
 #include "sky/coords.hpp"
 #include "votable/table.hpp"
 
@@ -45,6 +47,14 @@ Handler make_sia_query_handler(SiaFinder finder);
 /// cutout service's POS/SIZE).
 using ImageProducer = std::function<Expected<image::FitsFile>(const Url&)>;
 Handler make_image_handler(ImageProducer producer);
+
+/// Server side, image retrieval from an archive's frame store: the producer
+/// returns the stored frame, whose bytes are served as they are, with the
+/// digest recorded at store time as the origin signature (no encode, no
+/// hash per serve).
+using StoredImageProducer =
+    std::function<Expected<std::shared_ptr<const sim::EncodedFrame>>(const Url&)>;
+Handler make_stored_image_handler(StoredImageProducer producer);
 
 /// Client side: metadata query. Accepts any HttpChannel — the raw fabric or
 /// a ResilientClient for retry/breaker/failover tolerance.

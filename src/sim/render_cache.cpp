@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "common/digest.hpp"
+
 namespace nvo::sim {
 
 void ContentHash::bytes(const void* data, std::size_t len) {
@@ -29,13 +31,7 @@ RenderCache& RenderCache::instance() {
   return cache;
 }
 
-std::size_t RenderCache::frame_bytes(const image::FitsFile& f) {
-  return static_cast<std::size_t>(f.data.width()) *
-             static_cast<std::size_t>(f.data.height()) * sizeof(float) +
-         256;  // header estimate
-}
-
-image::FitsFile RenderCache::get_or_render(
+std::shared_ptr<const EncodedFrame> RenderCache::get_or_render(
     std::uint64_t key, const std::function<image::FitsFile()>& render) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -46,8 +42,11 @@ image::FitsFile RenderCache::get_or_render(
     }
     ++misses_;
   }
-  image::FitsFile frame = render();
-  const std::size_t cost = frame_bytes(frame);
+  auto stored = std::make_shared<EncodedFrame>();
+  stored->fits = image::write_fits(render());
+  stored->digest = content_digest(stored->fits);
+  std::shared_ptr<const EncodedFrame> frame = std::move(stored);
+  const std::size_t cost = frame->fits.size();
   std::lock_guard<std::mutex> lock(mu_);
   if (bytes_ + cost > byte_budget_ && !frames_.empty()) {
     frames_.clear();
@@ -55,9 +54,7 @@ image::FitsFile RenderCache::get_or_render(
     ++clears_;
   }
   if (cost <= byte_budget_) {
-    const auto [it, inserted] = frames_.insert_or_assign(key, frame);
-    (void)it;
-    if (inserted) bytes_ += cost;
+    if (frames_.insert_or_assign(key, frame).second) bytes_ += cost;
   }
   return frame;
 }
@@ -77,6 +74,11 @@ void RenderCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   frames_.clear();
   bytes_ = 0;
+}
+
+image::FitsFile decode_frame(const EncodedFrame& frame) {
+  // The bytes are write_fits output, which read_fits always accepts.
+  return image::read_fits(frame.fits).value();
 }
 
 }  // namespace nvo::sim

@@ -14,12 +14,20 @@
 // key per cluster, which a Universe computes once when it adds the cluster
 // (not once per frame); it is still a content hash, so same-seed universes
 // share entries, and a cluster the Universe does not own is hashed in full.
+//
+// Entries are stored the way an archive stores files: the frame's encoded
+// FITS bytes plus their content digest, recorded once at insert. The
+// archive serves those bytes as they are and signs with the recorded
+// digest; callers that need pixels decode them (decode_frame). Holding one
+// representation keeps the table at one copy of each frame.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "image/fits.hpp"
 
@@ -40,19 +48,29 @@ class ContentHash {
   std::uint64_t h_ = 14695981039346656037ull;
 };
 
-/// Byte-budgeted memo table for rendered FITS frames, shared process-wide.
-/// Because regeneration is pure, eviction is allowed to be crude: when an
-/// insert would exceed the budget the whole table is dropped and rebuilt by
-/// subsequent misses (an O(1) policy that can never affect results).
+/// A rendered frame as the archive stores it: its FITS encoding and the
+/// content digest of those bytes (common/digest.hpp), recorded once when
+/// the frame is stored. Immutable, and shared by every reader.
+struct EncodedFrame {
+  std::vector<std::uint8_t> fits;
+  std::uint64_t digest = 0;
+};
+
+/// Byte-budgeted memo table for rendered frames, shared process-wide, one
+/// EncodedFrame per key. Because regeneration is pure, eviction is allowed
+/// to be crude: when an insert would exceed the budget the whole table is
+/// dropped and rebuilt by subsequent misses (an O(1) policy that can never
+/// affect results).
 class RenderCache {
  public:
   static RenderCache& instance();
 
-  /// Returns the cached frame for `key`, rendering and caching on a miss.
-  /// `render` runs outside the lock; concurrent misses on the same key may
-  /// render twice, producing identical frames (last insert wins).
-  image::FitsFile get_or_render(std::uint64_t key,
-                                const std::function<image::FitsFile()>& render);
+  /// Returns the stored frame for `key`; on a miss renders, encodes,
+  /// digests and stores it. `render` runs outside the lock; concurrent
+  /// misses on the same key may render twice, producing identical frames
+  /// (last insert wins).
+  std::shared_ptr<const EncodedFrame> get_or_render(
+      std::uint64_t key, const std::function<image::FitsFile()>& render);
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -68,15 +86,16 @@ class RenderCache {
       : byte_budget_(byte_budget) {}
 
  private:
-  static std::size_t frame_bytes(const image::FitsFile& f);
-
   const std::size_t byte_budget_;
   mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, image::FitsFile> frames_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<const EncodedFrame>> frames_;
   std::size_t bytes_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t clears_ = 0;
 };
+
+/// Decodes a stored frame for callers that need its pixels and header.
+image::FitsFile decode_frame(const EncodedFrame& frame);
 
 }  // namespace nvo::sim

@@ -117,6 +117,11 @@ const Cluster* Universe::find_cluster(const std::string& name) const {
 
 image::FitsFile Universe::optical_field(const Cluster& cluster, int size,
                                         double pixel_scale_arcsec) const {
+  return decode_frame(*optical_field_fits(cluster, size, pixel_scale_arcsec));
+}
+
+std::shared_ptr<const EncodedFrame> Universe::optical_field_fits(
+    const Cluster& cluster, int size, double pixel_scale_arcsec) const {
   ContentHash key;
   key.text("optical_field");
   key.i32(size);
@@ -186,6 +191,11 @@ bool Universe::cutout_is_corrupted(const GalaxyTruth& galaxy) const {
 
 image::FitsFile Universe::galaxy_cutout(const Cluster& cluster,
                                         const GalaxyTruth& galaxy, int size) const {
+  return decode_frame(*galaxy_cutout_fits(cluster, galaxy, size));
+}
+
+std::shared_ptr<const EncodedFrame> Universe::galaxy_cutout_fits(
+    const Cluster& cluster, const GalaxyTruth& galaxy, int size) const {
   // The frame depends on the target, every potential neighbor, the render
   // options, and the corruption draw (galaxy.seed ^ config_.seed) — hash
   // them all so only a truly identical synthesis can hit.

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "image/fits.hpp"
 #include "image/wcs.hpp"
 #include "sim/cluster.hpp"
+#include "sim/render_cache.hpp"
 #include "sim/xray.hpp"
 #include "sky/cosmology.hpp"
 #include "votable/table.hpp"
@@ -52,6 +54,10 @@ class Universe {
   /// cluster truth, so cached frames are bit-identical to fresh renders.
   image::FitsFile optical_field(const Cluster& cluster, int size = 512,
                                 double pixel_scale_arcsec = 2.0) const;
+  /// The same frame as the archive stores it: encoded FITS bytes plus
+  /// their digest, shared with the cache (no decode, no copy).
+  std::shared_ptr<const EncodedFrame> optical_field_fits(
+      const Cluster& cluster, int size = 512, double pixel_scale_arcsec = 2.0) const;
 
   /// Large-scale X-ray map (the ROSAT/Chandra image).
   image::FitsFile xray_field(const Cluster& cluster, int size = 256,
@@ -66,6 +72,11 @@ class Universe {
   /// hit is bit-identical to a fresh render.
   image::FitsFile galaxy_cutout(const Cluster& cluster, const GalaxyTruth& galaxy,
                                 int size = 64) const;
+  /// The same cutout as the archive stores and serves it (see
+  /// optical_field_fits).
+  std::shared_ptr<const EncodedFrame> galaxy_cutout_fits(const Cluster& cluster,
+                                                         const GalaxyTruth& galaxy,
+                                                         int size = 64) const;
 
   /// Whether this galaxy's cutout is in the corrupted subset.
   bool cutout_is_corrupted(const GalaxyTruth& galaxy) const;

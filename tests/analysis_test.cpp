@@ -2,11 +2,15 @@
 // density-morphology analysis on catalogs with known structure.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "analysis/dressler.hpp"
 #include "analysis/stats.hpp"
 #include "common/rng.hpp"
+#include "density_oracle.hpp"
 
 namespace nvo::analysis {
 namespace {
@@ -143,6 +147,128 @@ TEST(Density, HandlesTinySamples) {
   EXPECT_GT(two[0], 0.0);
 }
 
+/// Requires the grid search to reproduce the brute-force oracle's bits for
+/// every galaxy, at k = 10 and at a few other depths.
+void expect_density_matches_oracle(const std::vector<sky::Equatorial>& positions,
+                                   const sky::Equatorial& center,
+                                   const std::string& label) {
+  for (const int k : {10, 1, 3, 25}) {
+    const auto got = local_density_arcmin2(positions, center, k);
+    const auto want = oracle::local_density_arcmin2(positions, center, k);
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
+          << label << " k=" << k << " galaxy " << i << ": " << got[i] << " vs "
+          << want[i];
+    }
+  }
+}
+
+TEST(Density, GridMatchesOracleOnRandomClusters) {
+  // Centrally concentrated members over a uniform background, from 2 to
+  // 600 galaxies: the k-th neighbour distance must be the same bits.
+  const sky::Equatorial center{150.25, 2.1};
+  Rng rng(17);
+  for (const int n : {2, 3, 4, 5, 7, 9, 10, 11, 12, 16, 23, 37, 64, 101, 178, 250,
+                      333, 461, 561, 600}) {
+    std::vector<sky::Equatorial> positions;
+    for (int i = 0; i < n; ++i) {
+      const bool member = rng.uniform() < 0.7;
+      const double r = member ? 6.0 * rng.uniform() * rng.uniform() : 15.0 * rng.uniform();
+      const double theta = rng.uniform(0.0, 6.2831853);
+      positions.push_back(
+          sky::offset_by_arcmin(center, r * std::cos(theta), r * std::sin(theta)));
+    }
+    expect_density_matches_oracle(positions, center, "n=" + std::to_string(n));
+  }
+}
+
+TEST(Density, GridMatchesOracleOnCoincidentPositions) {
+  // Stacked duplicates make zero distances and many equal ones.
+  const sky::Equatorial center{10.0, -30.0};
+  Rng rng(19);
+  std::vector<sky::Equatorial> positions;
+  for (int i = 0; i < 6; ++i) {
+    const auto p = sky::offset_by_arcmin(center, rng.uniform(-3.0, 3.0),
+                                         rng.uniform(-3.0, 3.0));
+    for (int copy = 0; copy < 1 + i * 4; ++copy) positions.push_back(p);
+  }
+  expect_density_matches_oracle(positions, center, "stacked");
+  expect_density_matches_oracle(std::vector<sky::Equatorial>(40, center), center,
+                                "all at the center");
+}
+
+TEST(Density, GridMatchesOracleOnSharedXCoordinate) {
+  // Galaxies at the center's RA all project to xi = 0: every cut of the x
+  // axis ties, so the grid degenerates to one column.
+  const sky::Equatorial center{200.0, 0.0};
+  Rng rng(23);
+  std::vector<sky::Equatorial> column;
+  for (int i = 0; i < 120; ++i) {
+    column.push_back({center.ra_deg, rng.uniform(-0.2, 0.2)});
+  }
+  expect_density_matches_oracle(column, center, "one column");
+  std::vector<sky::Equatorial> mixed = column;
+  for (int i = 0; i < 40; ++i) {
+    mixed.push_back(sky::offset_by_arcmin(center, rng.uniform(-8.0, 8.0),
+                                          rng.uniform(-8.0, 8.0)));
+  }
+  expect_density_matches_oracle(mixed, center, "column plus field");
+}
+
+TEST(Density, GridMatchesOracleWhenKExceedsTheSample) {
+  // n <= k + 1: every other galaxy is a neighbour, so the search must
+  // reach the whole grid.
+  const sky::Equatorial center{0.5, 45.0};
+  Rng rng(29);
+  for (int n = 2; n <= 12; ++n) {
+    std::vector<sky::Equatorial> positions;
+    for (int i = 0; i < n; ++i) {
+      positions.push_back(sky::offset_by_arcmin(center, rng.uniform(-5.0, 5.0),
+                                                rng.uniform(-5.0, 5.0)));
+    }
+    expect_density_matches_oracle(positions, center, "n=" + std::to_string(n));
+  }
+}
+
+TEST(Density, GridMatchesOracleWithFarOutliers) {
+  // A cluster plus galaxies degrees away, one near the projection's
+  // horizon and one beyond it (project_tan saturates there).
+  const sky::Equatorial center{120.0, 10.0};
+  Rng rng(31);
+  std::vector<sky::Equatorial> positions;
+  for (int i = 0; i < 200; ++i) {
+    positions.push_back(sky::offset_by_arcmin(center, rng.normal(0.0, 2.0),
+                                              rng.normal(0.0, 2.0)));
+  }
+  positions.push_back({125.0, 10.0});
+  positions.push_back({120.0, -35.0});
+  positions.push_back({209.0, 10.0});
+  positions.push_back({300.0, -10.0});
+  expect_density_matches_oracle(positions, center, "outliers");
+}
+
+TEST(Density, NonFiniteCoordinatesAreInfinitelyFar) {
+  // Hostile catalog values: a NaN position must not poison its
+  // neighbours' densities, and gets density 0 itself.
+  const sky::Equatorial center{30.0, 5.0};
+  Rng rng(37);
+  std::vector<sky::Equatorial> finite;
+  for (int i = 0; i < 30; ++i) {
+    finite.push_back(sky::offset_by_arcmin(center, rng.uniform(-4.0, 4.0),
+                                           rng.uniform(-4.0, 4.0)));
+  }
+  std::vector<sky::Equatorial> hostile = finite;
+  hostile.push_back({std::nan(""), 5.0});
+  hostile.push_back({30.0, std::numeric_limits<double>::infinity()});
+  const auto want = local_density_arcmin2(finite, center);
+  const auto got = local_density_arcmin2(hostile, center);
+  ASSERT_EQ(got.size(), hostile.size());
+  for (std::size_t i = 0; i < finite.size(); ++i) EXPECT_EQ(got[i], want[i]) << i;
+  EXPECT_EQ(got[finite.size()], 0.0);
+  EXPECT_EQ(got[finite.size() + 1], 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // classifier + analyze_cluster
 // ---------------------------------------------------------------------------
@@ -260,6 +386,45 @@ TEST(Dressler, RadialBinCountHonored) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->early_fraction_vs_radius.size(), 7u);
   EXPECT_EQ(report->early_fraction_vs_density.size(), 7u);
+}
+
+TEST(Dressler, EveryValidGalaxyLandsInADensityBin) {
+  // Twelve galaxies over ~20 arcmin: every log density is negative, and
+  // the densest galaxy must still fall inside the top density bin.
+  using votable::DataType;
+  using votable::Field;
+  using votable::Value;
+  votable::Table t({Field{"id", DataType::kString}, Field{"ra", DataType::kDouble},
+                    Field{"dec", DataType::kDouble}, Field{"valid", DataType::kBool},
+                    Field{"concentration", DataType::kDouble},
+                    Field{"asymmetry", DataType::kDouble}});
+  const sky::Equatorial center{180.0, 0.0};
+  Rng rng(41);
+  for (int i = 0; i < 12; ++i) {
+    const auto pos = sky::offset_by_arcmin(center, rng.uniform(-10.0, 10.0),
+                                           rng.uniform(-10.0, 10.0));
+    (void)t.append_row({Value::of_string("G" + std::to_string(i)),
+                        Value::of_double(pos.ra_deg), Value::of_double(pos.dec_deg),
+                        Value::of_bool(true), Value::of_double(rng.normal(3.0, 0.5)),
+                        Value::of_double(rng.uniform(0.0, 0.3))});
+  }
+  auto report = analyze_cluster(t, center);
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+  double max_log_density = -1e300;
+  for (const AnalysisGalaxy& g : report->galaxies) {
+    max_log_density = std::max(max_log_density, g.log_local_density);
+  }
+  EXPECT_LT(max_log_density, 0.0);
+  std::size_t binned = 0;
+  for (const BinnedFraction& b : report->early_fraction_vs_density) binned += b.count;
+  EXPECT_EQ(binned, report->galaxies.size());
+
+  // The same holds on a larger catalog with positive log densities.
+  auto dense = analyze_cluster(synthetic_merged(300), center);
+  ASSERT_TRUE(dense.ok());
+  binned = 0;
+  for (const BinnedFraction& b : dense->early_fraction_vs_density) binned += b.count;
+  EXPECT_EQ(binned, dense->galaxies.size());
 }
 
 }  // namespace

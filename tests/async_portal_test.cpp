@@ -13,6 +13,7 @@
 
 #include "analysis/campaign.hpp"
 #include "obs/metrics.hpp"
+#include "origin_digest_audit.hpp"
 #include "portal/async_portal.hpp"
 #include "portal/load_gen.hpp"
 #include "portal/transforms.hpp"
@@ -670,6 +671,33 @@ TEST(AsyncPortal, MemoizationCoalescesDuplicateDerivations) {
   EXPECT_GT(stats.memo_hits, 0u);
   EXPECT_GT(stats.coalesced, 0u);
   EXPECT_GT(portal->memo_cache().stats().bytes, 0u);
+}
+
+TEST(AsyncPortal, MemoAndResultServesAreOriginSigned) {
+  // Duplicate derivations fetch the one materialized catalog repeatedly;
+  // each /results serve is signed with the digest recorded when the
+  // catalog was stored, and each matches the bytes served.
+  analysis::Campaign campaign(small_campaign());
+  auto portal = make_portal(campaign);
+  for (const char* t : {"alice", "bob"}) portal->add_tenant(t);
+  const std::uint64_t checked_before = OriginDigestAudit::checked();
+  for (int round = 0; round < 3; ++round) {
+    for (const char* t : {"alice", "bob"}) {
+      ASSERT_TRUE(portal->submit(t, cluster_name(campaign, round % 2)).admitted);
+    }
+  }
+  portal->drain();
+  EXPECT_EQ(portal->stats().done, 6u);
+  const auto results = campaign.fabric().metrics_for(
+      campaign.compute_service().config().host, "/results");
+  const auto cutouts = campaign.fabric().metrics_for(
+      services::Federation::kMastHost, "/cutout/image");
+  ASSERT_TRUE(results.has_value());
+  ASSERT_TRUE(cutouts.has_value());
+  EXPECT_GT(results->requests, 0u);
+  EXPECT_EQ(OriginDigestAudit::checked() - checked_before,
+            results->requests + cutouts->requests);
+  EXPECT_EQ(OriginDigestAudit::mismatched(), 0u);
 }
 
 TEST(AsyncPortal, MemoEvictionFallsBackToFullRun) {

@@ -13,6 +13,7 @@
 
 #include "analysis/campaign.hpp"
 #include "obs/metrics.hpp"
+#include "origin_digest_audit.hpp"
 #include "services/chaos.hpp"
 #include "services/federation.hpp"
 #include "services/http.hpp"
@@ -267,6 +268,33 @@ TEST(Chaos, CorruptionSweepNeverLeaksBadBytesIntoTheCatalog) {
           << kind << " @" << rate;
     }
   }
+}
+
+TEST(Chaos, TamperingActsOnOriginSignedPayloads) {
+  // Cutouts and catalogs are signed with the digest their origin recorded
+  // when it stored them. Every such digest matches its body when it leaves
+  // the origin (the audit runs before the tamperer), and a flipped bit in
+  // an origin-signed cutout is still caught by the client's digest check.
+  const std::uint64_t checked_before = OriginDigestAudit::checked();
+  CampaignConfig config = base_config(0.05);
+  config.chaos = corruption_on_mast("bit_flip", 0.5);
+  Campaign campaign(config);
+  obs::MetricsRegistry registry;
+  campaign.register_metrics(registry);
+  auto report = campaign.run();
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+
+  const auto cutouts =
+      campaign.fabric().metrics_for(services::Federation::kMastHost, "/cutout/image");
+  ASSERT_TRUE(cutouts.has_value());
+  EXPECT_GE(OriginDigestAudit::checked() - checked_before, cutouts->requests);
+  EXPECT_EQ(OriginDigestAudit::mismatched(), 0u);
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  const double injected = snap.counter("fabric.corruptions_injected");
+  EXPECT_GT(injected, 0.0);
+  EXPECT_EQ(snap.counter("client.portal.integrity_failures") +
+                snap.counter("client.compute.integrity_failures"),
+            injected);
 }
 
 TEST(Chaos, PersistentCorruptionQuarantinesThePrimaryArchive) {

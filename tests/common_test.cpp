@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 #include <thread>
 
 #include "common/expected.hpp"
@@ -260,6 +262,35 @@ TEST(Strings, ParseInt) {
 TEST(Strings, FormatAndFixed) {
   EXPECT_EQ(format("%s=%d", "x", 5), "x=5");
   EXPECT_EQ(fixed(3.14159, 2), "3.14");
+}
+
+TEST(Strings, AppendFixedMatchesPrintfBytes) {
+  // The cutout archive prints SIA access URLs with append_fixed, so every
+  // byte must be printf's. Exact binary ties (0.0078125 = 2^-7) round to
+  // even in both; 0.0000005 and 359.9999995 sit just off a tie.
+  const std::vector<double> values = {
+      0.0,        -0.0,         1.0,          -1.0,         0.0000005,
+      -0.0000005, 0.0000015,    359.9999995,  -359.9999995, 359.9999994999,
+      0.0078125,  -0.0078125,   0.0234375,    1.0078125,    0.01777777777777778,
+      187.70593,  -89.9999999,  89.99999950,  1e-300,       -1e-300,
+      1e15,       -1e15,        123456789012345678.0,       1e300,
+      -1e300,     1.7976931348623157e308,     4.9e-324,     2.5e-7};
+  Rng rng(43);
+  std::vector<double> all = values;
+  for (int i = 0; i < 2000; ++i) {
+    all.push_back(rng.uniform(-360.0, 360.0));
+    all.push_back(std::round(rng.uniform(-1e7, 1e7)) / 1e6 + 5e-7);
+  }
+  for (const double v : all) {
+    for (const int digits : {6, 0, 2, 9}) {
+      std::string appended = "x";
+      append_fixed(appended, v, digits);
+      EXPECT_EQ(appended, "x" + format("%.*f", digits, v)) << v << " digits " << digits;
+    }
+  }
+  EXPECT_EQ(fixed(-0.0, 6), "-0.000000");
+  EXPECT_EQ(fixed(0.0078125, 6), "0.007812");
+  EXPECT_EQ(fixed(0.0234375, 6), "0.023438");
 }
 
 TEST(Strings, ReplaceAll) {

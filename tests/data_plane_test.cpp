@@ -7,6 +7,7 @@
 #include "analysis/campaign.hpp"
 #include "analysis/dressler.hpp"
 #include "image/fits.hpp"
+#include "services/integrity.hpp"
 #include "sim/render_cache.hpp"
 #include "sim/universe.hpp"
 #include "votable/table_ops.hpp"
@@ -111,6 +112,15 @@ TEST(DataPlane, RenderCacheServesBitIdenticalFrames) {
   const auto cold = image::write_fits(u1.galaxy_cutout(cluster, galaxy));
   const auto warm = image::write_fits(u1.galaxy_cutout(cluster, galaxy));
   EXPECT_EQ(cold, warm);
+  // The cache holds the encoded frame and its digest; decoding it for a
+  // pixel caller and encoding again gives back the stored bytes, which are
+  // what a fresh synthesis encodes to.
+  const auto stored = u1.galaxy_cutout_fits(cluster, galaxy);
+  EXPECT_EQ(cold, stored->fits);
+  EXPECT_EQ(stored->digest, content_digest(stored->fits));
+  EXPECT_EQ(cold, image::write_fits(sim::synthesize_galaxy_cutout(
+                      cluster, galaxy, 64, u1.config().render, u1.config().seed,
+                      u1.config().corruption_rate)));
 
   auto u2 = sim::Universe::make_paper_campaign(20031115, 0.02);
   const auto twin = image::write_fits(
@@ -124,6 +134,37 @@ TEST(DataPlane, RenderCacheServesBitIdenticalFrames) {
   const auto other = image::write_fits(
       u3.galaxy_cutout(u3.clusters().front(), u3.clusters().front().galaxies.front()));
   EXPECT_NE(cold, other);
+}
+
+TEST(DataPlane, ArchiveServesPinnedCutoutBytes) {
+  // Every byte the simulated MAST cutout service serves in a small
+  // campaign: the SIA metadata bodies (which carry each record's access
+  // URL) and the cutout FITS bodies. The digests were taken from the
+  // printf-formatted, serve-time-encoded archive; a change to how the
+  // archive formats URLs or stores frames must not move a byte.
+  Campaign campaign(small_config());
+  std::vector<std::uint8_t> sia_bodies, image_bodies;
+  std::size_t sia_count = 0, image_count = 0;
+  campaign.fabric().set_response_tamperer(
+      [&](const services::Url& url, services::HttpResponse& response, double,
+          Rng&) {
+        if (url.path == "/cutout/sia") {
+          sia_bodies.insert(sia_bodies.end(), response.body.begin(),
+                            response.body.end());
+          ++sia_count;
+        } else if (url.path == "/cutout/image") {
+          image_bodies.insert(image_bodies.end(), response.body.begin(),
+                              response.body.end());
+          ++image_count;
+        }
+        return false;
+      });
+  auto report = campaign.run();
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+  EXPECT_EQ(sia_count, 51u);
+  EXPECT_EQ(services::integrity::content_digest(sia_bodies), 0x5932fcb347927be3ull);
+  EXPECT_EQ(image_count, 75u);
+  EXPECT_EQ(services::integrity::content_digest(image_bodies), 0x9fcb1b8e522a701aull);
 }
 
 TEST(DataPlane, FastCodecByteIdenticalToTreePath) {

@@ -131,6 +131,9 @@ TEST(Fits, RoundTripFloat32) {
   }
   EXPECT_EQ(parsed->header.get_string("OBJECT").value(), "TEST_GAL");
   EXPECT_NEAR(parsed->header.get_real("REDSHIFT").value(), 0.027886, 1e-9);
+  // Comments survive too, quoted cards' included, so encoding the decoded
+  // file reproduces the bytes (the archive's frame store relies on it).
+  EXPECT_EQ(write_fits(parsed.value()), bytes);
 }
 
 TEST(Fits, RoundTripInt16Quantizes) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "image/fits.hpp"
+#include "origin_digest_audit.hpp"
 #include "pegasus/rls.hpp"
 #include "services/chaos.hpp"
 #include "services/http.hpp"

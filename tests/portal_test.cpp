@@ -10,6 +10,7 @@
 #include "portal/compute_service.hpp"
 #include "portal/portal.hpp"
 #include "portal/transforms.hpp"
+#include "origin_digest_audit.hpp"
 #include "services/federation.hpp"
 #include "sim/universe.hpp"
 #include "vds/chimera.hpp"
@@ -214,6 +215,35 @@ TEST_F(PortalFixture, ServiceProtocolFullCycle) {
   EXPECT_GT(trace->execution.transfer_jobs, 0u);
   EXPECT_GT(trace->execution.register_jobs, 0u);
   EXPECT_GT(trace->total_sim_seconds, 0.0);
+}
+
+TEST_F(PortalFixture, StoredPayloadsAreSignedWithTheDigestRecordedAtStore) {
+  // The archive's cutouts and the service's catalogs carry the digest their
+  // origin recorded when it stored them; the signature a client checks is
+  // the same one a serve-time hash of the body would give.
+  const std::uint64_t checked_before = OriginDigestAudit::checked();
+  const std::string cluster = campaign_.universe().clusters().front().name();
+  auto run = campaign_.portal().run_analysis(cluster);
+  ASSERT_TRUE(run.ok()) << run.error().to_string();
+  const ServiceTrace* trace = campaign_.compute_service().last_trace();
+  ASSERT_NE(trace, nullptr);
+  // Every staged cutout and the one /results fetch were origin-signed.
+  EXPECT_GE(OriginDigestAudit::checked() - checked_before,
+            trace->images_fetched + 1);
+  EXPECT_EQ(OriginDigestAudit::mismatched(), 0u);
+
+  for (const std::string& text :
+       {run->catalog.cell(0, "cutout_url").as_string().value_or(""),
+        "http://" + campaign_.compute_service().config().host +
+            "/results?name=" + output_votable_lfn(cluster)}) {
+    auto response = campaign_.fabric().get(text);
+    ASSERT_TRUE(response.ok()) << text;
+    EXPECT_NE(response->origin_digest, 0u) << text;
+    auto url = services::Url::parse(text);
+    ASSERT_TRUE(url.ok());
+    EXPECT_EQ(response->digest, services::integrity::sign_payload(response->body, *url))
+        << text;
+  }
 }
 
 TEST_F(PortalFixture, SecondRequestIsCacheHit) {

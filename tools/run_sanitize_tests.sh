@@ -10,7 +10,7 @@
 # ThreadSanitizer in build-tsan/.
 #
 # Usage: tools/run_sanitize_tests.sh [ctest -R regex]
-#   default regex: resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test
+#   default regex: resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test
 #   BUILD_DIR=<dir>       ASan build tree (default: <repo>/build-asan)
 #   TSAN_BUILD_DIR=<dir>  TSan build tree (default: <repo>/build-tsan)
 #   NVO_SKIP_TSAN=1       run only the ASan phase
@@ -19,7 +19,7 @@ set -e
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-asan}"
 TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
-REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test}"
+REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test}"
 # obs_test/observability_test drive the traced portal pipeline through the
 # kernel thread pool, and grid_test appends to the checkpoint journal from a
 # thread pool, so they belong in the TSan lane too. soa_kernel_test runs
@@ -69,6 +69,11 @@ REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_pla
 # ASan lane only: the DAG, Chimera, the planner and the executor now index
 # nodes, sites and hash slots by position, so an index past the end is ASan
 # and UBSan territory.
+# analysis_test joins the ASan lane only: the Dressler k-NN density walks
+# rings of grid cells through offset arrays, and its tests drive the grid
+# through degenerate shapes (one column, stacked duplicates, far
+# outliers, k above the sample) where a ring or slab index could run off
+# an edge.
 TSAN_REGEX="${TSAN_REGEX:-replica_cache_test|data_plane_test|obs_test|observability_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test}"
 
 cmake -B "$BUILD" -S "$ROOT" -DNVO_SANITIZE="address;undefined" \
@@ -78,7 +83,7 @@ cmake --build "$BUILD" -j --target \
       obs_test observability_test integrity_test grid_test soa_kernel_test \
       survey_test async_portal_test dataflow_test multipool_test lifecycle_test \
       portal_test image_test sim_test kernel_equivalence_test core_test kernel_alloc_test \
-      vds_test pegasus_test property_test workflow_golden_test
+      vds_test pegasus_test property_test workflow_golden_test analysis_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
