@@ -53,7 +53,7 @@ AsyncPortal::AsyncPortal(services::HttpFabric& fabric,
       drr_(config_.drr),
       memo_cache_(config_.memo_cache),
       ids_("preq-"),
-      status_board_(std::make_shared<std::map<std::string, std::string>>()) {
+      requests_(std::make_shared<RequestStore>()) {
   // Evicted memo entries silently demote future duplicates to full runs;
   // the hook keeps accounting honest and drops the entry's parsed table, so
   // parsed catalogs stay bounded by the memo budget. Runs outside every
@@ -65,26 +65,28 @@ AsyncPortal::AsyncPortal(services::HttpFabric& fabric,
   });
 
   // The portal's own Fig. 6-style status endpoint: poll-able over the
-  // fabric, one id per request. The board is shared so the handler stays
-  // valid independent of the portal's lifetime.
-  auto board = status_board_;
+  // fabric, one id per request, rendered from the request record on read.
+  // The record store is shared so the handler stays valid independent of
+  // the portal's lifetime.
+  auto records = requests_;
   fabric_.route(
       config_.host, "/status",
-      [board](const services::Url& url) -> Expected<services::HttpResponse> {
+      [records](const services::Url& url) -> Expected<services::HttpResponse> {
         const auto it = url.query.find("id");
         if (it == url.query.end()) {
           return Error(ErrorCode::kInvalidArgument, "missing id parameter");
         }
-        const auto found = board->find(it->second);
-        if (found == board->end()) {
+        const auto found = records->find(it->second);
+        if (found == records->end()) {
           return Error(ErrorCode::kNotFound, "no request " + it->second);
         }
-        return services::HttpResponse::text(found->second, "text/plain");
+        return services::HttpResponse::text(status_line(found->second), "text/plain");
       },
       services::EndpointModel{2.0, 100.0, 0.0, true});
 }
 
 void AsyncPortal::add_cluster(ClusterEntry entry) {
+  derivations_[entry.name] = make_derivation(entry.name, "");
   clusters_.push_back(entry);
   for (auto& [name, tenant] : tenants_) tenant->portal->add_cluster(entry);
 }
@@ -110,6 +112,17 @@ void AsyncPortal::add_tenant(const std::string& name, double weight) {
 
 double AsyncPortal::now_ms() const { return fabric_.now_ms(); }
 
+std::shared_ptr<const AsyncPortal::Derivation> AsyncPortal::make_derivation(
+    const std::string& cluster, const std::string& params) const {
+  auto names = std::make_shared<Derivation>();
+  names->memo_key = cluster + "\x1f" + params;
+  names->out_name = params.empty() ? cluster : cluster + "_" + params;
+  names->out_lfn = output_votable_lfn(names->out_name);
+  names->result_url =
+      "http://" + compute_.config().host + "/results?name=" + names->out_lfn;
+  return names;
+}
+
 std::string AsyncPortal::status_url(const std::string& id) const {
   return "http://" + config_.host + "/status?id=" + id;
 }
@@ -124,10 +137,8 @@ Submission AsyncPortal::submit(const std::string& tenant_name,
     return out;
   }
   Tenant& tenant = *tit->second;
-  const bool known_cluster =
-      std::any_of(clusters_.begin(), clusters_.end(),
-                  [&](const ClusterEntry& c) { return c.name == cluster; });
-  if (!known_cluster) {
+  const auto known = derivations_.find(cluster);
+  if (known == derivations_.end()) {
     out.reason = "unknown cluster " + cluster;
     return out;
   }
@@ -135,16 +146,14 @@ Submission AsyncPortal::submit(const std::string& tenant_name,
   ++stats_.submitted;
   ++tenant.stats.submitted;
 
-  Request req;
-  req.id = ids_.next();
+  std::string id = ids_.next();
+  Request& req = requests_->try_emplace(id).first->second;
+  req.id = std::move(id);
   req.tenant = tenant_name;
   req.run.cluster = cluster;
   req.params = params;
-  req.memo_key = cluster + "\x1f" + params;
-  req.run.out_name = params.empty() ? cluster : cluster + "_" + params;
-  req.out_lfn = output_votable_lfn(req.run.out_name);
-  req.result_url =
-      "http://" + compute_.config().host + "/results?name=" + req.out_lfn;
+  req.names = params.empty() ? known->second : make_derivation(cluster, params);
+  req.run.out_name = req.names->out_name;
   req.submit_ms = now_ms();
   // The absolute deadline is fixed HERE, at submission — every layer below
   // computes its remaining budget against this instant, so queue time counts
@@ -167,9 +176,7 @@ Submission AsyncPortal::submit(const std::string& tenant_name,
     out.reason = req.error;
     out.retry_after_ms = decision.retry_after_ms;
     publish_status(req);
-    const std::string shed_id = req.id;
-    requests_.emplace(shed_id, std::move(req));
-    retire_to_ring(shed_id);
+    retire_to_ring(req.id);
     return out;
   }
 
@@ -178,7 +185,6 @@ Submission AsyncPortal::submit(const std::string& tenant_name,
   out.admitted = true;
   publish_status(req);
   tenant.queue.push_back(req.id);
-  requests_.emplace(req.id, std::move(req));
   drr_.activate(tenant_name);
   return out;
 }
@@ -209,7 +215,7 @@ bool AsyncPortal::idle() const { return drr_.active_count() == 0; }
 
 void AsyncPortal::run_unit(Tenant& tenant) {
   if (!tenant.running.empty()) {
-    advance(tenant, requests_.at(tenant.running));
+    advance(tenant, requests_->at(tenant.running));
     return;
   }
   if (tenant.queue.empty()) return;
@@ -227,15 +233,14 @@ void AsyncPortal::retire_to_ring(const std::string& id) {
   terminal_ring_.push_back(id);
   while (config_.shed_record_limit > 0 &&
          terminal_ring_.size() > config_.shed_record_limit) {
-    requests_.erase(terminal_ring_.front());
-    status_board_->erase(terminal_ring_.front());
+    requests_->erase(terminal_ring_.front());
     terminal_ring_.pop_front();
   }
 }
 
 Status AsyncPortal::cancel(const std::string& id, const std::string& reason) {
-  const auto it = requests_.find(id);
-  if (it == requests_.end()) {
+  const auto it = requests_->find(id);
+  if (it == requests_->end()) {
     return Error(ErrorCode::kNotFound, "no request " + id);
   }
   Request& req = it->second;
@@ -277,7 +282,7 @@ Status AsyncPortal::cancel(const std::string& id, const std::string& reason) {
 }
 
 void AsyncPortal::start_request(Tenant& tenant, const std::string& id) {
-  Request& req = requests_.at(id);
+  Request& req = requests_->at(id);
   if (req.ctx.cancel.cancelled()) {
     return cancel_request(tenant, req, "cancelled: " + req.ctx.cancel.reason());
   }
@@ -298,7 +303,7 @@ void AsyncPortal::start_request(Tenant& tenant, const std::string& id) {
     publish_status(req);
     return;
   }
-  if (const auto leader = inflight_.find(req.memo_key);
+  if (const auto leader = inflight_.find(req.names->memo_key);
       leader != inflight_.end() && leader->second != id) {
     // Single-flight: an identical derivation is in flight — park behind it
     // rather than racing it. Admission stays held (the request is still
@@ -308,7 +313,7 @@ void AsyncPortal::start_request(Tenant& tenant, const std::string& id) {
     return park_behind(leader->second, req);
   }
   release_admission(req);
-  inflight_[req.memo_key] = id;
+  inflight_[req.names->memo_key] = id;
   req.leader = true;
   req.state = RequestState::kRunning;
   req.stage = Stage::kPipeline;
@@ -371,17 +376,17 @@ void AsyncPortal::advance(Tenant& tenant, Request& req) {
 }
 
 void AsyncPortal::serve_from_memo(Tenant& tenant, Request& req) {
-  const auto payload = memo_cache_.get(req.out_lfn);
-  const std::string* xml = compute_.result_xml(req.out_lfn);
+  const auto payload = memo_cache_.get(req.names->out_lfn);
+  const std::string* xml = compute_.result_xml(req.names->out_lfn);
   if (!payload || !xml) {
     // Evicted (or the backing store lost it) between scheduling and serve:
     // demote to a full derivation, re-entering the single-flight protocol.
-    if (const auto leader = inflight_.find(req.memo_key);
+    if (const auto leader = inflight_.find(req.names->memo_key);
         leader != inflight_.end()) {
       tenant.running.clear();
       return park_behind(leader->second, req);
     }
-    inflight_[req.memo_key] = req.id;
+    inflight_[req.names->memo_key] = req.id;
     req.leader = true;
     req.stage = Stage::kPipeline;
     return;
@@ -389,9 +394,9 @@ void AsyncPortal::serve_from_memo(Tenant& tenant, Request& req) {
   // Serve the memoized catalog through the tenant's own client — a real
   // fabric fetch (latency, integrity verification, breaker accounting)
   // against the RLS-backed result store, not a zero-cost map lookup.
-  auto response = tenant.portal->fetch_result(req.result_url);
+  auto response = tenant.portal->fetch_result(req.names->result_url);
   if (!response.ok()) return fail_request(tenant, req, response.error().to_string());
-  auto table = memo_catalog(req.out_lfn, payload, response->body, req.run.trace);
+  auto table = memo_catalog(req.names->out_lfn, payload, response->body, req.run.trace);
   if (!table.ok()) return fail_request(tenant, req, table.error().to_string());
   req.memo_table = std::move(table.value());
   req.run.trace.galaxies = req.memo_table->num_rows();
@@ -523,7 +528,7 @@ void AsyncPortal::finish(Tenant& tenant, Request& req, RequestState state) {
   // fast path (queue front — they have waited the longest); a degraded or
   // failed result is NOT memoized and followers re-run independently, so
   // one tenant's chaos never propagates a bad catalog to another tenant.
-  inflight_.erase(req.memo_key);
+  inflight_.erase(req.names->memo_key);
   const auto fit = followers_.find(req.id);
   if (state == RequestState::kDone) memoize(req);
   if (fit == followers_.end()) return;
@@ -538,9 +543,9 @@ void AsyncPortal::finish(Tenant& tenant, Request& req, RequestState state) {
     // parked behind IT instead of fanning out into duplicate runs.
     const std::string new_leader_id = promoted.front();
     promoted.erase(promoted.begin());
-    Request& new_leader = requests_.at(new_leader_id);
+    Request& new_leader = requests_->at(new_leader_id);
     new_leader.leader = true;
-    inflight_[new_leader.memo_key] = new_leader_id;
+    inflight_[new_leader.names->memo_key] = new_leader_id;
     if (!promoted.empty()) {
       followers_[new_leader_id] = std::move(promoted);
     }
@@ -548,7 +553,7 @@ void AsyncPortal::finish(Tenant& tenant, Request& req, RequestState state) {
     return;
   }
   for (const std::string& fid : promoted) {
-    requeue(requests_.at(fid), /*front=*/state == RequestState::kDone);
+    requeue(requests_->at(fid), /*front=*/state == RequestState::kDone);
   }
 }
 
@@ -567,9 +572,9 @@ void AsyncPortal::refresh_activation(Tenant& tenant) {
 }
 
 void AsyncPortal::memoize(const Request& req) {
-  const std::string* xml = compute_.result_xml(req.out_lfn);
+  const std::string* xml = compute_.result_xml(req.names->out_lfn);
   if (!xml) return;
-  memo_cache_.put(req.out_lfn,
+  memo_cache_.put(req.names->out_lfn,
                   std::vector<std::uint8_t>(xml->begin(), xml->end()));
 }
 
@@ -577,23 +582,33 @@ bool AsyncPortal::memo_ready(const Request& req) const {
   // Valid only while BOTH layers hold the catalog: the portal's memo cache
   // (byte-budgeted; evictions demote to recompute) and the compute
   // service's RLS-backed result store that /results serves from.
-  return memo_cache_.contains(req.out_lfn) &&
-         compute_.result_xml(req.out_lfn) != nullptr;
+  return memo_cache_.contains(req.names->out_lfn) &&
+         compute_.result_xml(req.names->out_lfn) != nullptr;
 }
 
-void AsyncPortal::publish_status(const Request& req) {
+void AsyncPortal::publish_status(Request& req) {
+  req.shown_state = req.state;
+  req.shown_stage = stage_name(req);
+}
+
+std::string AsyncPortal::status_line(const Request& req) {
+  // Only the shown state and stage can lag the record. The retry-after and
+  // error it prints for a terminal state were set before that state was
+  // published, and a terminal record never changes again.
   std::string line = "id=" + req.id + " tenant=" + req.tenant +
-                     " cluster=" + req.run.cluster + " state=" + to_string(req.state) +
-                     " stage=" + stage_name(req);
-  if (req.state == RequestState::kShed || req.state == RequestState::kExpired ||
-      req.state == RequestState::kCancelled) {
+                     " cluster=" + req.run.cluster +
+                     " state=" + to_string(req.shown_state) +
+                     " stage=" + req.shown_stage;
+  if (req.shown_state == RequestState::kShed ||
+      req.shown_state == RequestState::kExpired ||
+      req.shown_state == RequestState::kCancelled) {
     line += format(" retry_after_ms=%.0f reason=%s", req.retry_after_ms,
                    req.error.c_str());
   }
-  if (!req.error.empty() && req.state == RequestState::kFailed) {
+  if (!req.error.empty() && req.shown_state == RequestState::kFailed) {
     line += " error=" + req.error;
   }
-  (*status_board_)[req.id] = std::move(line);
+  return line;
 }
 
 void AsyncPortal::observe_latency(const Request& req) {
@@ -609,8 +624,8 @@ void AsyncPortal::observe_latency(const Request& req) {
 }
 
 Expected<RequestStatus> AsyncPortal::status(const std::string& id) const {
-  const auto it = requests_.find(id);
-  if (it == requests_.end()) {
+  const auto it = requests_->find(id);
+  if (it == requests_->end()) {
     return Error(ErrorCode::kNotFound, "no request " + id);
   }
   const Request& req = it->second;
@@ -637,8 +652,8 @@ Expected<RequestStatus> AsyncPortal::status(const std::string& id) const {
 }
 
 const votable::Table* AsyncPortal::result(const std::string& id) const {
-  const auto it = requests_.find(id);
-  if (it == requests_.end()) return nullptr;
+  const auto it = requests_->find(id);
+  if (it == requests_->end()) return nullptr;
   const Request& req = it->second;
   // An expired request surfaces the partial catalog it had built when the
   // budget ran out (nullptr when it expired before producing anything).

@@ -7,7 +7,8 @@
 //     an explicit shed with retry-after when the system is saturated. Every
 //     request's status (queued/running/partial/done/failed/shed) is
 //     poll-able via status(), and via a status URL on the fabric, exactly
-//     like the compute service's own Fig. 6 protocol.
+//     like the compute service's own Fig. 6 protocol. The fabric document
+//     is rendered from the request record when it is read.
 //   * Admission control + load shedding: bounded per-tenant and global
 //     queues plus an optional byte budget (services::AdmissionController).
 //     Overload produces fast explicit rejections and bounded queue memory,
@@ -252,15 +253,30 @@ class AsyncPortal {
   /// terminal.
   enum class Stage { kStart, kPipeline, kMemoServe, kFinished };
 
+  /// The names a (cluster, params) derivation goes by. Built once per
+  /// registered cluster for the default derivation and shared by all of its
+  /// requests; a request with params builds its own.
+  struct Derivation {
+    std::string memo_key;    ///< single-flight key: cluster \x1f params
+    std::string out_name;    ///< compute-service output name
+    std::string out_lfn;     ///< its output VOTable LFN (the memo key)
+    std::string result_url;  ///< where /results serves that VOTable
+  };
+  std::shared_ptr<const Derivation> make_derivation(const std::string& cluster,
+                                                    const std::string& params) const;
+
   struct Request {
     std::string id;
     std::string tenant;
     std::string params;
-    std::string memo_key;
-    std::string out_lfn;
-    std::string result_url;
+    std::shared_ptr<const Derivation> names;
     RequestState state = RequestState::kQueued;
     Stage stage = Stage::kStart;
+    /// What the status document shows: the state and stage name as of the
+    /// last publish_status (the run's stage moves on between publishes).
+    /// The rest of the line is fixed by then; see status_line.
+    RequestState shown_state = RequestState::kQueued;
+    const char* shown_stage = "start";
     /// Deadline budget + cancellation token, carried down through federation
     /// queries, staging fetches and workflow dispatch. Each request owns an
     /// independent token.
@@ -282,6 +298,8 @@ class AsyncPortal {
     std::shared_ptr<const votable::Table> memo_table;
   };
   static const char* stage_name(const Request& req);
+  /// The /status document for `req`, rendered from its record.
+  static std::string status_line(const Request& req);
 
   struct Tenant {
     std::string name;
@@ -318,7 +336,8 @@ class AsyncPortal {
       const std::string& lfn, const services::ReplicaCache::Payload& payload,
       const std::vector<std::uint8_t>& bytes, PortalTrace& trace);
   bool memo_ready(const Request& req) const;
-  void publish_status(const Request& req);
+  /// Records the state and stage the status document shows for `req`.
+  void publish_status(Request& req);
   void observe_latency(const Request& req);
 
   services::HttpFabric& fabric_;
@@ -342,8 +361,14 @@ class AsyncPortal {
   std::unordered_map<std::string, ParsedMemo> parsed_memo_;
   IdGenerator ids_;
   std::vector<ClusterEntry> clusters_;
+  /// Registered cluster name -> its default derivation's names.
+  std::unordered_map<std::string, std::shared_ptr<const Derivation>> derivations_;
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;
-  std::unordered_map<std::string, Request> requests_;
+  /// Every poll-able request record, by id. Shared with the fabric's
+  /// /status route, which renders a record's line on read, so the route
+  /// stays valid however long the fabric outlives the portal.
+  using RequestStore = std::unordered_map<std::string, Request>;
+  std::shared_ptr<RequestStore> requests_;
   /// Single-flight registry: memo key -> leader request id.
   std::unordered_map<std::string, std::string> inflight_;
   /// Leader id -> parked follower ids (promoted when the leader resolves).
@@ -353,9 +378,6 @@ class AsyncPortal {
   /// them can grow the status map without bound).
   std::deque<std::string> terminal_ring_;
   Stats stats_;
-  /// Fabric status board: id -> status line (shared with the /status route
-  /// so the handler outlives the portal safely).
-  std::shared_ptr<std::map<std::string, std::string>> status_board_;
   obs::Histogram* latency_hist_ = nullptr;
   std::map<std::string, obs::Histogram*> tenant_hists_;
   obs::MetricsRegistry* registry_ = nullptr;

@@ -35,6 +35,25 @@ std::string url_decode(std::string_view s) {
   return out;
 }
 
+/// Appends `s` percent-encoded: every byte outside the unreserved set
+/// (and ',') becomes %XX.
+void append_encoded(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  for (const char c : s) {
+    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                      (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.' ||
+                      c == '~' || c == ',';
+    if (safe) {
+      out += c;
+    } else {
+      const auto byte = static_cast<unsigned char>(c);
+      out += '%';
+      out += kHex[byte >> 4];
+      out += kHex[byte & 0xF];
+    }
+  }
+}
+
 std::atomic<HttpFabric::OriginDigestAudit> g_origin_audit{nullptr};
 
 }  // namespace
@@ -43,30 +62,15 @@ void HttpFabric::set_origin_digest_audit(OriginDigestAudit audit) {
   g_origin_audit.store(audit, std::memory_order_release);
 }
 
-std::string url_encode(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.' ||
-                      c == '~' || c == ',';
-    if (safe) {
-      out += c;
-    } else {
-      out += format("%%%02X", static_cast<unsigned char>(c));
-    }
-  }
-  return out;
-}
-
 std::string Url::to_string() const {
   std::string out = scheme + "://" + host + path;
   bool first = true;
   for (const auto& [k, v] : query) {
     out += first ? '?' : '&';
     first = false;
-    out += k;
+    append_encoded(out, k);
     out += '=';
-    out += url_encode(v);
+    append_encoded(out, v);
   }
   return out;
 }
@@ -95,10 +99,13 @@ Expected<Url> Url::parse(const std::string& text) {
   }
   url.path = std::string(rest.substr(0, query_start));
   rest.remove_prefix(query_start + 1);
-  for (const std::string& pair : split(rest, '&')) {
+  while (!rest.empty()) {
+    const std::size_t amp = rest.find('&');
+    const std::string_view pair = rest.substr(0, amp);
+    rest.remove_prefix(amp == std::string_view::npos ? rest.size() : amp + 1);
     if (pair.empty()) continue;
     const std::size_t eq = pair.find('=');
-    if (eq == std::string::npos) {
+    if (eq == std::string_view::npos) {
       url.query[url_decode(pair)] = "";
     } else {
       url.query[url_decode(pair.substr(0, eq))] = url_decode(pair.substr(eq + 1));
@@ -119,7 +126,7 @@ std::optional<double> Url::param_double(const std::string& key) const {
   return parse_double(*v);
 }
 
-HttpResponse HttpResponse::text(std::string s, const std::string& type) {
+HttpResponse HttpResponse::text(std::string_view s, const std::string& type) {
   HttpResponse r;
   r.content_type = type;
   r.body.assign(s.begin(), s.end());
@@ -207,8 +214,10 @@ HttpFabric::Route* HttpFabric::find_route(const Url& url) {
 Expected<HttpResponse> HttpFabric::get(const std::string& url_text) {
   const auto parsed = Url::parse(url_text);
   if (!parsed.ok()) return parsed.error();
-  const Url& url = parsed.value();
+  return get(parsed.value(), parsed->to_string());
+}
 
+Expected<HttpResponse> HttpFabric::get(const Url& url, std::string_view canonical) {
   // One lock around the whole dispatch keeps the RNG stream, the fault
   // injector, and the metric charges atomic per request — the draw order
   // (and therefore every simulated timing) is identical to the historical
@@ -267,12 +276,12 @@ Expected<HttpResponse> HttpFabric::get(const std::string& url_text) {
   // An origin serving bytes it stored earlier hands over the digest it
   // recorded then, so only the URL binding is computed here.
   if (response.origin_digest != 0) {
-    response.digest = integrity::bind_digest(response.origin_digest, url.to_string());
+    response.digest = integrity::bind_digest(response.origin_digest, canonical);
     if (const auto audit = g_origin_audit.load(std::memory_order_acquire)) {
       audit(url, response);
     }
   } else {
-    response.digest = integrity::sign_payload(response.body, url);
+    response.digest = integrity::sign_payload(response.body, canonical);
   }
   // Chaos corruption: the tamperer may alter the already-signed response
   // (bit flips, truncation, stale replays). Counted so tests can assert

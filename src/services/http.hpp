@@ -19,6 +19,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/expected.hpp"
@@ -34,16 +35,19 @@ struct Url {
   std::string path;                          ///< begins with '/'
   std::map<std::string, std::string> query;  ///< decoded key -> value
 
+  /// The canonical form: keys and values percent-encoded, keys in sorted
+  /// order. parse(to_string()) gives this Url back whenever `host` holds
+  /// no '/' and `path` begins with '/' and holds no '?', which every
+  /// parsed Url satisfies.
   std::string to_string() const;
   static Expected<Url> parse(const std::string& text);
+
+  bool operator==(const Url&) const = default;
 
   /// Query parameter lookup.
   std::optional<std::string> param(const std::string& key) const;
   std::optional<double> param_double(const std::string& key) const;
 };
-
-/// Percent-encodes a query value.
-std::string url_encode(const std::string& s);
 
 struct HttpResponse {
   int status = 200;
@@ -62,7 +66,7 @@ struct HttpResponse {
   std::uint64_t origin_digest = 0;
 
   std::string body_text() const { return std::string(body.begin(), body.end()); }
-  static HttpResponse text(std::string s, const std::string& type = "text/plain");
+  static HttpResponse text(std::string_view s, const std::string& type = "text/plain");
   static HttpResponse binary(std::vector<std::uint8_t> bytes, const std::string& type);
 };
 
@@ -106,8 +110,16 @@ class HttpFabric : public HttpChannel {
   Status set_up(const std::string& host, const std::string& path_prefix, bool up);
 
   /// Issues a GET. On success the response's elapsed_ms includes the
-  /// endpoint model's latency + transfer time.
+  /// endpoint model's latency + transfer time. Parses `url_text` and
+  /// delegates to the parsed-URL entry point below.
   Expected<HttpResponse> get(const std::string& url_text) override;
+
+  /// Issues a GET for an already parsed URL. `canonical` must be
+  /// `url.to_string()`: the response is signed against it, so a client that
+  /// parsed the text once verifies against the same string without
+  /// re-serializing. Routing, fault draws, signing and clock charges are
+  /// those of the text entry point for the text `canonical`.
+  Expected<HttpResponse> get(const Url& url, std::string_view canonical);
 
   /// Cumulative metrics. `failures` counts every unsuccessful request:
   /// sampled 503s, hard-down endpoints (`up == false`), handler errors,

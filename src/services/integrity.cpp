@@ -4,7 +4,7 @@
 
 namespace nvo::services::integrity {
 
-std::uint64_t bind_digest(std::uint64_t content, const std::string& canonical_url) {
+std::uint64_t bind_digest(std::uint64_t content, std::string_view canonical_url) {
   // splitmix64 finalization over the (content, binding) pair: a single-bit
   // change in either input flips roughly half the output bits, and the
   // result is never the "unsigned" sentinel by accident in practice.
@@ -13,13 +13,22 @@ std::uint64_t bind_digest(std::uint64_t content, const std::string& canonical_ur
   return mixed == 0 ? 0x9e3779b97f4a7c15ull : mixed;
 }
 
+std::uint64_t sign_payload(const std::vector<std::uint8_t>& body,
+                           std::string_view canonical_url) {
+  return bind_digest(content_digest(body), canonical_url);
+}
+
 std::uint64_t sign_payload(const std::vector<std::uint8_t>& body, const Url& url) {
-  return bind_digest(content_digest(body), url.to_string());
+  return sign_payload(body, url.to_string());
+}
+
+bool payload_mismatch(const HttpResponse& response, std::string_view canonical_url) {
+  if (response.digest == 0) return false;  // unsigned fixture response
+  return sign_payload(response.body, canonical_url) != response.digest;
 }
 
 bool payload_mismatch(const HttpResponse& response, const Url& url) {
-  if (response.digest == 0) return false;  // unsigned fixture response
-  return sign_payload(response.body, url) != response.digest;
+  return payload_mismatch(response, url.to_string());
 }
 
 std::string resource_key(const Url& url) { return url.path; }

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,15 +35,21 @@ using nvo::content_digest;
 /// Binds a content digest to the resource it was served for. Both sides
 /// derive the binding from the *canonical* URL (Url::to_string of the
 /// parsed request), so client-side encoding quirks cannot desynchronize
-/// the signature.
-std::uint64_t bind_digest(std::uint64_t content, const std::string& canonical_url);
+/// the signature. The resilient client computes that string once per
+/// fetch and hands the same string to the fabric, which signs against it.
+std::uint64_t bind_digest(std::uint64_t content, std::string_view canonical_url);
 
-/// Serve-time signature: content digest of `body` bound to `url`.
+/// Serve-time signature: content digest of `body` bound to the canonical
+/// URL (the Url overload serializes `url` first).
+std::uint64_t sign_payload(const std::vector<std::uint8_t>& body,
+                           std::string_view canonical_url);
 std::uint64_t sign_payload(const std::vector<std::uint8_t>& body, const Url& url);
 
 /// True when `response` carries a signature and it does NOT match the body
-/// as received for `url`. Unsigned responses (digest == 0) verify trivially:
-/// the fabric signs everything, but hand-built fixtures may not.
+/// as received for the canonical URL. Unsigned responses (digest == 0)
+/// verify trivially: the fabric signs everything, but hand-built fixtures
+/// may not.
+bool payload_mismatch(const HttpResponse& response, std::string_view canonical_url);
 bool payload_mismatch(const HttpResponse& response, const Url& url);
 
 /// The quarantine resource key for a URL: the service path only, so one bad

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/strings.hpp"
 
@@ -131,7 +132,10 @@ BreakerState ResilientClient::breaker_state(const std::string& host) const {
 Expected<HttpResponse> ResilientClient::get_from_host(const Url& url,
                                                       double deadline_ms,
                                                       Endpoint& ep) {
-  Error last(ErrorCode::kServiceUnavailable, url.host + " unreachable");
+  // One canonical string per host: every attempt hands it to the fabric,
+  // which signs against it, and verifies against it here.
+  const std::string canonical = url.to_string();
+  std::optional<Error> last;
   for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
     const double now = fabric_.now_ms();
     if (ctx_.cancelled()) {
@@ -150,7 +154,7 @@ Expected<HttpResponse> ResilientClient::get_from_host(const Url& url,
 
     ++ep.stats.attempts;
     if (attempt > 1) ++ep.stats.retries;
-    auto response = fabric_.get(url.to_string());
+    auto response = fabric_.get(url, canonical);
     const double attempt_ms = fabric_.now_ms() - now;
 
     if (response.ok()) {
@@ -161,7 +165,7 @@ Expected<HttpResponse> ResilientClient::get_from_host(const Url& url,
       // not match the serve-time signature is a transport fault in disguise
       // (bit flip, short read, stale replica) and is retried like a 503.
       const bool corrupted = !timed_out && !server_error && retry_.verify_digests &&
-                             integrity::payload_mismatch(*response, url);
+                             integrity::payload_mismatch(*response, canonical);
       if (!timed_out && !server_error && !corrupted) {
         // Success — or a protocol-level reply (4xx) the caller must see.
         // Verified bytes also lift any standing quarantine on this replica.
@@ -229,7 +233,8 @@ Expected<HttpResponse> ResilientClient::get_from_host(const Url& url,
     fabric_.advance_clock(wait);
     ep.stats.backoff_wait_ms += wait;
   }
-  return last;
+  if (!last) return Error(ErrorCode::kServiceUnavailable, url.host + " unreachable");
+  return *last;
 }
 
 Expected<HttpResponse> ResilientClient::get(const std::string& url_text) {

@@ -1053,6 +1053,164 @@ TEST(AsyncPortal, StatusServedOverTheFabric) {
       campaign.fabric().get("http://portal.nvo.sim/status").ok());  // no id
 }
 
+// The /status document, byte for byte. Its size is charged on the
+// simulated clock, so the bodies and the final clock reading below are
+// observable and were pinned from the build that kept a formatted status
+// board; rendering on read must reproduce them.
+std::string status_body(analysis::Campaign& campaign, const AsyncPortal& portal,
+                        const std::string& id) {
+  const auto response = campaign.fabric().get(portal.status_url(id));
+  if (!response.ok()) return "error " + response.error().to_string();
+  return response->body_text();
+}
+
+TEST(AsyncPortal, StatusDocumentPinsLifecycleAndMemoServe) {
+  analysis::Campaign campaign(small_campaign());
+  auto portal = make_portal(campaign);
+  portal->add_tenant("alice");
+  portal->add_tenant("bob");
+  const std::string cluster = cluster_name(campaign, 0);
+  const Submission lead = portal->submit("alice", cluster);
+  const Submission dup = portal->submit("bob", cluster);
+  ASSERT_TRUE(lead.admitted && dup.admitted);
+  EXPECT_EQ(status_body(campaign, *portal, lead.id),
+            "id=preq--000001 tenant=alice cluster=MS0906 state=queued stage=start");
+
+  ASSERT_TRUE(portal->step());  // alice starts her derivation
+  EXPECT_EQ(status_body(campaign, *portal, lead.id),
+            "id=preq--000001 tenant=alice cluster=MS0906 state=running stage=images");
+  for (int i = 0; i < 500 && portal->stats().waiting < 1; ++i) portal->step();
+  ASSERT_EQ(portal->stats().waiting, 1u);
+  EXPECT_EQ(status_body(campaign, *portal, dup.id),
+            "id=preq--000002 tenant=bob cluster=MS0906 state=queued stage=start");
+  for (int i = 0; i < 500 && portal->status(lead.id)->stage == "images"; ++i) {
+    portal->step();
+  }
+  ASSERT_EQ(portal->status(lead.id)->state, RequestState::kRunning);
+  ASSERT_NE(portal->status(lead.id)->stage, "images");
+  // The document still names the stage the leader's line was published
+  // with, not the one its run has reached since.
+  EXPECT_EQ(status_body(campaign, *portal, lead.id),
+            "id=preq--000001 tenant=alice cluster=MS0906 state=running stage=images");
+
+  for (int i = 0; i < 500 && portal->status(lead.id)->state == RequestState::kRunning;
+       ++i) {
+    portal->step();
+  }
+  EXPECT_EQ(status_body(campaign, *portal, lead.id),
+            "id=preq--000001 tenant=alice cluster=MS0906 state=done stage=finished");
+  EXPECT_EQ(status_body(campaign, *portal, dup.id),  // promoted, queued
+            "id=preq--000002 tenant=bob cluster=MS0906 state=queued stage=start");
+  ASSERT_TRUE(portal->step());  // bob starts on the memo
+  EXPECT_EQ(status_body(campaign, *portal, dup.id),
+            "id=preq--000002 tenant=bob cluster=MS0906 state=running stage=memo_serve");
+  portal->drain();
+  EXPECT_TRUE(portal->status(dup.id)->memo_hit);
+  EXPECT_EQ(status_body(campaign, *portal, dup.id),
+            "id=preq--000002 tenant=bob cluster=MS0906 state=done stage=finished");
+  EXPECT_EQ(portal->now_ms(), 5882.0088196466841);
+}
+
+TEST(AsyncPortal, StatusDocumentPinsFailedAndPartial) {
+  {
+    analysis::CampaignConfig config = small_campaign();
+    config.chaos.kill_after_nodes(3);
+    analysis::Campaign campaign(config);
+    auto portal = make_portal(campaign);
+    portal->add_tenant("alice");
+    const Submission doomed = portal->submit("alice", cluster_name(campaign, 0));
+    portal->drain();
+    ASSERT_EQ(portal->status(doomed.id)->state, RequestState::kFailed);
+    EXPECT_EQ(status_body(campaign, *portal, doomed.id),
+              "id=preq--000001 tenant=alice cluster=MS0906 state=failed stage=finished "
+              "error=kComputeFailed: compute service failed: request accepted: MS0906; "
+              "staging 11 galaxy images; error: kAborted: chaos kill after 3 node "
+              "completions");
+    EXPECT_EQ(portal->now_ms(), 2264.7933272249597);
+  }
+  {
+    analysis::CampaignConfig config = small_campaign();
+    config.chaos.outage(services::Federation::kCadcHost, 0.0, 60'000.0);
+    analysis::Campaign campaign(config);
+    auto portal = make_portal(campaign);
+    portal->add_tenant("alice");
+    const Submission inside = portal->submit("alice", cluster_name(campaign, 0));
+    portal->drain();
+    ASSERT_EQ(portal->status(inside.id)->state, RequestState::kPartial);
+    EXPECT_EQ(status_body(campaign, *portal, inside.id),
+              "id=preq--000001 tenant=alice cluster=MS0906 state=partial stage=finished");
+    EXPECT_EQ(portal->now_ms(), 6859.2004467602792);
+  }
+}
+
+TEST(AsyncPortal, StatusDocumentPinsShedExpiredCancelledAndTrimmed) {
+  analysis::Campaign campaign(small_campaign());
+  AsyncPortalConfig config;
+  config.admission.per_tenant_queue_limit = 2;
+  config.admission.global_queue_limit = 2;
+  config.shed_record_limit = 3;
+  auto portal = make_portal(campaign, config);
+  portal->add_tenant("alice");
+
+  const Submission late = portal->submit("alice", cluster_name(campaign, 0), "", 1.0);
+  const Submission dropped = portal->submit("alice", cluster_name(campaign, 1));
+  const Submission shed = portal->submit("alice", cluster_name(campaign, 2));
+  ASSERT_TRUE(late.admitted && dropped.admitted);
+  ASSERT_FALSE(shed.admitted);
+  EXPECT_EQ(status_body(campaign, *portal, shed.id),
+            "id=preq--000003 tenant=alice cluster=MS1455 state=shed stage=start "
+            "retry_after_ms=1000 reason=tenant_queue_full");
+  ASSERT_TRUE(portal->cancel(dropped.id, "client gave up").ok());
+  EXPECT_EQ(status_body(campaign, *portal, dropped.id),
+            "id=preq--000002 tenant=alice cluster=A2390 state=cancelled stage=finished "
+            "retry_after_ms=750 reason=cancelled: client gave up");
+  portal->drain();
+  ASSERT_EQ(portal->status(late.id)->state, RequestState::kExpired);
+  EXPECT_EQ(status_body(campaign, *portal, late.id),
+            "id=preq--000001 tenant=alice cluster=MS0906 state=expired stage=finished "
+            "retry_after_ms=500 reason=deadline budget exhausted in queue");
+
+  // A fourth terminal record trims the oldest (the shed one) off the ring.
+  const Submission extra = portal->submit("alice", cluster_name(campaign, 3));
+  ASSERT_TRUE(portal->cancel(extra.id).ok());
+  EXPECT_EQ(status_body(campaign, *portal, extra.id),
+            "id=preq--000004 tenant=alice cluster=A2029 state=cancelled stage=finished "
+            "retry_after_ms=500 reason=cancelled: client cancel");
+  const auto trimmed = campaign.fabric().get(portal->status_url(shed.id));
+  ASSERT_FALSE(trimmed.ok());
+  EXPECT_EQ(trimmed.error().code, ErrorCode::kNotFound);
+  EXPECT_EQ(status_body(campaign, *portal, dropped.id),
+            "id=preq--000002 tenant=alice cluster=A2390 state=cancelled stage=finished "
+            "retry_after_ms=750 reason=cancelled: client gave up");
+  EXPECT_EQ(portal->now_ms(), 12.008889485558225);
+}
+
+TEST(AsyncPortal, StatusDocumentPinsReElectedLeader) {
+  analysis::Campaign campaign(small_campaign());
+  auto portal = make_portal(campaign);
+  portal->add_tenant("alice");
+  portal->add_tenant("bob");
+  const std::string cluster = cluster_name(campaign, 1);
+  const Submission lead = portal->submit("alice", cluster);
+  const Submission follow = portal->submit("bob", cluster);
+  for (int i = 0; i < 500 && portal->stats().waiting < 1; ++i) portal->step();
+  ASSERT_EQ(portal->stats().waiting, 1u);
+  ASSERT_TRUE(portal->cancel(lead.id, "leader abandoned").ok());
+  for (int i = 0; i < 500 && portal->status(lead.id)->state == RequestState::kRunning;
+       ++i) {
+    portal->step();
+  }
+  EXPECT_EQ(status_body(campaign, *portal, lead.id),
+            "id=preq--000001 tenant=alice cluster=A2390 state=cancelled stage=finished "
+            "retry_after_ms=750 reason=cancelled: leader abandoned");
+  EXPECT_EQ(status_body(campaign, *portal, follow.id),  // re-elected
+            "id=preq--000002 tenant=bob cluster=A2390 state=queued stage=start");
+  portal->drain();
+  EXPECT_EQ(status_body(campaign, *portal, follow.id),
+            "id=preq--000002 tenant=bob cluster=A2390 state=done stage=finished");
+  EXPECT_EQ(portal->now_ms(), 5373.4025671110712);
+}
+
 // ---------------------------------------------------------------------------
 // Open-loop load generation
 // ---------------------------------------------------------------------------

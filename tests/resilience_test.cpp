@@ -6,6 +6,7 @@
 
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "services/chaos.hpp"
 #include "services/http.hpp"
@@ -341,6 +342,85 @@ TEST(ResilientClient, ZeroFaultRunIsBitIdenticalToRawFabric) {
                    wrapped_fabric.metrics().total_elapsed_ms);
   EXPECT_EQ(raw.metrics().bytes_transferred,
             wrapped_fabric.metrics().bytes_transferred);
+}
+
+// The client parses a URL once and hands the fabric the parsed Url and its
+// canonical string; the fabric's text entry point parses and canonicalizes
+// itself. Both must dispatch identically: same routing, fault and tamper
+// draws, signatures and clock charges, bit for bit.
+TEST(ResilientClient, ParsedUrlEntryPointMatchesTheTextEntryPoint) {
+  const auto build = [](HttpFabric& fabric) {
+    fabric.route("a.sim", "/echo",
+                 [](const Url& url) {
+                   return HttpResponse::text("echo " + url.to_string());
+                 },
+                 EndpointModel{25.0, 4.0, 0.0, true});
+    fabric.route("b.sim", "/flaky", ok_handler(std::string(700, 'b')),
+                 EndpointModel{40.0, 8.0, 0.35, true});
+    fabric.route("c.sim", "/stored",
+                 [](const Url& url) {
+                   HttpResponse r = HttpResponse::text(
+                       std::string(3000, 'c') + url.param("id").value_or("?"));
+                   r.origin_digest = integrity::content_digest(r.body);
+                   return r;
+                 },
+                 EndpointModel{10.0, 50.0, 0.0, true});
+    install_chaos(fabric, ChaosSchedule()
+                              .bit_flip("a.sim", 0.3)
+                              .truncate("b.sim", 0.2)
+                              .stale_replica("c.sim", 0.3));
+  };
+  HttpFabric by_text(2718);
+  build(by_text);
+  HttpFabric by_client(2718);
+  build(by_client);
+  // One attempt, no verification and a breaker that never trips: the client
+  // returns exactly what its single fabric call returned.
+  RetryPolicy once;
+  once.max_attempts = 1;
+  once.verify_digests = false;
+  once.deadline_ms = 0.0;
+  BreakerPolicy never_trip;
+  never_trip.failure_threshold = 1 << 30;
+  ResilientClient client(by_client, once, never_trip);
+
+  const std::vector<std::string> urls = {
+      "http://a.sim/echo?b=2&a=1",
+      "http://a.sim/echo?x%3Dy=2&a%2Bb=1&sp=a+b&pct=50%25",
+      "http://a.sim/echo/deeper?POS=137.3,10.97&SIZE=0.1",
+      "http://b.sim/flaky?i=1",
+      "http://c.sim/stored?id=7",
+      "http://c.sim/stored?id=8&&flag",
+      "http://nowhere.sim/x",
+  };
+  for (int round = 0; round < 12; ++round) {
+    for (const std::string& text : urls) {
+      const auto want = by_text.get(text);
+      const auto got = client.get(text);
+      ASSERT_EQ(want.ok(), got.ok()) << text;
+      if (!want.ok()) {
+        EXPECT_EQ(want.error().code, got.error().code) << text;
+        EXPECT_EQ(want.error().message, got.error().message) << text;
+        continue;
+      }
+      EXPECT_EQ(want->body, got->body) << text;
+      EXPECT_EQ(want->content_type, got->content_type) << text;
+      EXPECT_EQ(want->digest, got->digest) << text;
+      EXPECT_EQ(want->elapsed_ms, got->elapsed_ms) << text;
+    }
+  }
+  const HttpFabric::Metrics a = by_text.metrics();
+  const HttpFabric::Metrics b = by_client.metrics();
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.failures, b.failures);
+  EXPECT_EQ(a.unrouted, b.unrouted);
+  EXPECT_EQ(a.transient_failures, b.transient_failures);
+  EXPECT_GT(a.transient_failures, 0u);
+  EXPECT_EQ(a.corruptions_injected, b.corruptions_injected);
+  EXPECT_GT(a.corruptions_injected, 0u);
+  EXPECT_EQ(a.bytes_transferred, b.bytes_transferred);
+  EXPECT_EQ(a.total_elapsed_ms, b.total_elapsed_ms);
+  EXPECT_EQ(by_text.now_ms(), by_client.now_ms());
 }
 
 // ---------------------------------------------------------------------------

@@ -48,6 +48,52 @@ TEST(Url, EncodeDecodeRoundTrip) {
   EXPECT_EQ(parsed->param("key").value(), "a b&c=d/e");
 }
 
+// The fabric signs against the canonical string and a client that parsed
+// the URL once verifies against it, so to_string must lose nothing: keys
+// are encoded like values.
+TEST(Url, CanonicalStringRoundTripsKeysAndValues) {
+  const std::vector<std::string> awkward = {
+      "plain", "a+b", "x=y", "p&q", "50%", "%41", "two words", "ra,dec",
+      "", "+=&% ,", "%zz", "caf\xc3\xa9"};
+  for (const std::string& key : awkward) {
+    for (const std::string& value : awkward) {
+      Url url;
+      url.host = "h.sim";
+      url.path = "/p";
+      url.query[key] = value;
+      url.query["zz"] = value + key;
+      const std::string canonical = url.to_string();
+      const auto parsed = Url::parse(canonical);
+      ASSERT_TRUE(parsed.ok()) << canonical;
+      EXPECT_EQ(parsed.value(), url) << "key [" << key << "] value [" << value
+                                     << "] canonical " << canonical;
+      EXPECT_EQ(parsed->to_string(), canonical);
+    }
+  }
+}
+
+TEST(Url, EncodedKeysSurviveCanonicalization) {
+  const auto eq = Url::parse("http://h.sim/p?x%3Dy=2");
+  ASSERT_TRUE(eq.ok());
+  EXPECT_EQ(eq->param("x=y").value(), "2");
+  EXPECT_EQ(eq->to_string(), "http://h.sim/p?x%3Dy=2");
+  EXPECT_EQ(Url::parse(eq->to_string()).value(), eq.value());
+
+  const auto plus = Url::parse("http://h.sim/p?a%2Bb=1&c+d=e+f");
+  ASSERT_TRUE(plus.ok());
+  EXPECT_EQ(plus->param("a+b").value(), "1");
+  EXPECT_EQ(plus->param("c d").value(), "e f");
+  EXPECT_EQ(Url::parse(plus->to_string()).value(), plus.value());
+
+  // Parsed URLs with no path, bare keys and repeated separators round-trip.
+  for (const char* text : {"http://h.sim", "http://h.sim/p?flag",
+                           "http://h.sim/p?&a=1&&b", "http://h.sim/p?=v"}) {
+    const auto url = Url::parse(text);
+    ASSERT_TRUE(url.ok()) << text;
+    EXPECT_EQ(Url::parse(url->to_string()).value(), url.value()) << text;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // HttpFabric
 // ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@
 # metrics, the chaos campaign suite, the digest/quarantine integrity tests,
 # the checkpoint-journal tests in grid_test, the replica-cache/data-plane
 # tests, the FITS codec and render-key tests in image_test/sim_test, and the
-# morphology kernel's equivalence, unit and allocation tests) under the
-# instrumented binaries, then repeats the concurrency-facing
+# morphology kernel's equivalence, unit and allocation tests, and the
+# VOTable/XML reader and string-parsing tests) under the instrumented
+# binaries, then repeats the concurrency-facing
 # lane (sharded cache + pipelined staging + concurrent journal appends) under
 # ThreadSanitizer in build-tsan/.
 #
 # Usage: tools/run_sanitize_tests.sh [ctest -R regex]
-#   default regex: resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test
+#   default regex: resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test|votable_test|common_test
 #   BUILD_DIR=<dir>       ASan build tree (default: <repo>/build-asan)
 #   TSAN_BUILD_DIR=<dir>  TSan build tree (default: <repo>/build-tsan)
 #   NVO_SKIP_TSAN=1       run only the ASan phase
@@ -19,7 +20,7 @@ set -e
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-asan}"
 TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
-REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test}"
+REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test|votable_test|common_test}"
 # obs_test/observability_test drive the traced portal pipeline through the
 # kernel thread pool, and grid_test appends to the checkpoint journal from a
 # thread pool, so they belong in the TSan lane too. soa_kernel_test runs
@@ -74,6 +75,11 @@ REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_pla
 # through degenerate shapes (one column, stacked duplicates, far
 # outliers, k above the sample) where a ring or slab index could run off
 # an edge.
+# votable_test and common_test join the ASan lane only: every fabric
+# response a client parses goes through the VOTable/XML reader, and
+# common/strings (parse_double, split, append_fixed) reads archive and
+# client text; an index past a buffer or a bad numeric cast there is ASan
+# and UBSan territory. Neither test starts threads.
 TSAN_REGEX="${TSAN_REGEX:-replica_cache_test|data_plane_test|obs_test|observability_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test}"
 
 cmake -B "$BUILD" -S "$ROOT" -DNVO_SANITIZE="address;undefined" \
@@ -83,7 +89,8 @@ cmake --build "$BUILD" -j --target \
       obs_test observability_test integrity_test grid_test soa_kernel_test \
       survey_test async_portal_test dataflow_test multipool_test lifecycle_test \
       portal_test image_test sim_test kernel_equivalence_test core_test kernel_alloc_test \
-      vds_test pegasus_test property_test workflow_golden_test analysis_test
+      vds_test pegasus_test property_test workflow_golden_test analysis_test \
+      votable_test common_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
