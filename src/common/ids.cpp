@@ -1,8 +1,7 @@
 #include "common/ids.hpp"
 
 #include <atomic>
-
-#include "common/strings.hpp"
+#include <charconv>
 
 namespace nvo {
 
@@ -13,9 +12,19 @@ struct IdGenerator::Impl {
 IdGenerator::IdGenerator(std::string prefix)
     : prefix_(std::move(prefix)), impl_(std::make_shared<Impl>()) {}
 
+std::string numbered_id(std::string_view prefix, std::uint64_t n) {
+  char digits[20];  // UINT64_MAX has 20 decimal digits
+  const std::size_t len =
+      static_cast<std::size_t>(std::to_chars(digits, digits + sizeof digits, n).ptr - digits);
+  const std::size_t pad = len < 6 ? 6 - len : 0;
+  std::string id;
+  id.reserve(prefix.size() + 1 + pad + len);
+  id.append(prefix).append(1, '-').append(pad, '0').append(digits, len);
+  return id;
+}
+
 std::string IdGenerator::next() {
-  const std::uint64_t n = impl_->counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  return format("%s-%06llu", prefix_.c_str(), static_cast<unsigned long long>(n));
+  return numbered_id(prefix_, impl_->counter.fetch_add(1, std::memory_order_relaxed) + 1);
 }
 
 std::uint64_t IdGenerator::count() const {

@@ -7,8 +7,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 namespace nvo {
+
+/// "prefix-" and n in decimal, zero-padded to at least six digits: the bytes
+/// of printf("%s-%06llu", prefix, n).
+std::string numbered_id(std::string_view prefix, std::uint64_t n);
 
 /// Thread-safe generator producing "prefix-000001", "prefix-000002", ...
 class IdGenerator {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <optional>
+#include <utility>
 
 #include "common/strings.hpp"
 #include "core/lanes.hpp"
@@ -67,10 +70,11 @@ MorphologyParams invalid(const std::string& reason) {
   return p;
 }
 
-}  // namespace
-
-double asymmetry_statistic(const image::Image& img, double cx, double cy,
-                           double radius) {
+/// The asymmetry statistic's row sweep (see asymmetry_statistic). After
+/// each row, `stop(num, den)` may end the sweep, which then returns nullopt.
+template <typename Stop>
+std::optional<double> asymmetry_rows(const image::Image& img, double cx, double cy,
+                                     double radius, const Stop& stop) {
   // Swept evaluation of the same statistic. Per destination row: the
   // in-circle pixels form one contiguous x-interval (located by sqrt, then
   // pinned down with the reference's exact squared-distance predicate, so
@@ -209,8 +213,103 @@ double asymmetry_statistic(const image::Image& img, double cx, double cy,
       den += lanes::fold(lane_den);
     }
     for (int x = xb + 1; x <= xhi; ++x) slow_pixel(x);
+    if (stop(num, den)) return std::nullopt;
   }
   return den > 0.0 ? num / (2.0 * den) : 0.0;
+}
+
+/// Sum of |v| over the in-frame pixels within `radius` of (cx, cy), and
+/// their count.
+std::pair<double, std::size_t> abs_sum_in_disc(const image::Image& img, double cx,
+                                               double cy, double radius) {
+  const double r2 = radius * radius;
+  const int width = img.width();
+  const int y0 = std::max(0, static_cast<int>(std::ceil(cy - radius)));
+  const int y1 = std::min(img.height() - 1, static_cast<int>(std::floor(cy + radius)));
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t count = 0;
+  for (int y = y0; y <= y1; ++y) {
+    const double dy = y - cy;
+    const double dy2 = dy * dy;
+    if (dy2 > r2) continue;
+    const double half = std::sqrt(r2 - dy2);
+    const int xlo = std::max(0, static_cast<int>(std::ceil(cx - half)));
+    const int xhi = std::min(width - 1, static_cast<int>(std::floor(cx + half)));
+    const float* row = img.data() + static_cast<std::size_t>(y) * width;
+    for (int x = xlo; x <= xhi; ++x) lane[x & 3] += std::fabs(row[x]);
+    count += static_cast<std::size_t>(std::max(0, xhi - xlo + 1));
+  }
+  return {(lane[0] + lane[1]) + (lane[2] + lane[3]), count};
+}
+
+}  // namespace
+
+double asymmetry_statistic(const image::Image& img, double cx, double cy,
+                           double radius) {
+  return *asymmetry_rows(img, cx, cy, radius, [](double, double) { return false; });
+}
+
+AsymmetrySearch asymmetry_search(const image::Image& img, double cx, double cy,
+                                 double radius) {
+  // Every center the search visits lies within 0.75 px of (cx, cy) on each
+  // axis, so within 0.75 * sqrt(2) < 1.0607 px of it, and every disc it
+  // evaluates lies inside the disc of radius + 1.07 about (cx, cy). That
+  // disc's sum of |v| bounds every evaluation's `den` once it is widened
+  // past the rounding of either sum: n - 1 additions of non-negative terms
+  // err by at most (n - 1) * 2^-53 relative, in any order.
+  const auto [abs_sum, pixels] = abs_sum_in_disc(img, cx, cy, radius + 1.07);
+  const double den_up =
+      abs_sum * (1.0 + 1e-9 + static_cast<double>(pixels) * 0x1p-52);
+
+  // The winner is the first minimum in row-major order of the coarse grid,
+  // then of the refinement grid, whose center is the coarse winner itself;
+  // before any value (all of them could be +inf) the sentinel 1e300 holds
+  // at the centroid, and it is beaten only by a smaller value.
+  AsymmetrySearch out{1e300, cx, cy, 0};
+  const auto evaluate = [&](double x, double y, bool wins_ties) {
+    // Every term of `num` is non-negative and IEEE addition is monotone,
+    // so `num` never decreases from one row to the next; correctly rounded
+    // division is monotone in both operands, so num / (2 den_up) after any
+    // row is a lower bound on the final value. It holds only once `den` is
+    // above 0: a zero final `den` makes the value 0 whatever `num` is.
+    const double best = out.value;
+    const auto cannot_win = [&](double num, double den) {
+      if (!(den > 0.0)) return false;
+      const double lower = num / (2.0 * den_up);
+      return wins_ties ? lower > best : lower >= best;
+    };
+    const std::optional<double> a = asymmetry_rows(img, x, y, radius, cannot_win);
+    if (!a) {
+      ++out.evaluations_stopped;
+      return false;
+    }
+    const bool wins = wins_ties ? *a <= out.value : *a < out.value;
+    if (!wins) return false;
+    out.value = *a;
+    out.x = x;
+    out.y = y;
+    return true;
+  };
+  // Cell c of a 3x3 grid (row-major, 4 the center) about (bx, by).
+  const auto cell = [&](double bx, double by, double step, int c, bool wins_ties) {
+    return evaluate(bx + (c % 3 - 1) * step, by + (c / 3 - 1) * step, wins_ties);
+  };
+  // Coarse 0.5 px grid, center first: its value is the bound the other
+  // eight must beat. A cell before the current winner in row-major order
+  // wins a tie, any other cell needs a smaller value. `winner` is the
+  // winning cell, or -1 while the sentinel holds.
+  int winner = cell(cx, cy, 0.5, 4, false) ? 4 : -1;
+  for (int c = 0; c < 9; ++c) {
+    if (c != 4 && cell(cx, cy, 0.5, c, c < winner)) winner = c;
+  }
+  // 0.25 px refinement about the coarse winner, which is already evaluated
+  // and keeps ties.
+  const double base_x = out.x;
+  const double base_y = out.y;
+  for (int c = 0; c < 9; ++c) {
+    if (c != 4) cell(base_x, base_y, 0.25, c, false);
+  }
+  return out;
 }
 
 MorphologyParams measure_morphology(const image::Image& cutout,
@@ -282,32 +381,10 @@ MorphologyParams measure_morphology(const image::Image& cutout,
   p.r80 = *r80;
   p.concentration = 5.0 * std::log10(*r80 / *r20);
 
-  // --- asymmetry: minimize over sub-pixel recentering (coarse 0.5-pixel
-  // 3x3 grid, then 0.25-pixel refinement about the best), then subtract the
+  // --- asymmetry: minimize over sub-pixel recentering, then subtract the
   // analytic noise floor ---
-  double best = 1e300;
-  double best_x = centroid.x;
-  double best_y = centroid.y;
-  for (double step : {0.5, 0.25}) {
-    const double base_x = best_x;
-    const double base_y = best_y;
-    // Row-major grid order, strict <: the first minimum wins. The
-    // refinement grid's center is the coarse winner itself, already
-    // evaluated with the same arguments, so it is skipped.
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        if (step == 0.25 && dx == 0 && dy == 0) continue;
-        const double x = base_x + dx * step;
-        const double y = base_y + dy * step;
-        const double a = asymmetry_statistic(img, x, y, aperture);
-        if (a < best) {
-          best = a;
-          best_x = x;
-          best_y = y;
-        }
-      }
-    }
-  }
+  const double best =
+      asymmetry_search(img, centroid.x, centroid.y, aperture).value;
   // The pixel-difference of two independent N(0, sigma) draws has mean
   // absolute value 2 sigma / sqrt(pi); summed over the aperture and divided
   // by 2 * flux it is the expected asymmetry of pure noise.

@@ -90,4 +90,22 @@ MorphologyParams measure_morphology(const image::Image& cutout,
 double asymmetry_statistic(const image::Image& background_subtracted, double cx,
                            double cy, double radius);
 
+/// The asymmetry minimum over recentering, and where it lies.
+struct AsymmetrySearch {
+  double value = 0.0;
+  double x = 0.0;
+  double y = 0.0;
+  int evaluations_stopped = 0;  ///< evaluations cut short by the lower bound
+};
+
+/// A = min of asymmetry_statistic over a 0.5 px 3x3 grid of centers about
+/// (cx, cy), then a 0.25 px 3x3 grid about the coarse winner; the first
+/// minimum in row-major order wins, and the refinement keeps the coarse
+/// winner on a tie. Only the winner's value is needed exactly: an
+/// evaluation stops at the first row where a lower bound on its value shows
+/// it cannot win, so value and center are bit-identical to evaluating all
+/// 17 centers in full.
+AsymmetrySearch asymmetry_search(const image::Image& background_subtracted, double cx,
+                                 double cy, double radius);
+
 }  // namespace nvo::core

@@ -42,6 +42,17 @@ inline int subsampled_coverage(int x, int y, double cx, double cy, double r2) {
   return static_cast<int>(-(inside[0] + inside[1] + inside[2] + inside[3]));
 }
 
+// Relative margin of the shells a query scans. A pixel's shell is
+// floor(sqrt(d2)), and a cut at r keeps it by comparing d2 with r * r. A
+// correctly rounded sqrt is monotone and returns r for r * r, so a pixel
+// kept below an outer cut r lies in a shell of at most floor(r), and one
+// kept above an inner cut r in a shell of at least floor(r). The queries
+// scan from floor(r * (1 - margin)) up to floor(r * (1 + margin)), so that
+// rounding a cut's square some other way could not drop a pixel that counts
+// either. A pixel outside the scan would only add 0.0 to a lane that is
+// never -0.0, so skipping it moves no bit.
+constexpr double kShellMargin = 1e-12;
+
 // Margin, in pixels, of the ring of pixels an extension of the curve visits
 // (see CurveOfGrowth::ensure). It dwarfs the rounding of the ring's row
 // intervals, and a pixel at distance exactly k from the center is in shell
@@ -403,9 +414,12 @@ double CurveOfGrowth::aperture_flux(double radius) {
   const double outer2 = outer * outer;
   // Shells [0, full) lie strictly inside radius - band (one whole shell of
   // margin, far beyond any sqrt rounding): their flux is a prefix lookup.
+  // Shells from `last` on lie outside radius + band (see kShellMargin) and
+  // would only add 0.0.
   const int full =
       std::clamp(inner > 1.0 ? static_cast<int>(inner) - 1 : 0, 0, num_shells_);
-  const int last = std::clamp(static_cast<int>(outer) + 2, full, num_shells_);
+  const int last =
+      std::clamp(static_cast<int>(outer * (1.0 + kShellMargin)) + 1, full, num_shells_);
   ensure(last);
   double flux = shell_flux_prefix_[full];
   // Straddling shells: the same squared-distance cuts and sub-pixel
@@ -449,12 +463,14 @@ double CurveOfGrowth::annulus_mean(double r_in, double r_out) {
   const double in2 = r_in * r_in;
   const double out2 = r_out * r_out;
   // Whole shells strictly inside [r_in, r_out) resolve by prefix lookup;
-  // the edge shells are scanned with the exact pixel-center cuts.
+  // the edge shells are scanned with the exact pixel-center cuts. Shells
+  // below `scan_lo` lie inside r_in, and shells from `scan_hi` on outside
+  // r_out (see kShellMargin): they would only add 0.0.
   const int full_lo = std::clamp(static_cast<int>(r_in) + 1, 0, num_shells_);
   const int full_hi =
       std::clamp(r_out > 1.0 ? static_cast<int>(r_out) - 1 : 0, full_lo, num_shells_);
-  const int scan_lo = r_in > 1.0 ? static_cast<int>(r_in) - 1 : 0;
-  const int scan_hi = static_cast<int>(r_out) + 2;
+  const int scan_lo = r_in > 0.0 ? static_cast<int>(r_in * (1.0 - kShellMargin)) : 0;
+  const int scan_hi = static_cast<int>(r_out * (1.0 + kShellMargin)) + 1;
   ensure(std::max(full_hi, std::min(scan_hi, num_shells_)));
   double sum = shell_flux_prefix_[full_hi] - shell_flux_prefix_[full_lo];
   int count = static_cast<int>(shell_start_[full_hi] - shell_start_[full_lo]);

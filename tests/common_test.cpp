@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -308,6 +310,18 @@ TEST(IdGenerator, SequentialAndPrefixed) {
   EXPECT_EQ(gen.next(), "req-000001");
   EXPECT_EQ(gen.next(), "req-000002");
   EXPECT_EQ(gen.count(), 2u);
+}
+
+TEST(IdGenerator, NumberedIdMatchesThePrintfForm) {
+  for (const std::uint64_t n : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42},
+                                std::uint64_t{999999}, std::uint64_t{1000000},
+                                std::uint64_t{1234567890123}, UINT64_MAX}) {
+    for (const char* prefix : {"req", "", "galMorph-MS0906"}) {
+      char want[64];
+      std::snprintf(want, sizeof want, "%s-%06llu", prefix, static_cast<unsigned long long>(n));
+      EXPECT_EQ(numbered_id(prefix, n), want) << n;
+    }
+  }
 }
 
 TEST(IdGenerator, UniqueUnderConcurrency) {

@@ -13,7 +13,10 @@
 // photometry it replaced — exact flux/annulus agreement, monotone
 // enclosed-radius behaviour, and bisection agreement; and the lazily
 // extended curve against the eager build it replaced (cog_oracle.hpp),
-// bit for bit, whatever the order of the queries.
+// bit for bit, whatever the order of the queries and however near an
+// integer a query's cut falls; and the bounded asymmetry search against the
+// exhaustive one it replaced (asymmetry_oracle.hpp), value and center bit
+// for bit, ties included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +33,7 @@
 #include <vector>
 
 #include "analysis/survey.hpp"
+#include "asymmetry_oracle.hpp"
 #include "cog_oracle.hpp"
 #include "common/rng.hpp"
 #include "core/galmorph.hpp"
@@ -955,6 +959,153 @@ TEST(CurveOfGrowthDifferential, RebuildOnAnotherFrameForgetsTheFirst) {
       EXPECT_EQ(hex_bits(cog.annulus_mean(r - 0.8, r + 0.8)),
                 hex_bits(eager.annulus_mean(r - 0.8, r + 0.8)))
           << img->width() << " px at (" << cx << ", " << cy << "), r " << r;
+    }
+  }
+}
+
+TEST(CurveOfGrowthDifferential, CutsWithinUlpsOfAnIntegerMatchEagerBuild) {
+  // A query scans its edge shells only up to the last one that can count.
+  // Here a cut (r - 0.71 and r + 0.71 of a flux, r_in and r_out of an
+  // annulus, r -+ 0.8 of the Petrosian annulus) sits within a few ulps of
+  // an integer, where the shells of the pixels at that distance meet; the
+  // centers put pixel centers at integer distances, or an ulp off them.
+  Rng rng(53);
+  const image::Image img = wide_range_field(rng, 48, 48);
+  const double centers[][2] = {{24.0, 24.0},
+                               {23.5, 24.0},
+                               {20.25, 27.0},
+                               {std::nextafter(24.0, 0.0), 24.0},
+                               {std::nextafter(24.0, 48.0), std::nextafter(21.0, 0.0)}};
+  CurveOfGrowth cog;
+  for (const auto& c : centers) {
+    const oracle::EagerCurveOfGrowth eager(img, c[0], c[1]);
+    cog.build(img, c[0], c[1]);
+    const std::string at = "at (" + hex_bits(c[0]) + ", " + hex_bits(c[1]) + ")";
+    for (int k = 1; k <= 30; ++k) {
+      const double edge = k;
+      for (const double base : {edge - 0.71, edge + 0.71, edge - 0.8, edge + 0.8, edge}) {
+        double r = base;
+        for (int i = 0; i < 4; ++i) r = std::nextafter(r, 0.0);
+        for (int i = 0; i <= 8; ++i, r = std::nextafter(r, 100.0)) {
+          ASSERT_EQ(hex_bits(cog.aperture_flux(r)), hex_bits(eager.aperture_flux(r)))
+              << at << ", flux r " << hex_bits(r);
+          const double r_in = std::max(r - 0.8, 0.0);
+          ASSERT_EQ(hex_bits(cog.annulus_mean(r_in, r + 0.8)),
+                    hex_bits(eager.annulus_mean(r_in, r + 0.8)))
+              << at << ", annulus about " << hex_bits(r);
+          ASSERT_EQ(hex_bits(cog.annulus_mean(r, r + 1.6)),
+                    hex_bits(eager.annulus_mean(r, r + 1.6)))
+              << at << ", annulus from " << hex_bits(r);
+          ASSERT_EQ(hex_bits(cog.annulus_mean(r_in, r)), hex_bits(eager.annulus_mean(r_in, r)))
+              << at << ", annulus to " << hex_bits(r);
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Bounded asymmetry search vs the exhaustive search (asymmetry_oracle.hpp)
+// ---------------------------------------------------------------------------
+
+/// Runs both searches; value and center must match bit for bit. Returns the
+/// evaluations the bounded search stopped early.
+int expect_same_search(const image::Image& img, double cx, double cy, double radius,
+                       const std::string& what) {
+  const AsymmetrySearch want = oracle::exhaustive_asymmetry_search(img, cx, cy, radius);
+  const AsymmetrySearch got = asymmetry_search(img, cx, cy, radius);
+  const std::string at = what + " at (" + std::to_string(cx) + ", " + std::to_string(cy) +
+                         "), r " + std::to_string(radius);
+  EXPECT_EQ(hex_bits(got.value), hex_bits(want.value)) << at;
+  EXPECT_EQ(hex_bits(got.x), hex_bits(want.x)) << at;
+  EXPECT_EQ(hex_bits(got.y), hex_bits(want.y)) << at;
+  return got.evaluations_stopped;
+}
+
+TEST(AsymmetrySearchDifferential, SurveyCutoutsMatchExhaustiveSearch) {
+  // The kernel's own inputs: each valid survey cutout's masked frame,
+  // centroid and aperture, and a narrower aperture besides.
+  const analysis::SurveyConfig cfg;
+  const auto specs = sim::survey_cluster_specs({cfg.seed, 5000});
+  const MorphologyOptions options;
+  MorphologyWorkspace workspace;
+  for (const int size : {16, 64, 128}) {
+    const double frame_limit = size / 2.0 - 1.0;
+    int searched = 0;
+    int stopped = 0;
+    for (const sim::ClusterSpec& spec : specs) {
+      const sim::Cluster cluster = sim::generate_cluster(spec, cfg.args.cosmology());
+      for (const sim::GalaxyTruth& g : cluster.galaxies) {
+        if (searched == 80) break;
+        const image::FitsFile fits = sim::synthesize_galaxy_cutout(
+            cluster, g, size, cfg.render, cfg.seed, cfg.corruption_rate);
+        const MorphologyParams p = measure_morphology(fits.data, options, workspace);
+        if (!p.valid) continue;
+        const double aperture =
+            std::min(options.aperture_petrosian_factor * p.petrosian_r, frame_limit);
+        const std::string what = g.id + " (" + std::to_string(size) + " px)";
+        stopped += expect_same_search(workspace.scratch, p.centroid_x, p.centroid_y,
+                                      aperture, what);
+        stopped += expect_same_search(workspace.scratch, p.centroid_x, p.centroid_y,
+                                      0.6 * aperture, what);
+        ++searched;
+      }
+    }
+    EXPECT_GE(searched, size == 16 ? 10 : 80) << size << " px";
+    // The bound must actually cut evaluations short, or this compares
+    // nothing but the evaluation order.
+    EXPECT_GT(stopped, searched) << size << " px";
+  }
+}
+
+TEST(AsymmetrySearchDifferential, CentersNearTheFrameEdgeMatchExhaustiveSearch) {
+  Rng rng(59);
+  const image::Image frames[] = {random_cutout(11, 64), wide_range_field(rng, 40, 33)};
+  for (const image::Image& img : frames) {
+    const double w = img.width();
+    const double h = img.height();
+    const double centers[][2] = {{0.3, 0.6},       {w - 1.2, 0.9}, {0.0, h - 1.0},
+                                 {w - 1.25, h / 2}, {w / 2, 0.75}, {0.5, h - 1.5}};
+    for (const auto& c : centers) {
+      for (const double radius : {3.0, 9.5, 25.0}) {
+        expect_same_search(img, c[0], c[1], radius, std::to_string(img.width()) + " px");
+      }
+    }
+  }
+}
+
+TEST(AsymmetrySearchDifferential, ExactTiesResolveAsTheExhaustiveSearch) {
+  // A constant frame: inside the frame every rotation is exact, so all 17
+  // values are 0 and the first coarse cell wins the tie with the center.
+  const image::Image flat(32, 32, 1.0f);
+  expect_same_search(flat, 15.25, 15.75, 6.0, "constant");
+  const AsymmetrySearch first = asymmetry_search(flat, 15.25, 15.75, 6.0);
+  EXPECT_EQ(first.value, 0.0);
+  EXPECT_EQ(first.x, 14.75);
+  EXPECT_EQ(first.y, 15.25);
+  // Reaching past the edge, the frame's mirror symmetry about the center
+  // ties cells in pairs.
+  expect_same_search(flat, 15.5, 15.25, 14.0, "constant, clipped");
+  expect_same_search(flat, 15.25, 15.75, 17.0, "constant, clipped");
+  // An all-zero frame: den is 0, every value is 0, no evaluation can stop.
+  const image::Image zero(24, 24, 0.0f);
+  EXPECT_EQ(expect_same_search(zero, 11.75, 11.5, 8.0, "zero"), 0);
+
+  // Small integers mirror-symmetric about column 16: with quarter-pixel
+  // centers every term and sum is exact, so cells mirrored about the
+  // column tie exactly.
+  image::Image mirrored(33, 31, 0.0f);
+  for (int y = 0; y < mirrored.height(); ++y) {
+    for (int x = 0; x < mirrored.width(); ++x) {
+      const int d = std::abs(x - 16);
+      mirrored.at(x, y) = static_cast<float>(1 + (d * 7 + y * 3 + d * y) % 5);
+    }
+  }
+  EXPECT_EQ(asymmetry_statistic(mirrored, 15.5, 15.25, 9.0),
+            asymmetry_statistic(mirrored, 16.5, 15.25, 9.0));
+  for (const double cy : {15.0, 15.25, 14.75}) {
+    for (const double radius : {4.0, 9.0, 12.5}) {
+      expect_same_search(mirrored, 16.0, cy, radius, "mirrored");
     }
   }
 }

@@ -1,7 +1,10 @@
 // Tests for celestial coordinates and the FLRW cosmology.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "sky/coords.hpp"
 #include "sky/cosmology.hpp"
@@ -181,6 +184,43 @@ TEST(Cosmology, OpenUniverseCurvatureHandled) {
   EXPECT_GT(c.omega_k(), 0.0);
   // Open-universe transverse distance exceeds the line-of-sight one.
   EXPECT_GT(c.transverse_comoving_distance_mpc(1.0), c.comoving_distance_mpc(1.0));
+}
+
+/// The one-term-at-a-time Simpson loop comoving_distance_mpc vectorized,
+/// kept as its oracle.
+double comoving_distance_scalar(const Cosmology& c, double z) {
+  if (z <= 0.0) return 0.0;
+  const int segments = 256;
+  const double h = z / segments;
+  double sum = 1.0 / c.efunc(0.0) + 1.0 / c.efunc(z);
+  for (int i = 1; i < segments; ++i) {
+    const double zi = h * i;
+    sum += (i % 2 == 1 ? 4.0 : 2.0) / c.efunc(zi);
+  }
+  return c.hubble_distance_mpc() * sum * h / 3.0;
+}
+
+TEST(Cosmology, VectorSimpsonMatchesScalarLoopBitForBit) {
+  std::vector<Cosmology> models(6);
+  models[1].h0_km_s_mpc = 70.0;
+  models[1].omega_m = 0.25;
+  models[2].omega_m = 1.0;  // Einstein-de Sitter
+  models[3].flat = false;   // open
+  models[3].omega_l = 0.0;
+  models[4].flat = false;  // closed
+  models[4].omega_m = 0.5;
+  models[4].omega_l = 0.8;
+  models[5].flat = false;  // E^2 < 0 past z ~ 0.45: efunc's floor of 1e-30 bites
+  models[5].omega_m = 0.1;
+  models[5].omega_l = 2.0;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    for (const double z : {1e-9, 0.01, 0.1, 0.2345, 0.5, 1.0, 1.5, 3.0, 7.5}) {
+      const double want = comoving_distance_scalar(models[m], z);
+      const double got = models[m].comoving_distance_mpc(z);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+          << "model " << m << ", z " << z << ": " << got << " vs " << want;
+    }
+  }
 }
 
 TEST(Cosmology, ZeroRedshiftIsZeroDistance) {

@@ -4,14 +4,15 @@
 # metrics, the chaos campaign suite, the digest/quarantine integrity tests,
 # the checkpoint-journal tests in grid_test, the replica-cache/data-plane
 # tests, the FITS codec and render-key tests in image_test/sim_test, and the
-# morphology kernel's equivalence, unit and allocation tests, and the
-# VOTable/XML reader and string-parsing tests) under the instrumented
+# morphology kernel's equivalence, unit and allocation tests, the
+# VOTable/XML reader and string-parsing tests, and the sky coordinate and
+# cosmology tests) under the instrumented
 # binaries, then repeats the concurrency-facing
 # lane (sharded cache + pipelined staging + concurrent journal appends) under
 # ThreadSanitizer in build-tsan/.
 #
 # Usage: tools/run_sanitize_tests.sh [ctest -R regex]
-#   default regex: resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test|votable_test|common_test
+#   default regex: resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test|votable_test|common_test|sky_test
 #   BUILD_DIR=<dir>       ASan build tree (default: <repo>/build-asan)
 #   TSAN_BUILD_DIR=<dir>  TSan build tree (default: <repo>/build-tsan)
 #   NVO_SKIP_TSAN=1       run only the ASan phase
@@ -20,7 +21,7 @@ set -e
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-asan}"
 TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
-REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test|votable_test|common_test}"
+REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test|votable_test|common_test|sky_test}"
 # obs_test/observability_test drive the traced portal pipeline through the
 # kernel thread pool, and grid_test appends to the checkpoint journal from a
 # thread pool, so they belong in the TSan lane too. soa_kernel_test runs
@@ -80,6 +81,11 @@ REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_pla
 # common/strings (parse_double, split, append_fixed) reads archive and
 # client text; an index past a buffer or a bad numeric cast there is ASan
 # and UBSan territory. Neither test starts threads.
+# sky_test joins the ASan lane only: the cosmology's Simpson sum computes
+# its terms in four-wide vector registers with a scalar tail, so a lane
+# index or a tail bound past the segment count is UBSan territory, and its
+# bit pin against the scalar loop re-checks the vector path at the
+# sanitized build's optimization settings. It starts no threads.
 TSAN_REGEX="${TSAN_REGEX:-replica_cache_test|data_plane_test|obs_test|observability_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test}"
 
 cmake -B "$BUILD" -S "$ROOT" -DNVO_SANITIZE="address;undefined" \
@@ -90,7 +96,7 @@ cmake --build "$BUILD" -j --target \
       survey_test async_portal_test dataflow_test multipool_test lifecycle_test \
       portal_test image_test sim_test kernel_equivalence_test core_test kernel_alloc_test \
       vds_test pegasus_test property_test workflow_golden_test analysis_test \
-      votable_test common_test
+      votable_test common_test sky_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
