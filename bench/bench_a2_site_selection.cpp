@@ -3,14 +3,15 @@
 // locations" (§3.2) and "in ASCI Grid the system tries to schedule the job
 // on the least loaded resource" (§3.3). This ablation compares random vs
 // least-loaded mapping across pool-imbalance regimes on the simulated
-// three-pool grid, plus the random replica-selection policy's effect on
-// stage-in cost.
-#include <benchmark/benchmark.h>
-
+// three-pool grid, and least-loaded vs MDS-ranked mapping under external
+// load. Claims: least-loaded beats random on every skewed-pool row, and
+// MDS-ranked beats load-blind least-loaded.
 #include <cstdio>
+#include <string_view>
 
 #include "grid/dagman.hpp"
 #include "pegasus/planner.hpp"
+#include "shape_claims.hpp"
 #include "vds/chimera.hpp"
 
 namespace {
@@ -76,7 +77,8 @@ double run_policy(const grid::Grid& grid, pegasus::SitePolicy policy, int jobs,
   return run_policy_split(grid, grid, policy, jobs, seed, mds);
 }
 
-void print_a2() {
+int run_a2() {
+  bench::ShapeClaims claims;
   std::printf("=== A2: random vs least-loaded site selection ===\n");
   struct Scenario {
     const char* name;
@@ -109,6 +111,10 @@ void print_a2() {
           run_policy(s.grid, pegasus::SitePolicy::kLeastLoaded, jobs, 100);
       std::printf("%-28s %10d | %14.1f %14.1f | %7.2fx\n", s.name, jobs,
                   random_ms, loaded, random_ms / loaded);
+      if (std::string_view(s.name).starts_with("skewed")) {
+        claims.check(loaded < random_ms, "least-loaded beats random on skewed "
+                                         "pools, " + std::to_string(jobs) + " jobs");
+      }
     }
   }
   std::printf("(random mapping ignores slot counts; least-loaded tracks them "
@@ -136,33 +142,12 @@ void print_a2() {
                                            &mds);
   std::printf("  least-loaded (blind to external load): %8.1f sim s\n", blind);
   std::printf("  MDS-ranked   (sees uwisc is slammed) : %8.1f sim s  (%.1fx "
-              "better)\n\n",
+              "better)\n",
               informed, blind / informed);
+  claims.check(informed < blind, "MDS-ranked beats load-blind least-loaded");
+  return claims.exit_code();
 }
-
-void BM_SiteSelectionRandom(benchmark::State& state) {
-  grid::Grid grid = grid::make_paper_grid();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_policy(grid, pegasus::SitePolicy::kRandom, 120, 1));
-  }
-}
-BENCHMARK(BM_SiteSelectionRandom)->Unit(benchmark::kMillisecond);
-
-void BM_SiteSelectionLeastLoaded(benchmark::State& state) {
-  grid::Grid grid = grid::make_paper_grid();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_policy(grid, pegasus::SitePolicy::kLeastLoaded, 120, 1));
-  }
-}
-BENCHMARK(BM_SiteSelectionLeastLoaded)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_a2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return run_a2(); }

@@ -1,35 +1,36 @@
 // F1 — Paper Figure 1: the abstract workflow Chimera composes from
 // derivations ("if a user requests file c, Chimera will produce the
-// workflow d1 -> b -> d2 -> c"). Prints the composed Fig.-1 DAG, then
-// benchmarks composition across chain length and fan-out — the scaling that
-// matters when the portal converts a 561-galaxy catalog into derivations.
-#include <benchmark/benchmark.h>
-
+// workflow d1 -> b -> d2 -> c"). Prints the composed Fig.-1 DAG and the
+// galMorph fan-in DAGs of the paper's smallest, middle and largest clusters.
+// Claims: requesting f2 composes d1 -> d2 with raw input a, and a fan-in of
+// N galaxies has N+1 nodes and N edges.
 #include <cstdio>
 
+#include "shape_claims.hpp"
 #include "vds/chimera.hpp"
-#include "vds/vdl_parser.hpp"
 
 namespace {
 
 using namespace nvo;
 
-vds::VirtualDataCatalog chain_catalog(int length) {
+/// The paper's exact scenario: d1: a -> f1, d2: f1 -> f2 (the figure's b
+/// and c).
+vds::VirtualDataCatalog paper_chain() {
   vds::VirtualDataCatalog vdc;
   vds::Transformation tr;
   tr.name = "t";
   tr.args = {{"input", vds::Direction::kIn}, {"output", vds::Direction::kOut}};
   (void)vdc.define_transformation(tr);
-  for (int i = 0; i < length; ++i) {
+  auto dv = [&](const char* name, const char* in, const char* out) {
     vds::Derivation d;
-    d.name = "d" + std::to_string(i + 1);
+    d.name = name;
     d.transformation = "t";
-    d.bindings["input"] =
-        vds::ActualArg{true, i == 0 ? "a" : "f" + std::to_string(i), vds::Direction::kIn};
-    d.bindings["output"] =
-        vds::ActualArg{true, "f" + std::to_string(i + 1), vds::Direction::kOut};
+    d.bindings["input"] = vds::ActualArg{true, in, vds::Direction::kIn};
+    d.bindings["output"] = vds::ActualArg{true, out, vds::Direction::kOut};
     (void)vdc.define_derivation(d);
-  }
+  };
+  dv("d1", "a", "f1");
+  dv("d2", "f1", "f2");
   return vdc;
 }
 
@@ -67,73 +68,42 @@ vds::VirtualDataCatalog fanin_catalog(int width) {
   return vdc;
 }
 
-void print_figure1() {
+int run_figure1() {
+  bench::ShapeClaims claims;
   std::printf("=== Figure 1: abstract workflow composed by Chimera ===\n");
-  // The paper's exact scenario: d1: a -> b, d2: b -> c, request c.
-  vds::VirtualDataCatalog vdc = chain_catalog(2);
+  vds::VirtualDataCatalog vdc = paper_chain();
   auto dag = vds::compose_abstract_workflow(vdc, {"f2"});
+  if (!dag.ok()) {
+    claims.check(false, "f2 composes: " + dag.error().to_string());
+    return claims.exit_code();
+  }
   std::printf("request: f2 (the paper's 'c')\n%s", dag->to_string().c_str());
   std::printf("raw inputs: ");
-  for (const std::string& lfn : vds::raw_inputs(dag.value())) {
-    std::printf("%s ", lfn.c_str());
-  }
+  const std::vector<std::string> raw = vds::raw_inputs(dag.value());
+  for (const std::string& lfn : raw) std::printf("%s ", lfn.c_str());
   std::printf("\n\n");
+  claims.check(dag->num_nodes() == 2 && dag->num_edges() == 1 &&
+                   dag->children("d1") == std::vector<std::string>{"d2"},
+               "requesting f2 composes d1 -> d2");
+  claims.check(raw == std::vector<std::string>{"a"}, "the only raw input is a");
 
   std::printf("composition scaling (galMorph fan-in shape):\n");
   std::printf("%10s %12s %12s\n", "galaxies", "dag nodes", "dag edges");
   for (int width : {37, 152, 561}) {  // the paper's min/mid/max cluster sizes
     vds::VirtualDataCatalog fan = fanin_catalog(width);
     auto fan_dag = vds::compose_abstract_workflow(fan, {"out.vot"});
-    std::printf("%10d %12zu %12zu\n", width, fan_dag->num_nodes(),
-                fan_dag->num_edges());
+    const std::size_t n = static_cast<std::size_t>(width);
+    const std::size_t nodes = fan_dag.ok() ? fan_dag->num_nodes() : 0;
+    const std::size_t edges = fan_dag.ok() ? fan_dag->num_edges() : 0;
+    std::printf("%10d %12zu %12zu\n", width, nodes, edges);
+    claims.check(nodes == n + 1 && edges == n,
+                 "a fan-in of " + std::to_string(width) + " galaxies has " +
+                     std::to_string(n + 1) + " nodes and " +
+                     std::to_string(n) + " edges");
   }
-  std::printf("\n");
+  return claims.exit_code();
 }
-
-void BM_ComposeChain(benchmark::State& state) {
-  const int length = static_cast<int>(state.range(0));
-  vds::VirtualDataCatalog vdc = chain_catalog(length);
-  const std::string request = "f" + std::to_string(length);
-  for (auto _ : state) {
-    auto dag = vds::compose_abstract_workflow(vdc, {request});
-    benchmark::DoNotOptimize(dag);
-  }
-  state.SetComplexityN(length);
-}
-BENCHMARK(BM_ComposeChain)->Arg(8)->Arg(64)->Arg(512)->Complexity();
-
-void BM_ComposeFanIn(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  vds::VirtualDataCatalog vdc = fanin_catalog(width);
-  for (auto _ : state) {
-    auto dag = vds::compose_abstract_workflow(vdc, {"out.vot"});
-    benchmark::DoNotOptimize(dag);
-  }
-  state.SetComplexityN(width);
-}
-BENCHMARK(BM_ComposeFanIn)->Arg(37)->Arg(152)->Arg(561)->Complexity();
-
-void BM_IngestVdlDocument(benchmark::State& state) {
-  // Parse + ingest a generated VDL document of the paper's example form.
-  std::string vdl = "TR galMorph( in redshift, in image, out galMorph ) { }\n";
-  for (int i = 0; i < 100; ++i) {
-    vdl += "DV d" + std::to_string(i) + "->galMorph( redshift=\"0.027886\", image=@{in:\"g" +
-           std::to_string(i) + ".fit\"}, galMorph=@{out:\"g" + std::to_string(i) +
-           ".txt\"} );\n";
-  }
-  for (auto _ : state) {
-    auto doc = vds::parse_vdl(vdl);
-    vds::VirtualDataCatalog vdc;
-    benchmark::DoNotOptimize(vdc.ingest(doc.value()));
-  }
-}
-BENCHMARK(BM_IngestVdlDocument);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_figure1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return run_figure1(); }

@@ -2,13 +2,13 @@
 // pipeline: abstract workflow in, RLS lookups, reduction, Transformation
 // Catalog mapping, submit-file generation, DAGMan execution, results out.
 // Regenerates the stage-by-stage cost profile for galMorph-shaped requests
-// of the paper's cluster sizes and benchmarks the end-to-end request
-// handler.
-#include <benchmark/benchmark.h>
-
+// of the paper's cluster sizes. The compose/plan/submit-gen columns are wall
+// milliseconds of this host; the claims read only the counts and the sim
+// clock: jobs = N+1, registers = 1, and the makespan rises with N.
 #include <cstdio>
 
 #include "pegasus/request_manager.hpp"
+#include "shape_claims.hpp"
 
 namespace {
 
@@ -62,7 +62,9 @@ struct Workload {
   }
 };
 
-void print_figure2() {
+int run_figure2() {
+  bench::ShapeClaims claims;
+  double previous_makespan = 0.0;
   std::printf("=== Figure 2: the Chimera-driven Pegasus request pipeline ===\n");
   std::printf("%10s | %12s %10s %12s | %10s %10s %10s | %14s\n", "galaxies",
               "compose(ms)", "plan(ms)", "submitgen(ms)", "jobs", "transfers",
@@ -73,8 +75,9 @@ void print_figure2() {
                                     pegasus::PlannerConfig{},
                                     grid::JobCostModel{}, grid::FailureModel{});
     auto trace = manager.handle({w.request});
+    const std::string label = std::to_string(n) + " galaxies";
     if (!trace.ok()) {
-      std::printf("ERROR: %s\n", trace.error().to_string().c_str());
+      claims.check(false, label + " run: " + trace.error().to_string());
       continue;
     }
     std::printf("%10d | %12.2f %10.2f %12.2f | %10zu %10zu %10zu | %14.1f\n", n,
@@ -82,46 +85,18 @@ void print_figure2() {
                 trace->execution.compute_jobs, trace->execution.transfer_jobs,
                 trace->execution.register_jobs,
                 trace->execution.makespan_seconds);
+    claims.check(trace->execution.compute_jobs == static_cast<std::size_t>(n) + 1,
+                 label + ": jobs = N+1");
+    claims.check(trace->execution.register_jobs == 1, label + ": registers = 1");
+    claims.check(trace->execution.makespan_seconds > previous_makespan,
+                 label + ": makespan rises with N");
+    previous_makespan = trace->execution.makespan_seconds;
   }
   std::printf("(the pipeline stages are Fig. 2 steps 1-11; makespan is steps "
-              "12-15 on the simulated 3-pool grid)\n\n");
+              "12-15 on the simulated 3-pool grid)\n");
+  return claims.exit_code();
 }
-
-void BM_RequestPipeline(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    Workload w(n);  // fresh RLS: no reduction shortcut
-    pegasus::RequestManager manager(w.vdc, w.grid, w.rls, w.tc,
-                                    pegasus::PlannerConfig{},
-                                    grid::JobCostModel{}, grid::FailureModel{});
-    state.ResumeTiming();
-    auto trace = manager.handle({w.request});
-    benchmark::DoNotOptimize(trace);
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_RequestPipeline)->Arg(37)->Arg(152)->Arg(561)->Complexity()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SubmitFileGeneration(benchmark::State& state) {
-  Workload w(152);
-  pegasus::Planner planner(w.grid, w.rls, w.tc, pegasus::PlannerConfig{}, 1);
-  vds::Dag abstract =
-      vds::compose_abstract_workflow(w.vdc, {w.request}).value();
-  auto plan = planner.plan(abstract);
-  for (auto _ : state) {
-    auto files = pegasus::generate_submit_files(plan->concrete);
-    benchmark::DoNotOptimize(files);
-  }
-}
-BENCHMARK(BM_SubmitFileGeneration)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_figure2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return run_figure2(); }

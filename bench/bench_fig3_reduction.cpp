@@ -4,14 +4,15 @@
 // replica coverage: the fraction of intermediate products already
 // materialized, swept 0% -> 100%, reporting pruned jobs, concrete workflow
 // size, and executed makespan — the virtual-data reuse payoff that is
-// Pegasus's distinguishing feature (§3.3).
-#include <benchmark/benchmark.h>
-
+// Pegasus's distinguishing feature (§3.3). Claims: as coverage grows the
+// pruned count never falls and the makespan never rises, and at 100 %
+// coverage one job (the concat) remains.
 #include <cstdio>
 
 #include "common/rng.hpp"
 #include "grid/dagman.hpp"
 #include "pegasus/planner.hpp"
+#include "shape_claims.hpp"
 #include "vds/chimera.hpp"
 
 namespace {
@@ -82,7 +83,8 @@ struct Env {
   }
 };
 
-void print_figure3() {
+int run_figure3() {
+  bench::ShapeClaims claims;
   std::printf("=== Figure 3: abstract-workflow reduction vs replica coverage ===\n");
   const int n = 152;
   Workload w(n);
@@ -92,45 +94,40 @@ void print_figure3() {
               abstract.num_nodes(), n);
   std::printf("%10s | %8s %10s | %10s %10s | %16s\n", "coverage", "pruned",
               "remaining", "transfers", "dag nodes", "makespan(sim s)");
+  std::size_t previous_pruned = 0;
+  double previous_makespan = 0.0;
   for (double coverage : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+    const std::string label = std::to_string(static_cast<int>(coverage * 100)) +
+                              "% coverage";
     Env env(w, coverage, 7);
     pegasus::Planner planner(env.grid, env.rls, env.tc, pegasus::PlannerConfig{}, 3);
     auto plan = planner.plan(abstract);
     if (!plan.ok()) {
-      std::printf("ERROR: %s\n", plan.error().to_string().c_str());
-      continue;
+      claims.check(false, label + " plans: " + plan.error().to_string());
+      return claims.exit_code();
     }
     grid::DagManSim dagman(env.grid, grid::JobCostModel{}, grid::FailureModel{}, 5);
     auto report = dagman.run(plan->concrete);
     std::printf("%9.0f%% | %8zu %10zu | %10zu %10zu | %16.1f\n", coverage * 100,
                 plan->pruned_jobs, plan->compute_nodes, plan->transfer_nodes,
                 plan->concrete.num_nodes(), report->makespan_seconds);
+    if (coverage > 0.0) {
+      claims.check(plan->pruned_jobs >= previous_pruned,
+                   label + ": pruned never falls");
+      claims.check(report->makespan_seconds <= previous_makespan,
+                   label + ": makespan never rises");
+    }
+    previous_pruned = plan->pruned_jobs;
+    previous_makespan = report->makespan_seconds;
+    if (coverage == 1.0) {
+      claims.check(plan->compute_nodes == 1, label + ": one job remains");
+    }
   }
   std::printf("(paper claim: reuse of materialized intermediates shrinks the "
-              "workflow; at 100%% only the concat runs)\n\n");
+              "workflow; at 100%% only the concat runs)\n");
+  return claims.exit_code();
 }
-
-void BM_Reduce(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Workload w(n);
-  Env env(w, 0.5, 11);
-  const vds::Dag abstract =
-      vds::compose_abstract_workflow(w.vdc, {w.request}).value();
-  pegasus::Planner planner(env.grid, env.rls, env.tc, pegasus::PlannerConfig{}, 3);
-  for (auto _ : state) {
-    auto reduced = planner.reduce(abstract);
-    benchmark::DoNotOptimize(reduced);
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_Reduce)->Arg(37)->Arg(152)->Arg(561)->Complexity()
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_figure3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return run_figure3(); }

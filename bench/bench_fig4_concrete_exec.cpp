@@ -3,12 +3,13 @@
 // Regenerates exactly that structure from the paper's d1/d2 chain with b
 // pre-materialized, prints the resulting DAG, and measures executed
 // makespans with and without virtual-data reuse on the simulated grid.
-#include <benchmark/benchmark.h>
-
+// Claims: the concrete DAG is the figure's four nodes, and reuse beats
+// recompute.
 #include <cstdio>
 
 #include "grid/dagman.hpp"
 #include "pegasus/planner.hpp"
+#include "shape_claims.hpp"
 #include "vds/chimera.hpp"
 
 namespace {
@@ -34,7 +35,26 @@ vds::VirtualDataCatalog paper_chain() {
   return vdc;
 }
 
-void print_figure4() {
+/// The figure node for node: move b in, execute d2, move c out, register c.
+bool is_figure4_dag(const vds::Dag& dag) {
+  auto only = [&](const std::vector<std::string>& ids, vds::JobType type,
+                  const char* file) -> const vds::DagNode* {
+    if (ids.size() != 1) return nullptr;
+    const vds::DagNode* n = dag.node(ids.front());
+    return n != nullptr && n->type == type && n->file == file ? n : nullptr;
+  };
+  const vds::DagNode* d2 = dag.node("d2");
+  if (dag.num_nodes() != 4 || d2 == nullptr || d2->type != vds::JobType::kCompute) {
+    return false;
+  }
+  const vds::DagNode* move_in = only(dag.parents("d2"), vds::JobType::kTransfer, "b");
+  const vds::DagNode* move_out = only(dag.children("d2"), vds::JobType::kTransfer, "c");
+  return move_in != nullptr && move_out != nullptr &&
+         only(dag.children(move_out->id), vds::JobType::kRegister, "c") != nullptr;
+}
+
+int run_figure4() {
+  bench::ShapeClaims claims;
   std::printf("=== Figure 4: concrete, executable workflow ===\n");
   vds::VirtualDataCatalog vdc = paper_chain();
   const vds::Dag abstract = vds::compose_abstract_workflow(vdc, {"c"}).value();
@@ -74,52 +94,14 @@ void print_figure4() {
   std::printf("makespan recomputing b:   %.2f sim s (%zu jobs)\n",
               without->makespan_seconds, full->compute_nodes);
   std::printf("(paper assumption: 'it is always more costly to compute the "
-              "data product than to fetch it' — reuse wins here)\n\n");
+              "data product than to fetch it' — reuse wins here)\n");
+  claims.check(is_figure4_dag(plan->concrete),
+               "the concrete DAG is move b in, execute d2, move c out, register c");
+  claims.check(with_reuse->makespan_seconds < without->makespan_seconds,
+               "reuse of b beats recomputing it");
+  return claims.exit_code();
 }
-
-void BM_PlanPaperChain(benchmark::State& state) {
-  vds::VirtualDataCatalog vdc = paper_chain();
-  const vds::Dag abstract = vds::compose_abstract_workflow(vdc, {"c"}).value();
-  grid::Grid grid = grid::make_paper_grid();
-  pegasus::ReplicaLocationService rls;
-  pegasus::TransformationCatalog tc;
-  rls.add("a", "fermilab", "p");
-  rls.add("b", "fermilab", "p");
-  for (const std::string& site : grid.site_names()) (void)tc.add({"t", site, "/t", {}});
-  pegasus::Planner planner(grid, rls, tc, pegasus::PlannerConfig{}, 1);
-  for (auto _ : state) {
-    auto plan = planner.plan(abstract);
-    benchmark::DoNotOptimize(plan);
-  }
-}
-BENCHMARK(BM_PlanPaperChain);
-
-void BM_SimulatedExecution(benchmark::State& state) {
-  // Executing a 500-node concrete DAG on the simulated grid.
-  vds::Dag dag;
-  grid::Grid grid = grid::make_paper_grid();
-  const auto sites = grid.site_names();
-  for (int i = 0; i < 500; ++i) {
-    vds::DagNode n;
-    n.id = "j" + std::to_string(i);
-    n.type = vds::JobType::kCompute;
-    n.site = sites[static_cast<std::size_t>(i) % sites.size()];
-    (void)dag.add_node(n);
-    if (i >= 10) (void)dag.add_edge("j" + std::to_string(i - 10), n.id);
-  }
-  grid::DagManSim dagman(grid, grid::JobCostModel{}, grid::FailureModel{}, 3);
-  for (auto _ : state) {
-    auto report = dagman.run(dag);
-    benchmark::DoNotOptimize(report);
-  }
-}
-BENCHMARK(BM_SimulatedExecution)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_figure4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return run_figure4(); }

@@ -4,18 +4,21 @@
 // reports per-stage simulated time. Includes the paper's own bottleneck
 // observation: "an image query and download for each galaxy must be done
 // separately. This could be sped up tremendously if one could query for all
-// images at once" — both modes are measured side by side.
-#include <benchmark/benchmark.h>
-
+// images at once" — all three cutout query modes are measured side by side.
+// Claims: per-galaxy queries = galaxies > coalesced > wide-cone = 1, and the
+// cutout sim time falls strictly in that order.
+#include <algorithm>
 #include <cstdio>
 
 #include "analysis/campaign.hpp"
+#include "shape_claims.hpp"
 
 namespace {
 
 using namespace nvo;
 
-void print_figure5() {
+int run_figure5() {
+  bench::ShapeClaims claims;
   std::printf("=== Figure 5: portal operation, per-stage simulated time ===\n");
   analysis::CampaignConfig config;
   config.population_scale = 0.2;
@@ -24,8 +27,8 @@ void print_figure5() {
 
   auto outcome = campaign.run_cluster(name);
   if (!outcome.ok()) {
-    std::printf("ERROR: %s\n", outcome.error().to_string().c_str());
-    return;
+    claims.check(false, name + " runs: " + outcome.error().to_string());
+    return claims.exit_code();
   }
   const portal::PortalTrace& t = outcome->portal_trace;
   std::printf("cluster %s: %zu galaxies (%zu valid, %zu invalid)\n", name.c_str(),
@@ -55,58 +58,34 @@ void print_figure5() {
   std::printf("\ncutout metadata query modes (the paper's wished-for "
               "speedup):\n");
   std::printf("%-14s %10s %16s\n", "mode", "queries", "sim time (ms)");
-  double per_galaxy_ms = 0.0;
-  for (const ModeRun& m : modes) {
+  std::size_t queries[3] = {};
+  double query_ms[3] = {};
+  for (int i = 0; i < 3; ++i) {
     analysis::CampaignConfig mode_config = config;
-    mode_config.cutout_mode = m.mode;
+    mode_config.cutout_mode = modes[i].mode;
     analysis::Campaign mode_campaign(mode_config);
     auto run = mode_campaign.run_cluster(name);
-    if (!run.ok()) continue;
-    const portal::PortalTrace& b = run->portal_trace;
-    if (m.mode == portal::CutoutQueryMode::kPerGalaxy) {
-      per_galaxy_ms = b.cutout_query_ms;
-      std::printf("%-14s %10zu %16.0f\n", m.label, b.cutout_queries,
-                  b.cutout_query_ms);
-    } else {
-      std::printf("%-14s %10zu %16.0f   (%.0fx faster)\n", m.label,
-                  b.cutout_queries, b.cutout_query_ms,
-                  per_galaxy_ms / std::max(b.cutout_query_ms, 1.0));
+    if (!run.ok()) {
+      claims.check(false, std::string(modes[i].label) + " runs: " +
+                              run.error().to_string());
+      return claims.exit_code();
     }
+    queries[i] = run->portal_trace.cutout_queries;
+    query_ms[i] = run->portal_trace.cutout_query_ms;
+    std::printf("%-14s %10zu %16.0f", modes[i].label, queries[i], query_ms[i]);
+    if (i > 0) {
+      std::printf("   (%.0fx faster)", query_ms[0] / std::max(query_ms[i], 1.0));
+    }
+    std::printf("\n");
   }
-  std::printf("\n");
+  claims.check(queries[0] == t.galaxies && queries[0] > queries[1] &&
+                   queries[1] > queries[2] && queries[2] == 1,
+               "queries: per-galaxy = galaxies > coalesced > wide-cone = 1");
+  claims.check(query_ms[0] > query_ms[1] && query_ms[1] > query_ms[2],
+               "cutout sim ms: per-galaxy > coalesced > wide-cone");
+  return claims.exit_code();
 }
-
-void BM_PortalCatalogBuild(benchmark::State& state) {
-  analysis::CampaignConfig config;
-  config.population_scale = 0.05;
-  analysis::Campaign campaign(config);
-  for (auto _ : state) {
-    auto catalog = campaign.portal().build_galaxy_catalog("A2390");
-    benchmark::DoNotOptimize(catalog);
-  }
-}
-BENCHMARK(BM_PortalCatalogBuild)->Unit(benchmark::kMillisecond);
-
-void BM_PortalFullAnalysisSmall(benchmark::State& state) {
-  // Fresh campaign per iteration: the result cache would otherwise turn
-  // every iteration after the first into a cache hit.
-  for (auto _ : state) {
-    state.PauseTiming();
-    analysis::CampaignConfig config;
-    config.population_scale = 0.02;
-    analysis::Campaign campaign(config);
-    state.ResumeTiming();
-    auto outcome = campaign.portal().run_analysis("MS1621");
-    benchmark::DoNotOptimize(outcome);
-  }
-}
-BENCHMARK(BM_PortalFullAnalysisSmall)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_figure5();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return run_figure5(); }

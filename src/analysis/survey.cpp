@@ -1,8 +1,6 @@
 #include "analysis/survey.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -44,29 +42,19 @@ double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Spill-run codec. One text line per galaxy:
 //
 //   <id> 1 <sb> <C> <A> <r_p> <snr> <kpc/arcsec>
 //   <id> 0
 //
-// with each double written as its 16-hex-digit IEEE-754 bit pattern, so the
-// decode side reconstructs bit-identical values and the streamed catalog
-// renders byte-identically to the in-memory concat_results path.
+// with each double written as its 16-hex-digit IEEE-754 bit pattern
+// (common/strings' hex codec), so the decode side reconstructs bit-identical
+// values and the streamed catalog renders byte-identically to the in-memory
+// concat_results path.
 // ---------------------------------------------------------------------------
-
-void append_hex_u64(std::string& out, std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out.push_back(kDigits[(v >> shift) & 0xF]);
-  }
-}
-
-void append_hex_double(std::string& out, double v) {
-  append_hex_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-}  // namespace
 
 namespace detail {
 
@@ -91,23 +79,6 @@ void encode_run_line(const core::GalMorphResult& r, std::string& out) {
   out.push_back('\n');
 }
 
-}  // namespace detail
-
-namespace {
-
-bool parse_hex_double(std::string_view text, double& out) {
-  std::uint64_t bits = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), bits, 16);
-  if (ec != std::errc() || ptr != text.data() + text.size()) return false;
-  out = std::bit_cast<double>(bits);
-  return true;
-}
-
-}  // namespace
-
-namespace detail {
-
 /// Decodes one run line into a reusable 8-cell catalog row (same column
 /// order as core::concat_results). The id cell recycles its string storage,
 /// so steady-state decoding performs zero heap allocations.
@@ -128,9 +99,9 @@ bool decode_run_line(const std::string& line, votable::Row& row) {
   std::size_t pos = sp + 3;  // past " 1 "
   for (std::size_t c = 2; c < 8; ++c) {
     if (pos + 16 > s.size()) return false;
-    double v = 0.0;
-    if (!parse_hex_double(s.substr(pos, 16), v)) return false;
-    row[c] = Value::of_double(v);
+    const std::optional<double> v = parse_hex_double(s.substr(pos, 16));
+    if (!v) return false;
+    row[c] = Value::of_double(*v);
     pos += 17;  // 16 hex digits + separator
   }
   return true;

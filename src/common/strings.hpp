@@ -2,6 +2,9 @@
 // HTTP-style query strings, FITS header cards).
 #pragma once
 
+#include <bit>
+#include <charconv>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -42,6 +45,39 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 /// locale, so hot paths can append without a vsnprintf per value.
 std::string fixed(double value, int digits);
 void append_fixed(std::string& out, double value, int digits);
+
+/// The bit-exact hex codec of the checkpoint journal and the survey's spill
+/// runs: a 64-bit value as 16 lowercase hex digits, a double as the hex of
+/// its IEEE-754 bit pattern, so a decoded double is bit-identical to the one
+/// encoded. Defined here, inline, because the spill codec is on the survey's
+/// per-galaxy path.
+inline void append_hex_u64(std::string& out, std::uint64_t v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    out.push_back(kDigits[(v >> shift) & 0xF]);
+  }
+}
+
+inline void append_hex_double(std::string& out, double v) {
+  append_hex_u64(out, std::bit_cast<std::uint64_t>(v));
+}
+
+/// Parses hex digits back; nullopt for an empty field, any non-hex
+/// character (a sign, a `0x` prefix or whitespace included) or a value
+/// wider than 64 bits. Bytes from a journal or spill run are untrusted, so
+/// a malformed field must reject its record, never decode as 0.
+inline std::optional<std::uint64_t> parse_hex_u64(std::string_view s) {
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v, 16);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
+inline std::optional<double> parse_hex_double(std::string_view s) {
+  const std::optional<std::uint64_t> bits = parse_hex_u64(s);
+  if (!bits) return std::nullopt;
+  return std::bit_cast<double>(*bits);
+}
 
 /// Replaces every occurrence of `from` with `to`.
 std::string replace_all(std::string s, std::string_view from, std::string_view to);

@@ -1,7 +1,5 @@
 #include "grid/checkpoint.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -100,9 +98,8 @@ Expected<std::unique_ptr<CheckpointJournal>> CheckpointJournal::open(
         break;  // short write: the kill arrived mid-record
       }
       std::string payload = content.substr(payload_start, len);
-      char* end = nullptr;
-      const std::uint64_t want = std::strtoull(digest_hex.c_str(), &end, 16);
-      if (end == digest_hex.c_str() || hash64(payload) != want) {
+      const std::optional<std::uint64_t> want = parse_hex_u64(digest_hex);
+      if (!want || hash64(payload) != *want) {
         break;  // checksum mismatch: torn or corrupted tail
       }
       journal->records_[kind][decode_key(key_enc)] = std::move(payload);
@@ -141,9 +138,10 @@ Status CheckpointJournal::write_record(const std::string& kind,
                                        const std::string& payload) {
   std::ofstream out(path_, std::ios::binary | std::ios::app);
   if (!out) return Error(ErrorCode::kIoError, "cannot append to " + path_);
+  std::string digest;
+  append_hex_u64(digest, hash64(payload));
   out << "rec " << kind << ' ' << encode_key(key) << ' ' << payload.size() << ' '
-      << format("%016llx", static_cast<unsigned long long>(hash64(payload)))
-      << '\n';
+      << digest << '\n';
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   out << '\n';
   out.flush();

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -46,23 +44,9 @@ double wall_ms_since(const std::chrono::steady_clock::time_point& t0) {
 // registrations as space-separated fields. Doubles are serialized as their
 // 64-bit pattern in hex: a resumed row must be bit-identical to the one the
 // kernel produced, and a decimal round-trip would lose ulps and break the
-// byte-identical-catalog guarantee.
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string hex_double(double d) { return hex_u64(std::bit_cast<std::uint64_t>(d)); }
-
-std::uint64_t parse_hex_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 16);
-}
-
-double parse_hex_double(const std::string& s) {
-  return std::bit_cast<double>(parse_hex_u64(s));
-}
+// byte-identical-catalog guarantee. The journal is untrusted on load: a
+// record with any malformed field is not resumed, so its galaxy is
+// recomputed and its image re-staged.
 
 std::string escape_field(const std::string& s) {
   std::string out;
@@ -109,17 +93,21 @@ double quantile_of(std::vector<double> v, double q) {
   return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
 }
 
-std::string unescape_field(const std::string& s) {
+/// Inverse of escape_field; nullopt unless every '%' starts a two-hex-digit
+/// escape.
+std::optional<std::string> unescape_field(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      out += static_cast<char>(
-          std::strtoul(s.substr(i + 1, 2).c_str(), nullptr, 16));
-      i += 2;
-    } else {
+    if (s[i] != '%') {
       out += s[i];
+      continue;
     }
+    const std::optional<std::uint64_t> byte =
+        i + 2 < s.size() ? parse_hex_u64(s.substr(i + 1, 2)) : std::nullopt;
+    if (!byte) return std::nullopt;
+    out += static_cast<char>(*byte);
+    i += 2;
   }
   return out;
 }
@@ -152,21 +140,31 @@ std::string encode_result(const core::GalMorphResult& r) {
                                          : escape_field(r.params.failure_reason);
   for (const double* d : result_doubles(r)) {
     out += ' ';
-    out += hex_double(*d);
+    append_hex_double(out, *d);
   }
   return out;
 }
 
+/// Decodes an encode_result payload; false, with `out` untouched, when any
+/// field is malformed.
 bool decode_result(const std::string& payload, core::GalMorphResult& out) {
   const std::vector<std::string> f = split(payload, ' ');
-  if (f.size() != 18) return false;
-  out.galaxy_id = unescape_field(f[0]);
-  out.params.valid = f[1] == "1";
-  out.params.failure_reason = f[2] == "-" ? std::string() : unescape_field(f[2]);
-  const auto slots = result_doubles(out);
+  if (f.size() != 18 || (f[1] != "0" && f[1] != "1")) return false;
+  core::GalMorphResult r;
+  std::optional<std::string> id = unescape_field(f[0]);
+  std::optional<std::string> reason =
+      f[2] == "-" ? std::string() : unescape_field(f[2]);
+  if (!id || !reason) return false;
+  r.galaxy_id = std::move(*id);
+  r.params.valid = f[1] == "1";
+  r.params.failure_reason = std::move(*reason);
+  const auto slots = result_doubles(r);
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    *slots[i] = parse_hex_double(f[3 + i]);
+    const std::optional<double> v = parse_hex_double(f[3 + i]);
+    if (!v) return false;
+    *slots[i] = *v;
   }
+  out = std::move(r);
   return true;
 }
 
@@ -531,9 +529,16 @@ void MorphologyService::replay_journal_images(const Request& rq) {
     if (!starts_with(key, rq.ck)) return;
     const std::vector<std::string> f = split(payload, ' ');
     if (f.size() != 3) return;
+    const std::optional<std::string> url = unescape_field(f[0]);
+    std::size_t size = 0;
+    const auto [end, ec] = std::from_chars(f[1].data(), f[1].data() + f[1].size(), size);
+    const std::optional<std::uint64_t> digest = parse_hex_u64(f[2]);
+    if (!url || ec != std::errc() || end != f[1].data() + f[1].size() || !digest) {
+      return;
+    }
     const std::string lfn = key.substr(rq.ck.size());
-    rls_.add(lfn, config_.cache_site, unescape_field(f[0]), parse_hex_u64(f[2]));
-    grid_.put_file(config_.cache_site, lfn, std::strtoull(f[1].c_str(), nullptr, 10));
+    rls_.add(lfn, config_.cache_site, *url, *digest);
+    grid_.put_file(config_.cache_site, lfn, size);
   });
 }
 
@@ -615,10 +620,10 @@ Status MorphologyService::stage_and_compute(Request& rq) {
     }
     request_lfns_.insert(lfn);  // a hit can still be evicted mid-request
     if (rq.journal && !rq.journal->has("image", rq.ck + lfn)) {
-      (void)rq.journal->append("image", rq.ck + lfn,
-                               escape_field(*url) + ' ' +
-                                   format("%zu", payload->size()) + ' ' +
-                                   hex_u64(cache_.digest_of(lfn)));
+      std::string record = escape_field(*url) + ' ' +
+                           std::to_string(payload->size()) + ' ';
+      append_hex_u64(record, cache_.digest_of(lfn));
+      (void)rq.journal->append("image", rq.ck + lfn, std::move(record));
     }
     submit_kernel(rq, i, std::move(payload));
   }

@@ -16,6 +16,12 @@
 namespace nvo::portal {
 
 namespace {
+
+/// kCoalesced's patch cell size: one SIA range query per occupied cell.
+constexpr double kCutoutPatchDeg = 0.1;
+/// Side of a requested cutout: 64 survey pixels of 1 arcsec.
+constexpr double kCutoutSizeDeg = 64.0 / 3600.0;
+
 double wall_ms_since(const std::chrono::steady_clock::time_point& t0) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                    t0)
@@ -282,7 +288,6 @@ Expected<votable::Table> Portal::attach_cutout_refs(votable::Table catalog,
     // round-trip count follows the sky area, not the galaxy count, while
     // each response stays patch-sized. A failed patch query loses only
     // that patch's cutout references.
-    const double patch = std::max(config_.cutout_patch_deg, 1e-6);
     // Each patch keeps (row index, position): positions are captured once
     // at bucketing time, so no later step re-dereferences as_number() on a
     // row it has not itself checked.
@@ -295,8 +300,8 @@ Expected<votable::Table> Portal::attach_cutout_refs(votable::Table catalog,
       const auto ra = catalog.row(i)[*ra_col].as_number();
       const auto dec = catalog.row(i)[*dec_col].as_number();
       if (!ra || !dec) continue;
-      patches[{static_cast<long>(std::floor(*ra / patch)),
-               static_cast<long>(std::floor(*dec / patch))}]
+      patches[{static_cast<long>(std::floor(*ra / kCutoutPatchDeg)),
+               static_cast<long>(std::floor(*dec / kCutoutPatchDeg))}]
           .push_back(Member{i, {*ra, *dec}});
     }
     for (const auto& [cell, members] : patches) {
@@ -314,7 +319,7 @@ Expected<votable::Table> Portal::attach_cutout_refs(votable::Table catalog,
         max_sep = std::max(max_sep, sky::angular_separation_deg(center, m.pos));
       }
       auto records = services::sia_query(client_, federation_.cutout_sia, center,
-                                         2.0 * max_sep + config_.cutout_size_deg);
+                                         2.0 * max_sep + kCutoutSizeDeg);
       ++queries;
       if (!records.ok() || records->empty()) continue;
       std::vector<std::size_t> row_ids;
@@ -331,7 +336,7 @@ Expected<votable::Table> Portal::attach_cutout_refs(votable::Table catalog,
       const auto dec = catalog.row(i)[*dec_col].as_number();
       if (!ra || !dec) continue;
       auto records = services::sia_query(client_, federation_.cutout_sia,
-                                         {*ra, *dec}, config_.cutout_size_deg);
+                                         {*ra, *dec}, kCutoutSizeDeg);
       ++queries;
       if (!records.ok() || records->empty()) continue;
       // The cone may contain close neighbors too; take the record nearest

@@ -47,8 +47,6 @@ enum class CutoutQueryMode { kPerGalaxy, kCoalesced, kWideCone };
 
 struct PortalConfig {
   CutoutQueryMode cutout_query = CutoutQueryMode::kCoalesced;
-  double cutout_patch_deg = 0.1;      ///< kCoalesced patch cell size
-  double cutout_size_deg = 64.0 / 3600.0;
   services::RetryPolicy retry;        ///< per-request tolerance for all queries
   services::BreakerPolicy breaker;
   /// Optional trace-span sink for the request path (null = no tracing).

@@ -31,8 +31,9 @@ std::string to_votable_xml(const Table& table);
 /// reused buffer makes steady-state serialization allocation-free.
 void to_votable_xml(const Table& table, std::string& out);
 
-/// Builds the XML document tree without flattening to text (useful for the
-/// portal transforms, which walk the tree).
+/// Builds the XML document tree without flattening to text. No request path
+/// calls it: it is the tree-based reference that the single-pass writers
+/// above are checked byte-identical against.
 std::unique_ptr<XmlNode> to_votable_tree(const Table& table);
 
 /// Incremental VOTable serializer: begin(schema) + N x row(...) + end()

@@ -1,10 +1,7 @@
 // Tests for the paper's named future-work features, implemented here: MDS
-// dynamic resource discovery (§3.2), provenance tracking (§3.3) and the
-// Mirage export (§4.4).
+// dynamic resource discovery (§3.2) and provenance tracking (§3.3).
 #include <gtest/gtest.h>
 
-#include "analysis/mirage.hpp"
-#include "common/strings.hpp"
 #include "grid/mds.hpp"
 #include "pegasus/planner.hpp"
 #include "vds/chimera.hpp"
@@ -223,72 +220,6 @@ TEST(Provenance, RecordExecutionFromDag) {
   EXPECT_EQ(r->site, "uwisc");
   EXPECT_EQ(r->parameters.at("redshift"), "0.1");
   EXPECT_DOUBLE_EQ(r->completed_at_s, 99.0);
-}
-
-// ---------------------------------------------------------------------------
-// Mirage
-// ---------------------------------------------------------------------------
-
-votable::Table morph_table() {
-  votable::Table t({votable::Field{"id", votable::DataType::kString},
-                    votable::Field{"C", votable::DataType::kDouble},
-                    votable::Field{"A", votable::DataType::kDouble}});
-  (void)t.append_row({votable::Value::of_string("e1"), votable::Value::of_double(4.1),
-                      votable::Value::of_double(0.03)});
-  (void)t.append_row({votable::Value::of_string("s1"), votable::Value::of_double(2.5),
-                      votable::Value::of_double(0.31)});
-  (void)t.append_row({votable::Value::of_string("bad"), votable::Value(),
-                      votable::Value()});
-  return t;
-}
-
-TEST(Mirage, ExportFormat) {
-  const std::string text = analysis::to_mirage(morph_table());
-  const auto lines = split(text, '\n');
-  EXPECT_EQ(lines[0], "format id C A");
-  EXPECT_EQ(lines[1], "e1 4.1 0.03");
-  EXPECT_EQ(lines[3], "bad -9999 -9999");  // nulls as sentinel
-}
-
-TEST(Mirage, RoundTrip) {
-  auto back = analysis::from_mirage(analysis::to_mirage(morph_table()));
-  ASSERT_TRUE(back.ok()) << back.error().to_string();
-  ASSERT_EQ(back->num_rows(), 3u);
-  EXPECT_EQ(back->fields()[0].datatype, votable::DataType::kString);
-  EXPECT_EQ(back->fields()[1].datatype, votable::DataType::kDouble);
-  EXPECT_DOUBLE_EQ(back->cell(1, "C").as_double().value(), 2.5);
-  EXPECT_TRUE(back->cell(2, "C").is_null());
-}
-
-TEST(Mirage, FromMirageRejectsGarbage) {
-  EXPECT_FALSE(analysis::from_mirage("").ok());
-  EXPECT_FALSE(analysis::from_mirage("notformat a b\n1 2\n").ok());
-  EXPECT_FALSE(analysis::from_mirage("format a b\n1 2 3\n").ok());  // arity
-  EXPECT_FALSE(analysis::from_mirage("format\n").ok());  // no variables
-}
-
-TEST(Mirage, ScatterAsciiRendersPoints) {
-  const std::string plot = analysis::scatter_ascii(
-      {0.0, 1.0, 0.5}, {0.0, 1.0, 0.5}, {0, 1, 0},
-      {.width = 21, .height = 11, .x_label = "C", .y_label = "A"});
-  // Diagonal: bottom-left 'o', top-right 'x', middle 'o'.
-  EXPECT_NE(plot.find('o'), std::string::npos);
-  EXPECT_NE(plot.find('x'), std::string::npos);
-  EXPECT_NE(plot.find("A vs C"), std::string::npos);
-}
-
-TEST(Mirage, ScatterColumnsSkipsNulls) {
-  auto plot = analysis::scatter_columns(morph_table(), "C", "A");
-  ASSERT_TRUE(plot.ok());
-  EXPECT_NE(plot->find("A vs C"), std::string::npos);
-  EXPECT_FALSE(analysis::scatter_columns(morph_table(), "C", "nope").ok());
-}
-
-TEST(Mirage, ScatterDegenerateInput) {
-  EXPECT_EQ(analysis::scatter_ascii({}, {}, {}), "(no data)\n");
-  // A single point (zero span) must not divide by zero.
-  const std::string one = analysis::scatter_ascii({1.0}, {2.0}, {});
-  EXPECT_NE(one.find('o'), std::string::npos);
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "analysis/campaign.hpp"
+#include "common/strings.hpp"
+#include "grid/checkpoint.hpp"
 #include "portal/async_portal.hpp"
 #include "portal/compute_service.hpp"
 #include "portal/portal.hpp"
@@ -620,6 +623,58 @@ TEST_F(PortalFixture, SyncRunLayersSumToTheClockAdvance) {
   EXPECT_GT(advance, 0.0);
   EXPECT_LE(std::abs(layers - advance), 1e-9 * advance)
       << "layers " << layers << " vs clock advance " << advance;
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint journal decoding
+// ---------------------------------------------------------------------------
+
+// A checksum-valid journal record is still untrusted input. A `row` record
+// whose concentration is not hex must be rejected and its galaxy recomputed:
+// the resumed catalog is byte-identical to a fault-free run, never a row
+// resumed with the field read as 0.0.
+TEST(ComputeServiceJournal, MalformedRowRecordIsRecomputedNotResumed) {
+  analysis::CampaignConfig config;
+  config.population_scale = 0.05;
+  const std::string cluster =
+      analysis::Campaign(config).universe().clusters().front().name();
+  auto reference = analysis::Campaign(config).run_cluster(cluster);
+  ASSERT_TRUE(reference.ok()) << reference.error().to_string();
+
+  const std::string journal_path =
+      testing::TempDir() + "nvo_portal_malformed_row.journal";
+  std::remove(journal_path.c_str());
+  config.journal_path = journal_path;
+  {
+    // Killed inside its DAG: every row is journaled, the catalog is not.
+    analysis::CampaignConfig killed = config;
+    killed.chaos.kill_after_nodes(1);
+    ASSERT_FALSE(analysis::Campaign(killed).run_cluster(cluster).ok());
+  }
+  std::size_t rows = 0;
+  {
+    auto journal = grid::CheckpointJournal::open(journal_path);
+    ASSERT_TRUE(journal.ok()) << journal.error().to_string();
+    rows = (*journal)->count("row");
+    std::string key;
+    std::vector<std::string> fields;
+    (*journal)->for_each("row", [&](const std::string& k, const std::string& payload) {
+      std::vector<std::string> f = split(payload, ' ');
+      if (key.empty() && f.size() == 18 && f[1] == "1") {
+        key = k;
+        fields = std::move(f);
+      }
+    });
+    ASSERT_FALSE(key.empty()) << "no valid row was journaled";
+    fields[7] = "zzzzzzzzzzzzzzzz";  // the concentration, C
+    // A later record for the same key replaces the earlier one on load.
+    ASSERT_TRUE((*journal)->append("row", key, join(fields, " ")).ok());
+  }
+  auto resumed = analysis::Campaign(config).run_cluster(cluster);
+  std::remove(journal_path.c_str());
+  ASSERT_TRUE(resumed.ok()) << resumed.error().to_string();
+  EXPECT_EQ(resumed->rows_resumed + 1, rows);
+  EXPECT_EQ(resumed->catalog_xml, reference->catalog_xml);
 }
 
 }  // namespace

@@ -1,183 +1,15 @@
-// Tests for the deeper grid/sky substrate features: Condor ClassAd
-// matchmaking, DAGMan rescue DAGs, and the cone-search spatial index.
+// Tests for the deeper grid/sky substrate features: DAGMan rescue DAGs and
+// the cone-search spatial index.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "grid/classad.hpp"
 #include "grid/rescue.hpp"
 #include "sky/spatial_index.hpp"
 
 namespace nvo {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ClassAd expressions
-// ---------------------------------------------------------------------------
-
-grid::ClassAd machine_ad(double memory, const char* arch, double load) {
-  grid::ClassAd ad;
-  ad.set("Memory", memory);
-  ad.set("Arch", arch);
-  ad.set("LoadAvg", load);
-  return ad;
-}
-
-TEST(AdExpr, LiteralsAndArithmetic) {
-  grid::ClassAd empty;
-  auto e = grid::AdExpr::parse("2 + 3 * 4 - 6 / 2");
-  ASSERT_TRUE(e.ok()) << e.error().to_string();
-  auto v = e->eval(empty, empty);
-  ASSERT_TRUE(v.ok());
-  EXPECT_DOUBLE_EQ(std::get<double>(v.value()), 11.0);
-}
-
-TEST(AdExpr, PrecedenceAndParens) {
-  grid::ClassAd empty;
-  EXPECT_DOUBLE_EQ(std::get<double>(
-                       grid::AdExpr::parse("(2 + 3) * 4")->eval(empty, empty).value()),
-                   20.0);
-  EXPECT_EQ(std::get<bool>(grid::AdExpr::parse("1 + 1 == 2 && 3 < 4")
-                               ->eval(empty, empty)
-                               .value()),
-            true);
-  EXPECT_DOUBLE_EQ(
-      std::get<double>(grid::AdExpr::parse("-3 + 1")->eval(empty, empty).value()),
-      -2.0);
-}
-
-TEST(AdExpr, AttributeLookupMyThenTarget) {
-  grid::ClassAd my;
-  my.set("x", 5.0);
-  grid::ClassAd target;
-  target.set("x", 100.0);  // shadowed by my
-  target.set("y", 7.0);
-  auto e = grid::AdExpr::parse("x + y");
-  ASSERT_TRUE(e.ok());
-  EXPECT_DOUBLE_EQ(std::get<double>(e->eval(my, target).value()), 12.0);
-}
-
-TEST(AdExpr, UndefinedAttributeFailsRequirements) {
-  grid::ClassAd empty;
-  auto e = grid::AdExpr::parse("Memory >= 512");
-  ASSERT_TRUE(e.ok());
-  EXPECT_FALSE(e->eval(empty, empty).ok());   // UNDEFINED
-  EXPECT_FALSE(e->eval_bool(empty, empty));   // -> no match
-  EXPECT_DOUBLE_EQ(e->eval_rank(empty, empty), 0.0);
-}
-
-TEST(AdExpr, StringComparisons) {
-  grid::ClassAd ad = machine_ad(1024, "x86", 0.1);
-  auto eq = grid::AdExpr::parse("Arch == \"x86\"");
-  auto ne = grid::AdExpr::parse("Arch != \"sparc\"");
-  ASSERT_TRUE(eq.ok() && ne.ok());
-  EXPECT_TRUE(eq->eval_bool(ad, ad));
-  EXPECT_TRUE(ne->eval_bool(ad, ad));
-  // String arithmetic is an error -> requirements false.
-  auto bad = grid::AdExpr::parse("Arch + 1 > 0");
-  ASSERT_TRUE(bad.ok());
-  EXPECT_FALSE(bad->eval_bool(ad, ad));
-}
-
-TEST(AdExpr, BooleanCoercionAndShortCircuit) {
-  grid::ClassAd ad;
-  ad.set("HasData", true);
-  // The right operand of || is UNDEFINED, but short-circuit avoids it.
-  auto e = grid::AdExpr::parse("HasData || Missing > 1");
-  ASSERT_TRUE(e.ok());
-  EXPECT_TRUE(e->eval_bool(ad, ad));
-  auto r = grid::AdExpr::parse("true + 1");
-  ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(std::get<double>(r->eval(ad, ad).value()), 2.0);
-  auto notx = grid::AdExpr::parse("!false");
-  EXPECT_TRUE(notx->eval_bool(ad, ad));
-}
-
-TEST(AdExpr, ParseErrors) {
-  EXPECT_FALSE(grid::AdExpr::parse("").ok());
-  EXPECT_FALSE(grid::AdExpr::parse("1 +").ok());
-  EXPECT_FALSE(grid::AdExpr::parse("(1 + 2").ok());
-  EXPECT_FALSE(grid::AdExpr::parse("\"unterminated").ok());
-  EXPECT_FALSE(grid::AdExpr::parse("1 2").ok());
-  EXPECT_FALSE(grid::AdExpr::parse("@bad").ok());
-}
-
-TEST(AdExpr, DivisionByZeroIsError) {
-  grid::ClassAd empty;
-  auto e = grid::AdExpr::parse("1 / 0");
-  ASSERT_TRUE(e.ok());
-  EXPECT_FALSE(e->eval(empty, empty).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Matchmaker
-// ---------------------------------------------------------------------------
-
-grid::MachineAd machine(const char* name, double memory, const char* arch,
-                        double load, const char* start = "true") {
-  grid::MachineAd m;
-  m.name = name;
-  m.ad = machine_ad(memory, arch, load);
-  m.ad.set("Mips", memory / 2.0);  // toy speed metric
-  m.requirements = grid::AdExpr::parse(start).value();
-  return m;
-}
-
-grid::JobAd galmorph_job(const char* req, const char* rank) {
-  grid::JobAd j;
-  j.id = "galMorph_G1";
-  j.ad.set("ImageSize", 64.0);
-  j.ad.set("Owner", "nvo");
-  j.requirements = grid::AdExpr::parse(req).value();
-  j.rank = grid::AdExpr::parse(rank).value();
-  return j;
-}
-
-TEST(Matchmaker, TwoWayMatchingAndRanking) {
-  grid::Matchmaker mm;
-  mm.add_machine(machine("slow-big", 2048, "x86", 0.2));
-  mm.add_machine(machine("fast-small", 256, "x86", 0.1));
-  mm.add_machine(machine("sparc-box", 4096, "sparc", 0.0));
-
-  const grid::JobAd job =
-      galmorph_job("Memory >= 512 && Arch == \"x86\"", "Memory");
-  const auto all = mm.matches(job);
-  ASSERT_EQ(all.size(), 1u);  // only slow-big satisfies both clauses
-  EXPECT_EQ(all[0].machine, "slow-big");
-  EXPECT_EQ(mm.match(job).value(), "slow-big");
-}
-
-TEST(Matchmaker, RankOrdersPreference) {
-  grid::Matchmaker mm;
-  mm.add_machine(machine("a", 512, "x86", 0.9));
-  mm.add_machine(machine("b", 1024, "x86", 0.1));
-  const grid::JobAd job = galmorph_job("Memory >= 256", "Mips - 100 * LoadAvg");
-  const auto all = mm.matches(job);
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].machine, "b");  // 512-10 beats 256-90
-}
-
-TEST(Matchmaker, MachinePolicyRejectsJob) {
-  grid::Matchmaker mm;
-  // Machine only accepts jobs owned by "cms".
-  mm.add_machine(machine("picky", 4096, "x86", 0.0, "Owner == \"cms\""));
-  const grid::JobAd job = galmorph_job("Memory >= 256", "0");
-  EXPECT_FALSE(mm.match(job).has_value());
-}
-
-TEST(Matchmaker, NoMachines) {
-  grid::Matchmaker mm;
-  EXPECT_FALSE(mm.match(galmorph_job("true", "0")).has_value());
-}
-
-TEST(Matchmaker, DeterministicTieBreak) {
-  grid::Matchmaker mm;
-  mm.add_machine(machine("zeta", 512, "x86", 0.0));
-  mm.add_machine(machine("alpha", 512, "x86", 0.0));
-  const grid::JobAd job = galmorph_job("Memory >= 256", "Memory");
-  EXPECT_EQ(mm.match(job).value(), "alpha");  // equal rank -> name order
-}
 
 // ---------------------------------------------------------------------------
 // Rescue DAGs

@@ -6,13 +6,13 @@
 # tests, the FITS codec and render-key tests in image_test/sim_test, and the
 # morphology kernel's equivalence, unit and allocation tests, the
 # VOTable/XML reader and string-parsing tests, and the sky coordinate and
-# cosmology tests) under the instrumented
-# binaries, then repeats the concurrency-facing
-# lane (sharded cache + pipelined staging + concurrent journal appends) under
-# ThreadSanitizer in build-tsan/.
+# cosmology tests, and the ten paper-figure experiments labelled
+# `experiments`) under the instrumented binaries, then repeats the
+# concurrency-facing lane (sharded cache + pipelined staging + concurrent
+# journal appends) under ThreadSanitizer in build-tsan/.
 #
 # Usage: tools/run_sanitize_tests.sh [ctest -R regex]
-#   default regex: resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test|votable_test|common_test|sky_test
+#   default regex: bench_table1|bench_fig|bench_a1|bench_a2|resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test|votable_test|common_test|sky_test
 #   BUILD_DIR=<dir>       ASan build tree (default: <repo>/build-asan)
 #   TSAN_BUILD_DIR=<dir>  TSan build tree (default: <repo>/build-tsan)
 #   NVO_SKIP_TSAN=1       run only the ASan phase
@@ -21,7 +21,7 @@ set -e
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-asan}"
 TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
-REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test|votable_test|common_test|sky_test}"
+REGEX="${1:-bench_table1|bench_fig|bench_a1|bench_a2|resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|portal_test|image_test|sim_test|kernel_equivalence_test|core_test|kernel_alloc_test|vds_test|pegasus_test|property_test|workflow_golden_test|analysis_test|votable_test|common_test|sky_test}"
 # obs_test/observability_test drive the traced portal pipeline through the
 # kernel thread pool, and grid_test appends to the checkpoint journal from a
 # thread pool, so they belong in the TSan lane too. soa_kernel_test runs
@@ -86,6 +86,11 @@ REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_pla
 # index or a tail bound past the segment count is UBSan territory, and its
 # bit pin against the scalar loop re-checks the vector path at the
 # sanitized build's optimization settings. It starts no threads.
+# The `experiments` label (bench_table1_federation, bench_fig1..7,
+# bench_a1, bench_a2) joins the ASan lane only: these programs drive the
+# planner, DAGMan, the portal and the Dressler analysis on paper-scale
+# inputs that no unit test reaches, in about 3.5 s unsanitized. F7 writes
+# its composite into the build tree, its working directory.
 TSAN_REGEX="${TSAN_REGEX:-replica_cache_test|data_plane_test|obs_test|observability_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test}"
 
 cmake -B "$BUILD" -S "$ROOT" -DNVO_SANITIZE="address;undefined" \
@@ -96,7 +101,11 @@ cmake --build "$BUILD" -j --target \
       survey_test async_portal_test dataflow_test multipool_test lifecycle_test \
       portal_test image_test sim_test kernel_equivalence_test core_test kernel_alloc_test \
       vds_test pegasus_test property_test workflow_golden_test analysis_test \
-      votable_test common_test sky_test
+      votable_test common_test sky_test \
+      bench_table1_federation bench_fig1_chimera_compose bench_fig2_pegasus_pipeline \
+      bench_fig3_reduction bench_fig4_concrete_exec bench_fig5_portal \
+      bench_fig6_webservice bench_fig7_dressler bench_a1_reuse_policy \
+      bench_a2_site_selection
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
